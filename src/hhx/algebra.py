@@ -22,6 +22,7 @@ __all__ = [
     "make_algebra",
     "tensor_algebras",
     "opposite",
+    "unit_adapted",
     "is_etale",
     "center",
     "algebra_to_json",
@@ -322,6 +323,43 @@ def opposite(A: GradedAlgebra) -> GradedAlgebra:
     return make_algebra(
         field, list(zip(A.names, A.degrees)), A.unit, table, A.commutative
     )
+
+
+def unit_adapted(A: GradedAlgebra) -> "AlgebraMap":
+    """Isomorphism onto A from a copy of A whose unit is a basis vector.
+
+    When the unit of A already is a basis vector, the copy is A itself and
+    the map is the identity.  Otherwise the first basis vector with a
+    nonzero unit coefficient is swapped for the unit.  That vector has
+    degree zero, because the unit has.  Every other basis vector and name
+    stays.
+    """
+    field = A.field
+    zero, one = field.zero, field.one
+    d = A.dim
+    support = [k for k, c in enumerate(A.unit) if c != zero]
+    if len(support) == 1 and A.unit[support[0]] == one:
+        return AlgebraMap(A, A, SMat.identity(d, field))
+    u = support[0]
+    inv = field.inv(A.unit[u])
+
+    def coords(v):
+        # v in the new basis: e_u = (1 - sum_{k != u} c_k e_k) / c_u
+        a = v[u] * inv
+        return [a if k == u else v[k] - A.unit[k] * a for k in range(d)]
+
+    basis = [A.unit if k == u else A.basis_vector(k) for k in range(d)]
+    names = list(A.names)
+    names[u] = A.show_element(A.unit)
+    B = make_algebra(
+        field,
+        list(zip(names, A.degrees)),
+        [one if k == u else zero for k in range(d)],
+        [[coords(A.multiply(x, y)) for y in basis] for x in basis],
+        A.commutative,
+    )
+    cols = [{k: c for k, c in enumerate(b) if c != zero} for b in basis]
+    return AlgebraMap(B, A, SMat(d, d, field, cols))
 
 
 def is_etale(A: GradedAlgebra) -> bool:

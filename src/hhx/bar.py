@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import GradedAlgebra, tensor_algebras
+from .algebra import GradedAlgebra, tensor_algebras, unit_adapted
 from .chains import (
     BettiTable,
     ChainComplex,
@@ -18,7 +18,7 @@ from .chains import (
     DoubleComplex,
     total_complex,
 )
-from .loday import _add_into, _rank_tuple, _shuffle_chain, _weights, loday_complex
+from .loday import _add_into, _shuffle_chain, loday_complex
 from .matrix import SMat
 from .simplicial import sphere_min
 
@@ -222,31 +222,21 @@ def loday_model(
 
     Products are stored up to level q_top, so anything consuming the model
     should stay inside that window.  A discrete space gives a model that is
-    exact on the nose: every positive normalized level vanishes.
+    exact on the nose: every positive normalized level vanishes.  The
+    generators are monomials in the unit-adapted basis of A (see
+    loday_complex).
     """
     L = loday_complex(A, X, q_top)
     C, _frees, _pis = L.normalized_data()
     if all(C.level_dim(s) == 0 for s in range(1, C.top + 1)):
         C = ChainComplex(C.field, C.levels, C.diffs, exact_top=True)
-    field = A.field
-    ch = field.char
-    one = field.one
+    one = A.field.one
 
     def mul(p, i, q, j, _L=L):
         return _shuffle_chain(_L, (p, {i: one}), (q, {j: one}))
 
-    nverts = len(L.simps[0])
-    wt0 = _weights(A.dim, nverts)
-    sup = [(i, c) for i, c in enumerate(A.unit) if c != field.zero]
-    unit: dict = {}
-    for combo in itertools.product(sup, repeat=nverts):
-        v = one
-        for _, c in combo:
-            v = v * c
-        if ch:
-            v %= ch
-        key = _rank_tuple(tuple(i for i, _ in combo), wt0)
-        _add_into(unit, key, v, ch)
+    u = L.algebra.unit.index(one)
+    unit = {L.index[0][(u,) * len(L.simps[0])]: one}
     model = DGAlgebraModel(C, mul, unit, True)
     if validate:
         model.validate()
@@ -256,9 +246,11 @@ def loday_model(
 def augmentation_module(B: DGAlgebraModel, A: GradedAlgebra, side: str) -> DGModule:
     """A as coefficients of a model, acted on by multiplying out level zero.
 
-    Needs the level-zero basis to be named by tuples of basis indices of A,
-    which is what loday_model produces.
+    Needs the level-zero basis to be named by tuples of basis indices of
+    the unit-adapted copy of A (see algebra.unit_adapted), which is what
+    loday_model produces.  The module is written in that basis as well.
     """
+    A = unit_adapted(A).source
     gens = list(zip(A.names, A.degrees))
     act: dict = {}
     for j, (phi, _t) in enumerate(B.complex.levels[0]):

@@ -30,6 +30,7 @@ __all__ = [
     "total_complex",
     "SpectralSequencePage",
     "sseq_pages",
+    "r_stable",
     "e_infinity",
     "transpose_double",
 ]
@@ -211,21 +212,22 @@ class ChainComplex:
             return BettiTable({}, s_max, provenance)
         blocks = [_t_blocks(lv) for lv in self.levels]
         out = {}
+        # rank of each t block of d_s, found as r_in at level s - 1; a t
+        # missing there has no rows, so its block has rank 0
+        r_below: dict = {}
         for s in range(0, s_max + 1):
+            r_here = {}
             for t, idx in blocks[s].items():
-                dim = len(idx)
-                r_out = 0
-                if s >= 1:
-                    rows = blocks[s - 1].get(t, [])
-                    r_out = self.diffs[s].restrict(rows, idx).rank()
                 r_in = 0
                 if s + 1 <= self.top:
                     cols_up = blocks[s + 1].get(t, [])
                     if cols_up:
                         r_in = self.diffs[s + 1].restrict(idx, cols_up).rank()
-                h = dim - r_out - r_in
+                r_here[t] = r_in
+                h = len(idx) - r_below.get(t, 0) - r_in
                 if h:
                     out[(s, t)] = h
+            r_below = r_here
         return BettiTable(out, s_max, provenance)
 
     def __repr__(self):
@@ -751,12 +753,17 @@ def transpose_double(D: DoubleComplex, p_exact=True, q_valid=None) -> DoubleComp
     return DoubleComplex(D.field, gens, d_h, d_v, p_exact=p_exact, q_valid=q_valid)
 
 
-def e_infinity(D: DoubleComplex):
-    """(page, r_stab): the first page past every possible differential."""
+def r_stable(D: DoubleComplex) -> int:
+    """Index of the first page past every possible differential (0 if empty)."""
     keys = sorted(D.gens)
     if not keys:
-        return SpectralSequencePage(0, {}, {}, 0), 0
+        return 0
     p_span = max(p for (p, _) in keys) + 1
     q_span = max(q for (_, q) in keys) + 1
-    r_stab = max(p_span, q_span) + 1
+    return max(p_span, q_span) + 1
+
+
+def e_infinity(D: DoubleComplex):
+    """(page, r_stab): the first page past every possible differential."""
+    r_stab = r_stable(D)
     return sseq_pages(D, r_stab)[r_stab], r_stab

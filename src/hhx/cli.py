@@ -30,7 +30,7 @@ from .bar import (
     loday_model,
     two_sided_bar,
 )
-from .chains import BettiTable, ChainError, e_infinity, sseq_pages
+from .chains import BettiTable, ChainError, r_stable, sseq_pages
 from .cobar import cobar, hochschild_cohomology, regular_module
 from .fields import QQ, FieldError, parse_field
 from .loday import hh, oracle_hh
@@ -350,9 +350,11 @@ def _cmd_sseq(args) -> int:
         raise UsageError(f"--rmax must be positive, got {args.rmax}")
     A = _load_algebra(resolved, override)
     D = _suspension_double_complex(A, args.sphere, spec.p_max)
-    einf, r_stab = e_infinity(D)
+    r_stab = r_stable(D)
     r_show = args.rmax if args.rmax is not None else r_stab
-    pages = sseq_pages(D, r_show)
+    pages = sseq_pages(D, max(r_stab, r_show))
+    einf = pages[r_stab]
+    pages = pages[: r_show + 1]
     doc = {
         "r_stab": r_stab,
         "pages": [p.to_json() for p in pages],

@@ -1,18 +1,31 @@
 """Chain models built from tensor powers of an algebra over a space.
 
-For a commutative graded algebra A and a finite space X, level n is spanned
-by functions from the n-simplices of X to the basis of A.  A face map of X
-regroups tensor factors and multiplies the ones that collide; the
-alternating sum of these gives the differential, and homology is higher
-Hochschild homology of A over X.  An optional base turns every tensor
-product into one over a subalgebra.
+For a commutative graded algebra A and a finite space X, level n of the
+unnormalized model is spanned by the monomials: functions from the
+n-simplices of X to the basis of A.  A face map of X regroups tensor factors
+and multiplies the ones that collide; the alternating sum of these gives the
+differential, and homology is higher Hochschild homology of A over X.
+
+The normalized model divides out the images of the degeneracies.  It is
+built directly, in a unit-adapted basis of A: a copy of A whose unit is a
+basis vector e_u (see algebra.unit_adapted).  A degeneracy s_j is injective
+on simplices and sends a monomial to the one that holds e_u at every
+position outside the image of s_j, up to sign.  So the degenerate part is
+spanned by the monomials whose non-unit positions all lie in the image of a
+single s_j; the other monomials, in lexicographic order, are the normalized
+basis, and the normalized differential drops degenerate monomials from its
+targets.
+
+An optional base turns every tensor product into one over a subalgebra.  The
+relative model is assembled over the quotient by the base actions, and its
+degenerate part is divided out by elimination.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .algebra import AlgebraError, AlgebraMap, GradedAlgebra
+from .algebra import AlgebraError, AlgebraMap, GradedAlgebra, unit_adapted
 from .chains import BettiTable, ChainComplex, ChainMap
 from .fields import Field
 from .matrix import SMat
@@ -21,6 +34,7 @@ from .simplicial import SimplicialMap, SimplicialSet
 __all__ = [
     "LodayComplex",
     "loday_complex",
+    "unnormalized_complex",
     "normalize",
     "hh",
     "induced_map",
@@ -42,14 +56,6 @@ def _rank_tuple(phi, wt) -> int:
     return g
 
 
-def _unrank(g: int, d: int, m: int) -> tuple:
-    out = [0] * m
-    for k in range(m - 1, -1, -1):
-        out[k] = g % d
-        g //= d
-    return tuple(out)
-
-
 def _add_into(acc: dict, key, c, ch: int) -> None:
     nv = acc.get(key, 0) + c
     if ch:
@@ -58,6 +64,28 @@ def _add_into(acc: dict, key, c, ch: int) -> None:
         acc.pop(key, None)
     else:
         acc[key] = nv
+
+
+def _add_level(acc: dict, vec: dict, c0, index: dict, pi, ch: int) -> None:
+    """acc += c0 * vec, with the monomials of vec rewritten as coordinates.
+
+    index sends a monomial to its coordinate; a monomial it lacks is zero in
+    the level (a degenerate one, in a normalized level).  pi, when given,
+    rewrites each coordinate as {generator: coeff}.
+    """
+    for psi, c in vec.items():
+        g = index.get(psi)
+        if g is None:
+            continue
+        if pi is None:
+            _add_into(acc, g, c0 * c, ch)
+        else:
+            for p, cc in pi[g].items():
+                _add_into(acc, p, c0 * c * cc, ch)
+
+
+def _positions(names) -> dict:
+    return {phi: k for k, phi in enumerate(names)}
 
 
 class _Push:
@@ -69,7 +97,7 @@ class _Push:
     sign.
     """
 
-    __slots__ = ("A", "tp", "fibers", "odd", "pairs")
+    __slots__ = ("A", "tp", "fibers", "odd", "pairs", "signs", "products")
 
     def __init__(self, A: GradedAlgebra, tp, m_tgt: int):
         self.A = A
@@ -78,6 +106,8 @@ class _Push:
         for k, p in enumerate(self.tp):
             self.fibers[p].append(k)
         self.odd = [d % 2 == 1 for d in A.degrees]
+        self.signs = (A.field.one, A.field(-1))
+        self.products: dict = {}
         if any(self.odd):
             m = len(self.tp)
             self.pairs = [
@@ -89,45 +119,52 @@ class _Push:
         else:
             self.pairs = None
 
+    def _product(self, factors):
+        """The basis index when the product is a basis vector, else its terms."""
+        exp = self.A.product_chain(factors)
+        if len(exp) == 1:
+            (i, c), = exp.items()
+            if c == self.A.field.one:
+                return i
+        return list(exp.items())
+
     def column(self, phi) -> dict:
         """Image of a basis function, keyed by target tuple."""
-        A = self.A
-        ch = A.field.char
-        sign = 1
+        ch = self.A.field.char
+        flips = 0
         if self.pairs is not None:
-            flips = 0
             for k, l in self.pairs:
                 if self.odd[phi[k]] and self.odd[phi[l]]:
                     flips += 1
-            if flips % 2:
-                sign = -1
-        parts = []
-        for fib in self.fibers:
-            exp = A.product_chain(phi[k] for k in fib)
-            if not exp:
+        sign = self.signs[flips % 2]
+        psi = [0] * len(self.fibers)
+        branch = []
+        for p, fib in enumerate(self.fibers):
+            if len(fib) == 1:
+                # by the unit law a lone factor is its own product
+                psi[p] = phi[fib[0]]
+                continue
+            key = tuple(phi[k] for k in fib)
+            prod = self.products.get(key)
+            if prod is None:
+                prod = self.products[key] = self._product(key)
+            if isinstance(prod, int):
+                psi[p] = prod
+            elif not prod:
                 return {}
-            parts.append(list(exp.items()))
+            else:
+                branch.append((p, prod))
+        if not branch:
+            return {tuple(psi): sign}
+        # distinct choices at the branching fibers give distinct targets
         out: dict = {}
-        for combo in itertools.product(*parts):
-            psi = tuple(i for i, _ in combo)
+        for combo in itertools.product(*(terms for _, terms in branch)):
             c = sign
-            for _, cv in combo:
+            for (p, _), (i, cv) in zip(branch, combo):
+                psi[p] = i
                 c = c * cv
-            _add_into(out, psi, c, ch)
+            out[tuple(psi)] = c % ch if ch else c
         return out
-
-
-def _to_level(vec, wt, pi, ch) -> dict:
-    """Rewrite a tuple-keyed vector in level coordinates, through pi if given."""
-    out: dict = {}
-    for psi, c in vec.items():
-        g = _rank_tuple(psi, wt)
-        if pi is None:
-            _add_into(out, g, c, ch)
-        else:
-            for pos, cc in pi[g].items():
-                _add_into(out, pos, c * cc, ch)
-    return out
 
 
 def _base_action(A: GradedAlgebra, base: AlgebraMap):
@@ -232,17 +269,28 @@ def _relative_quotient(A: GradedAlgebra, base: AlgebraMap, m: int):
                     _add_into(row, g + (k - phi[j + 1]) * wt[j + 1], -c, ch)
                 if row:
                     rows.append(row)
+    return _echelon_quotient(rows, dA ** m, field)
+
+
+def _echelon_quotient(rows, dim: int, field: Field):
+    """Quotient of the coordinate space field^dim by the span of rows.
+
+    Returns (free, pi): free lists the non-pivot coordinates of the
+    canonical echelon form, pi rewrites every coordinate as
+    {position in free: coeff}.
+    """
+    ch = field.char
     rel = SMat.from_entries(
         len(rows),
-        dA ** m,
+        dim,
         field,
         [(r, c, v) for r, row in enumerate(rows) for c, v in row.items()],
     )
     pivots, rrows = rel.rref()
     pivot_set = set(pivots)
-    free = [c for c in range(dA ** m) if c not in pivot_set]
+    free = [c for c in range(dim) if c not in pivot_set]
     pos = {c: p for p, c in enumerate(free)}
-    pi: list[dict] = [None] * (dA ** m)
+    pi: list[dict] = [None] * dim
     for c in free:
         pi[c] = {pos[c]: field.one}
     for c, row in zip(pivots, rrows):
@@ -269,22 +317,109 @@ def _check_base(A: GradedAlgebra, base) -> None:
     _module_basis(A, base)
 
 
+def _check_inputs(A: GradedAlgebra, N: int) -> None:
+    if not A.commutative:
+        raise AlgebraError(
+            "tensor-power chains need a commutative algebra; use the cyclic "
+            "oracle for associative ones"
+        )
+    if N < 1:
+        raise ValueError(f"level bound must be at least 1, got {N}")
+
+
+def _nondegenerate(A: GradedAlgebra, X: SimplicialSet, simps, n: int) -> list:
+    """Level-n monomials outside every degeneracy image, in lexicographic order.
+
+    The unit of A must be a basis vector e_u.  A monomial is degenerate
+    exactly when its non-unit positions all lie in the image of one s_j.
+    Positions are fixed left to right, and a prefix is dropped as soon as
+    one image holds its non-unit positions and every later position, since
+    then all its completions are degenerate.
+    """
+    u = A.unit.index(A.field.one)
+    m = len(simps[n])
+    # inside[k]: bit j is set when position k lies in the image of s_j
+    inside = [0] * m
+    if n:
+        where = _positions(simps[n])
+        for j in range(n):
+            for s in simps[n - 1]:
+                inside[where[X.degenerate(s, j)]] |= 1 << j
+    every = (1 << n) - 1
+    # reach[k]: the images that some position at k or later lies outside of
+    reach = [0] * (m + 1)
+    for k in range(m - 1, -1, -1):
+        reach[k] = reach[k + 1] | (every & ~inside[k])
+    out: list = []
+    # prefixes with the images holding all their non-unit positions; the
+    # smallest prefix is popped first
+    stack = [((), every)]
+    while stack:
+        prefix, alive = stack.pop()
+        k = len(prefix)
+        if alive & ~reach[k]:
+            continue
+        if k == m:
+            out.append(prefix)
+            continue
+        for i in reversed(range(A.dim)):
+            stack.append((prefix + (i,), alive if i == u else alive & inside[k]))
+    return out
+
+
+def _assemble(A: GradedAlgebra, X: SimplicialSet, simps, names, index, pis=None):
+    """The tensor-power differential on the given monomials of each level.
+
+    names[n] lists the level-n generators; index[n] and pis[n] rewrite the
+    monomials of a face image as their coordinates (see _add_level).  Run
+    over every monomial this is the unnormalized model; run over the
+    non-degenerate ones in a unit-adapted basis it is the normalized one.
+    """
+    field = A.field
+    ch = field.char
+    levels = [[(phi, sum(A.degrees[i] for i in phi)) for phi in nm] for nm in names]
+    diffs: list = [None]
+    for n in range(1, len(names)):
+        tindex = _positions(simps[n - 1])
+        pushes = [
+            _Push(A, [tindex[X.face(s, i)] for s in simps[n]], len(simps[n - 1]))
+            for i in range(n + 1)
+        ]
+        idx = index[n - 1]
+        pi = pis[n - 1] if pis is not None else None
+        cols = []
+        for phi in names[n]:
+            acc: dict = {}
+            for i, push in enumerate(pushes):
+                _add_level(acc, push.column(phi), -1 if i % 2 else 1, idx, pi, ch)
+            cols.append(acc)
+        diffs.append(SMat(len(names[n - 1]), len(names[n]), field, cols))
+    return ChainComplex(field, levels, diffs)
+
+
 class LodayComplex:
     """Tensor-power chain model of an algebra over a space.
 
-    complex holds the levels and differentials; the rest is the data needed
-    to normalize, induce maps, and multiply chains.
+    Without a base, complex is already the normalized model, written in the
+    unit-adapted basis that algebra holds.  With a base, complex is the
+    model over the relative quotient, algebra is the given one, and
+    normalized_data divides out the degenerate part.  index[n] sends a
+    level-n monomial (a tuple of basis indices of algebra) to its coordinate
+    in complex, or to its global position when quots rewrites that.
     """
 
-    __slots__ = ("complex", "algebra", "space", "top", "base", "simps", "quots", "_norm")
+    __slots__ = (
+        "complex", "algebra", "space", "top", "base", "simps", "index", "quots", "_norm"
+    )
 
-    def __init__(self, complex: ChainComplex, algebra, space, top, base, simps, quots):
+    def __init__(self, complex: ChainComplex, algebra, space, top, base, simps, index, quots):
         self.complex = complex
         self.algebra = algebra
         self.space = space
         self.top = top
         self.base = base
         self.simps = simps
+        self.index = index
         self.quots = quots
         self._norm = None
 
@@ -295,58 +430,40 @@ class LodayComplex:
     def normalized_data(self):
         """(normalized complex, free coords per level, projections per level).
 
-        The degenerate part of each level is the span of all degeneracy
-        images; the quotient is taken in canonical echelon coordinates, so
-        two runs agree basis-for-basis.
+        Without a base, complex is normalized already: its generators are the
+        monomials of the unit-adapted basis that lie in no degeneracy image,
+        so every coordinate is free and every projection is the identity
+        (None).  With a base, the degenerate part of each level is the span
+        of all degeneracy images; the quotient is taken in canonical echelon
+        coordinates, so two runs agree basis-for-basis.
         """
         if self._norm is not None:
+            return self._norm
+        C = self.complex
+        if self.base is None:
+            frees = [list(range(len(lv))) for lv in C.levels]
+            self._norm = (C, frees, [None] * len(C.levels))
             return self._norm
         A = self.algebra
         X = self.space
         field: Field = A.field
         ch = field.char
-        dA = A.dim
-        C = self.complex
         frees: list[list[int]] = [list(range(len(C.levels[0])))]
         pis: list = [None]
         nlevels = [list(C.levels[0])]
         for n in range(1, self.top + 1):
-            dim_n = len(C.levels[n])
-            tindex = {s: k for k, s in enumerate(self.simps[n])}
-            wt = _weights(dA, len(self.simps[n]))
+            tindex = _positions(self.simps[n])
             pi_q = self.level_pi(n)
             rows = []
             for j in range(n):
                 tp = [tindex[X.degenerate(s, j)] for s in self.simps[n - 1]]
                 push = _Push(A, tp, len(self.simps[n]))
                 for phi, _ in C.levels[n - 1]:
-                    img = _to_level(push.column(phi), wt, pi_q, ch)
+                    img: dict = {}
+                    _add_level(img, push.column(phi), 1, self.index[n], pi_q, ch)
                     if img:
                         rows.append(img)
-            rel = SMat.from_entries(
-                len(rows),
-                dim_n,
-                field,
-                [(r, c, v) for r, row in enumerate(rows) for c, v in row.items()],
-            )
-            pivots, rrows = rel.rref()
-            pivot_set = set(pivots)
-            free = [c for c in range(dim_n) if c not in pivot_set]
-            pos = {c: p for p, c in enumerate(free)}
-            pi: list = [None] * dim_n
-            for c in free:
-                pi[c] = {pos[c]: field.one}
-            for c, row in zip(pivots, rrows):
-                out = {}
-                for f, v in row.items():
-                    if f == c:
-                        continue
-                    nv = -v
-                    if ch:
-                        nv %= ch
-                    if nv != 0:
-                        out[pos[f]] = nv
-                pi[c] = out
+            free, pi = _echelon_quotient(rows, len(C.levels[n]), field)
             frees.append(free)
             pis.append(pi)
             nlevels.append([C.levels[n][c] for c in free])
@@ -369,60 +486,43 @@ class LodayComplex:
         return self._norm
 
 
+def _all_monomials(A: GradedAlgebra, simps) -> list:
+    return [list(itertools.product(range(A.dim), repeat=len(s))) for s in simps]
+
+
 def loday_complex(
     A: GradedAlgebra, X: SimplicialSet, N: int, base: AlgebraMap | None = None
 ) -> LodayComplex:
-    """Levels 0..N of the tensor-power model; homology trusted to N - 1."""
-    if not A.commutative:
-        raise AlgebraError(
-            "tensor-power chains need a commutative algebra; use the cyclic "
-            "oracle for associative ones"
-        )
-    if N < 1:
-        raise ValueError(f"level bound must be at least 1, got {N}")
+    """Levels 0..N of the normalized model; homology trusted to N - 1.
+
+    Without a base the normalized complex is built directly on the
+    non-degenerate monomials of the unit-adapted copy of A.  With a base
+    the relative model is built, and normalized_data reduces it.
+    """
+    _check_inputs(A, N)
     if base is not None:
         _check_base(A, base)
-    field = A.field
-    ch = field.char
-    dA = A.dim
     simps = [X.level(n) for n in range(N + 1)]
-    quots = None
-    if base is not None:
-        quots = [_relative_quotient(A, base, len(simps[n])) for n in range(N + 1)]
-    levels = []
-    for n in range(N + 1):
-        m = len(simps[n])
-        if quots is None:
-            names = list(itertools.product(range(dA), repeat=m))
-        else:
-            names = [_unrank(g, dA, m) for g in quots[n][0]]
-        levels.append(
-            [(phi, sum(A.degrees[i] for i in phi)) for phi in names]
-        )
-    diffs: list = [None]
-    for n in range(1, N + 1):
-        tindex = {s: k for k, s in enumerate(simps[n - 1])}
-        wt = _weights(dA, len(simps[n - 1]))
-        pi_prev = quots[n - 1][1] if quots is not None else None
-        pushes = [
-            _Push(A, [tindex[X.face(s, i)] for s in simps[n]], len(simps[n - 1]))
-            for i in range(n + 1)
-        ]
-        cols = []
-        for phi, _ in levels[n]:
-            acc: dict = {}
-            for i, push in enumerate(pushes):
-                img = _to_level(push.column(phi), wt, pi_prev, ch)
-                if i % 2:
-                    for k, v in img.items():
-                        _add_into(acc, k, -v, ch)
-                else:
-                    for k, v in img.items():
-                        _add_into(acc, k, v, ch)
-            cols.append(acc)
-        diffs.append(SMat(len(levels[n - 1]), len(levels[n]), field, cols))
-    C = ChainComplex(field, levels, diffs)
-    return LodayComplex(C, A, X, N, base, simps, quots)
+    if base is None:
+        A = unit_adapted(A).source
+        names = [_nondegenerate(A, X, simps, n) for n in range(N + 1)]
+        index = [_positions(nm) for nm in names]
+        C = _assemble(A, X, simps, names, index)
+        return LodayComplex(C, A, X, N, None, simps, index, None)
+    everything = _all_monomials(A, simps)
+    quots = [_relative_quotient(A, base, len(s)) for s in simps]
+    names = [[every[g] for g in q[0]] for every, q in zip(everything, quots)]
+    index = [_positions(every) for every in everything]
+    C = _assemble(A, X, simps, names, index, [q[1] for q in quots])
+    return LodayComplex(C, A, X, N, base, simps, index, quots)
+
+
+def unnormalized_complex(A: GradedAlgebra, X: SimplicialSet, N: int) -> ChainComplex:
+    """Levels 0..N on every monomial, in the basis A comes with."""
+    _check_inputs(A, N)
+    simps = [X.level(n) for n in range(N + 1)]
+    names = _all_monomials(A, simps)
+    return _assemble(A, X, simps, names, [_positions(nm) for nm in names])
 
 
 def normalize(L) -> ChainComplex:
@@ -448,33 +548,32 @@ def hh(
 def induced_map(
     f: SimplicialMap, A: GradedAlgebra, N: int, normalized: bool = True
 ) -> ChainMap:
-    """Chain map of tensor-power models along a map of spaces."""
-    LX = loday_complex(A, f.source, N)
-    LY = loday_complex(A, f.target, N)
+    """Chain map of tensor-power models along a map of spaces.
+
+    The normalized models are written in the unit-adapted basis of A (see
+    loday_complex), the unnormalized ones in the basis A comes with.
+    """
+    if normalized:
+        LX = loday_complex(A, f.source, N)
+        LY = loday_complex(A, f.target, N)
+        A, CX, CY, index = LX.algebra, LX.complex, LY.complex, LY.index
+    else:
+        CX = unnormalized_complex(A, f.source, N)
+        CY = unnormalized_complex(A, f.target, N)
+        index = [_positions(phi for phi, _ in lv) for lv in CY.levels]
     field = A.field
     ch = field.char
-    dA = A.dim
-    CX, freesX, _ = LX.normalized_data() if normalized else (LX.complex, None, None)
-    CY, freesY, pisY = LY.normalized_data() if normalized else (LY.complex, None, None)
     mats = []
     for n in range(N + 1):
-        tgt_level = LY.simps[n]
-        tindex = {s: k for k, s in enumerate(tgt_level)}
-        wt = _weights(dA, len(tgt_level))
-        push = _Push(A, [tindex[f.apply(s)] for s in LX.simps[n]], len(tgt_level))
-        if normalized:
-            pi = pisY[n]
-            cols = []
-            for c in freesX[n]:
-                phi = LX.complex.levels[n][c][0]
-                cols.append(_to_level(push.column(phi), wt, pi, ch))
-            mats.append(SMat(len(CY.levels[n]), len(CX.levels[n]), field, cols))
-        else:
-            cols = [
-                _to_level(push.column(phi), wt, None, ch)
-                for phi, _ in LX.complex.levels[n]
-            ]
-            mats.append(SMat(len(CY.levels[n]), len(CX.levels[n]), field, cols))
+        tgt_level = f.target.level(n)
+        tindex = _positions(tgt_level)
+        push = _Push(A, [tindex[f.apply(s)] for s in f.source.level(n)], len(tgt_level))
+        cols = []
+        for phi, _ in CX.levels[n]:
+            col: dict = {}
+            _add_level(col, push.column(phi), 1, index[n], None, ch)
+            cols.append(col)
+        mats.append(SMat(len(CY.levels[n]), len(CX.levels[n]), field, cols))
     return ChainMap(CX, CY, mats)
 
 
@@ -524,7 +623,7 @@ def _degeneracy_push(L: LodayComplex, level: int, js) -> _Push:
     X = L.space
     src = L.simps[level]
     tgt = L.simps[level + len(js)]
-    tindex = {s: k for k, s in enumerate(tgt)}
+    tindex = _positions(tgt)
     tp = []
     for s in src:
         t = s
@@ -537,20 +636,16 @@ def _degeneracy_push(L: LodayComplex, level: int, js) -> _Push:
 def _shuffle_chain(L: LodayComplex, z1, z2) -> dict:
     """Chain-level shuffle product on normalized coordinates.
 
-    Carries the extra sign (-1)^(s2 * t1) on top of the shuffle signs, so
-    that both the Leibniz rule and commutativity read off the total degree
-    s + t.
+    L must be built without a base.  Carries the extra sign (-1)^(s2 * t1)
+    on top of the shuffle signs, so that both the Leibniz rule and
+    commutativity read off the total degree s + t.
     """
     s1, v1 = z1
     s2, v2 = z2
     A = L.algebra
-    field = A.field
-    ch = field.char
-    dA = A.dim
-    C, frees, pis = L.normalized_data()
-    top = s1 + s2
-    wt = _weights(dA, len(L.simps[top]))
-    pi = pis[top] if top >= 1 else None
+    ch = A.field.char
+    C = L.complex
+    index = L.index[s1 + s2]
     out: dict = {}
     for mu_set in itertools.combinations(range(s1 + s2), s1):
         mu = list(mu_set)
@@ -572,10 +667,7 @@ def _shuffle_chain(L: LodayComplex, z1, z2) -> dict:
                 _add_into(right, tup, a * cv, ch)
         for phi, ca in left.items():
             for psi, cb in right.items():
-                cc = ca * cb * eps
-                for tup, cv in _pointwise_product(A, phi, psi).items():
-                    for p, cp in _to_level({tup: cv}, wt, pi, ch).items():
-                        _add_into(out, p, cc * cp, ch)
+                _add_level(out, _pointwise_product(A, phi, psi), ca * cb * eps, index, None, ch)
     return out
 
 
@@ -583,7 +675,8 @@ def shuffle_product(A: GradedAlgebra, X: SimplicialSet, z1, z2):
     """Product of two cycles in the normalized model, as (level, vector).
 
     Each argument is (s, vector) with the vector a sparse dict over the
-    normalized basis at level s.  Rejects chains that are not cycles.
+    normalized basis at level s, which is written in the unit-adapted basis
+    of A (see loday_complex).  Rejects chains that are not cycles.
     """
     s1, v1 = z1
     s2, v2 = z2

@@ -273,25 +273,3 @@ class SMat:
             return None
         return x
 
-
-def vec_add(a: dict, b: dict, field: Field) -> dict:
-    zero = field.zero
-    ch = field.char
-    out = dict(a)
-    for i, v in b.items():
-        nv = out.get(i, zero) + v
-        if ch:
-            nv %= ch
-        if nv == zero:
-            out.pop(i, None)
-        else:
-            out[i] = nv
-    return out
-
-
-def vec_scale(a: dict, c, field: Field) -> dict:
-    if c == field.zero:
-        return {}
-    if field.char:
-        return {i: v * c % field.char for i, v in a.items()}
-    return {i: v * c for i, v in a.items()}

@@ -19,7 +19,7 @@ from .chains import (
     DoubleComplex,
     _t_blocks,
 )
-from .loday import _Push, _add_into, _rank_tuple, _weights, loday_complex
+from .loday import _Push, _add_into, _rank_tuple, _weights, unnormalized_complex
 from .matrix import SMat
 from .simplicial import disjoint_union, point
 
@@ -521,7 +521,7 @@ def arc_chain_functor(A: GradedAlgebra, P: Poset, q_top: int) -> PosetChainFunct
     for x in P.objects:
         c = P.components[x]
         space = disjoint_union(*[point() for _ in range(c)])
-        complexes[x] = loday_complex(A, space, q_top).complex
+        complexes[x] = unnormalized_complex(A, space, q_top)
     maps = {}
     for a, b in P.le:
         if a == b:

@@ -1,13 +1,14 @@
 """Tensor-power chain models: construction, normalization, products, oracle."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhx.algebra import AlgebraError, AlgebraMap, make_algebra
+from hhx.algebra import AlgebraError, AlgebraMap, make_algebra, unit_adapted
 from hhx.catalog import (
     dual_numbers,
     dual_pair,
@@ -32,6 +33,7 @@ from hhx.loday import (
     normalize,
     oracle_hh,
     shuffle_product,
+    unnormalized_complex,
 )
 from hhx.matrix import SMat
 from hhx.simplicial import (
@@ -74,21 +76,21 @@ def test_circle_model_matches_cyclic_bar():
             assert lv[k].base == "e"
             assert set(range(n)) - set(lv[k].word) == {n - k}
     for A in [dual_numbers(), split_pair()]:
-        L = loday_complex(A, X, 4)
+        C = unnormalized_complex(A, X, 4)
         O = cyclic_bar_oracle(A, 4)
         for n in range(1, 5):
             want = O.diffs[n] if n % 2 == 0 else O.diffs[n].scale(-1)
-            assert L.complex.diffs[n] == want
+            assert C.diffs[n] == want
 
 
 def test_circle_oracle_chain_iso_scaling():
     # eps_n = (-1)^(n(n+1)/2) conjugates one differential into the other.
     A = dual_numbers()
-    L = loday_complex(A, circle_min(), 4)
+    C = unnormalized_complex(A, circle_min(), 4)
     O = cyclic_bar_oracle(A, 4)
     eps = [1 if (n * (n + 1) // 2) % 2 == 0 else -1 for n in range(5)]
     for n in range(1, 5):
-        lhs = L.complex.diffs[n].scale(QQ(eps[n - 1]))
+        lhs = C.diffs[n].scale(QQ(eps[n - 1]))
         rhs = O.diffs[n].scale(QQ(eps[n]))
         assert lhs == rhs
 
@@ -164,9 +166,9 @@ def test_ground_circle_trivial():
 
 def test_unnormalized_circle_dims():
     A = split_triple()
-    L = loday_complex(A, circle_min(), 3)
-    assert [len(lv) for lv in L.complex.levels] == [3, 9, 27, 81]
-    L.complex.validate()
+    C = unnormalized_complex(A, circle_min(), 3)
+    assert [len(lv) for lv in C.levels] == [3, 9, 27, 81]
+    C.validate()
 
 
 # ---------------------------------------------------------------- descent
@@ -290,11 +292,75 @@ def test_normalized_circle_dims():
 def test_normalization_preserves_homology():
     for A in [dual_numbers(), exterior_line()]:
         L = loday_complex(A, circle_min(), 4)
-        raw = L.complex.homology(3)
+        raw = unnormalized_complex(A, circle_min(), 4).homology(3)
         assert normalize(L).homology(3).window_equal(raw, 3)
     L = loday_complex(dual_numbers(), circle_subdiv(2), 3)
-    raw = L.complex.homology(2)
+    raw = unnormalized_complex(dual_numbers(), circle_subdiv(2), 3).homology(2)
     assert normalize(L).homology(2).window_equal(raw, 2)
+
+
+@pytest.mark.parametrize(
+    "make, X, N",
+    [
+        (split_pair, circle_subdiv(2), 3),
+        (split_triple, circle_subdiv(2), 2),
+        (split_pair, sphere_min(2), 4),
+        (split_triple, sphere_min(2), 4),
+    ],
+    ids=["qxq-circle2", "q3-circle2", "qxq-sphere2", "q3-sphere2"],
+)
+def test_direct_normalization_without_unit_basis_vector(make, X, N):
+    # the unit is a sum of idempotents, so the complex is built in the
+    # unit-adapted basis; the unnormalized complex in the given basis is
+    # the oracle
+    A = make()
+    C = normalize(loday_complex(A, X, N))
+    C.validate()
+    raw = unnormalized_complex(A, X, N)
+    assert C.homology(N - 1).window_equal(raw.homology(N - 1), N - 1)
+    assert all(C.level_dim(n) < raw.level_dim(n) for n in range(1, N + 1))
+
+
+def test_nondegenerate_counts_dual_subdivided_circle():
+    L = loday_complex(dual_numbers(), circle_subdiv(3), 3)
+    assert [len(lv) for lv in L.complex.levels] == [8, 56, 392, 2744]
+    assert normalize(L) is L.complex
+
+
+def _permuted(A, perm):
+    """A in the basis e'_k = e_perm[k]."""
+    table = [[[A.table[a][b][c] for c in perm] for b in perm] for a in perm]
+    basis = [(A.names[p], A.degrees[p]) for p in perm]
+    unit = [A.unit[p] for p in perm]
+    return make_algebra(A.field, basis, unit, table, A.commutative)
+
+
+@pytest.mark.parametrize("make", [dual_numbers, split_pair], ids=["dual", "qxq"])
+def test_basis_permutation_keeps_table(make):
+    # both algebras have dimension two, so the seeded draw is the swap: the
+    # unit of the permuted dual numbers is the second basis vector
+    A = make()
+    perm = list(range(A.dim))
+    rng = random.Random(7)
+    while perm == sorted(perm):
+        rng.shuffle(perm)
+    B = _permuted(A, perm)
+    assert hh(B, circle_subdiv(2), 2).window_equal(hh(A, circle_subdiv(2), 2), 2)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [dual_numbers(), split_pair(), split_triple(), dual_pair(), split_pair(GF(5))],
+    ids=["dual", "qxq", "q3", "dual-pair", "qxq-F5"],
+)
+def test_unit_adapted_is_an_isomorphism(A):
+    f = unit_adapted(A)
+    assert isinstance(f, AlgebraMap) and f.target is A
+    assert f.matrix.rank() == A.dim
+    assert f.source.degrees == A.degrees
+    assert sorted(f.source.unit) == [A.field.zero] * (A.dim - 1) + [A.field.one]
+    if A.unit.count(A.field.zero) == A.dim - 1 and A.field.one in A.unit:
+        assert f.source is A
 
 
 def test_normalize_plain_complex_is_identity():
