@@ -7,8 +7,6 @@ Q or F_p.  Several independent computation paths exist for the same
 invariants and are cross-checked in the test suite.
 """
 
-from ._kernel import KERNEL_TAG
-
 __version__ = "0.1.0"
 
-__all__ = ["KERNEL_TAG", "__version__"]
+__all__ = ["__version__"]

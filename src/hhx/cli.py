@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage, 2 input validation, 3 comparison mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field as dataclass_field
@@ -528,6 +529,7 @@ def _add_common(sub, out=True):
         )
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="hhx",

@@ -2,9 +2,9 @@
 
 Columns are dicts {row: value} holding field elements (Fraction over Q,
 int over F_p); zero entries are never stored.  Rank, echelon form,
-nullspace and solving go through the elimination kernel; everything here is
-plumbing and stays deterministic: echelon forms are canonical, nullspace
-bases are enumerated by ascending free column.
+nullspace and solving go through the elimination kernel ``hhx._kernel``;
+everything here is plumbing and stays deterministic: echelon forms are
+canonical, nullspace bases are enumerated by ascending free column.
 """
 
 from __future__ import annotations
@@ -202,13 +202,13 @@ class SMat:
     def _kernel_rows(self) -> list[dict]:
         """Rows in kernel form: integer dicts (rationals get scaled per row)."""
         rows = self.to_rows()
-        if self.field is QQ or self.field.char == 0:
+        if self.field.char == 0:
             out = []
             for r in rows:
                 if not r:
                     out.append({})
                     continue
-                mult = lcm(*(v.denominator for v in r.values())) if r else 1
+                mult = lcm(*(v.denominator for v in r.values()))
                 out.append({c: int(v * mult) for c, v in r.items()})
             return out
         return rows

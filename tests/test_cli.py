@@ -471,6 +471,16 @@ def test_artifacts_byte_identical_across_runs(tmp_path):
     assert a.decode() == one.stdout
 
 
+def test_in_process_calls_share_no_state(capsys):
+    hh = ["hh", "--algebra", "dual.json", "--space", "circle:min", "--smax", "3", "--json"]
+    sseq = ["sseq", "--algebra", "dual.json", "--pmax", "3", "--field", "Fp:3", "--json"]
+    first = run(capsys, *hh)
+    assert run(capsys, *sseq)[0] == 0
+    again = run(capsys, *hh)
+    assert first[0] == 0 and first == again
+    assert first[1] == run_proc(*hh).stdout
+
+
 def test_artifact_has_no_floats(tmp_path):
     proc = run_proc(
         "oracle-hh", "--algebra", "mat2.json", "--smax", "2",

@@ -3,30 +3,26 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hhx.fields import GF, QQ
 from hhx.matrix import SMat
 
 
-def dense_rank(rows, field):
-    """Plain dense Gaussian elimination, written independently as an oracle."""
+def dense_rref(rows, field):
+    """Plain dense Gauss-Jordan elimination, written independently as an oracle.
+
+    Returns (pivot columns, reduced rows as {column: value} dicts).
+    """
     rows = [[field(v) for v in r] for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
     zero = field.zero
-    while rank < len(rows) and col < ncols:
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != zero:
-                piv = i
-                break
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != zero), None)
         if piv is None:
-            col += 1
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = field.inv(rows[rank][col])
@@ -39,9 +35,9 @@ def dense_rank(rows, field):
                 rows[i] = [a - c * b for a, b in zip(rows[i], rows[rank])]
                 if field.char:
                     rows[i] = [v % field.char for v in rows[i]]
-        rank += 1
-        col += 1
-    return rank
+        pivots.append(col)
+    reduced = [{j: v for j, v in enumerate(r) if v != zero} for r in rows[: len(pivots)]]
+    return pivots, reduced
 
 
 small_int = st.integers(min_value=-6, max_value=6)
@@ -135,14 +131,14 @@ def test_solve_examples():
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_rank_matches_dense_oracle_q(rows):
-    assert SMat.from_dense(rows, QQ).rank() == dense_rank(rows, QQ)
+    assert SMat.from_dense(rows, QQ).rank() == len(dense_rref(rows, QQ)[0])
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_rank_matches_dense_oracle_fp(rows):
     for p in (2, 3, 7):
-        assert SMat.from_dense(rows, GF(p)).rank() == dense_rank(rows, GF(p))
+        assert SMat.from_dense(rows, GF(p)).rank() == len(dense_rref(rows, GF(p))[0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -173,16 +169,10 @@ def test_nullspace_property(rows):
             assert m.mul_vec(v) == {}
 
 
-def test_kernel_parity_between_implementations():
-    from hhx import _kernel_py
-
-    rows = [{0: 2, 1: 4, 3: -2}, {1: 2, 2: 6}, {0: 1, 2: 3, 3: 5}, {3: 1}]
-    got = _kernel_py.rref_int([dict(r) for r in rows])
-    # the active kernel must agree with the pure one entry for entry
-    from hhx import _kernel
-
-    assert _kernel.rref_int([dict(r) for r in rows]) == got
-    rows_fp = [{k: v % 7 for k, v in r.items() if v % 7} for r in rows]
-    assert _kernel.rref_fp([dict(r) for r in rows_fp], 7) == _kernel_py.rref_fp(
-        [dict(r) for r in rows_fp], 7
-    )
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+@example([[2, 4, 0, -2], [0, 2, 6, 0], [1, 0, 3, 5], [0, 0, 0, 1]])
+def test_rref_matches_dense_oracle(rows):
+    # the reduced echelon form is unique, so it must agree entry for entry
+    for field in (QQ, GF(2), GF(3), GF(7)):
+        assert SMat.from_dense(rows, field).rref() == dense_rref(rows, field)
