@@ -14,13 +14,17 @@ from hhx.chains import (
     e_infinity,
     homology,
     is_quasi_iso,
+    r_stable,
     sseq_pages,
     tensor_complexes,
     total_complex,
     transpose_double,
 )
+from hhx.bar import augmentation_module, circle_bar, loday_model, two_sided_bar
+from hhx.catalog import dual_numbers, exterior_line
 from hhx.fields import GF, QQ
 from hhx.matrix import SMat
+from hhx.simplicial import sphere_min
 
 
 def cx(levels, dense_diffs, field=QQ, exact=True, s_valid=None):
@@ -468,3 +472,122 @@ def test_double_tensor_total_matches_tensor_complex(p1, p2):
     table = T1.homology()
     for n in range(T1.top + 1):
         assert page.total(n) == table.total(n)
+
+
+# ------------------------------------------- pinned page differentials
+#
+# The CLI reports page dimensions only, and the rank-based tests above do
+# not see the basis, so these fix every d_r entry on representative bases:
+# {(r, p, q, t): (nrows, ncols, {(i, j): value})}, zero matrices included.
+
+PINNED_D_DUAL_Q = {
+    (0, 0, 0, 0): (0, 4, {}),
+    (0, 1, 0, 0): (0, 16, {}),
+    (0, 2, 0, 0): (0, 64, {}),
+    (1, 1, 0, 0): (4, 16, {
+        (1, 2): -1, (1, 4): -1, (2, 2): 1, (2, 4): 1, (3, 3): 1, (3, 5): 1,
+        (3, 10): -1, (3, 12): -1,
+    }),
+    (1, 2, 0, 0): (16, 64, {
+        (0, 0): 1, (1, 1): 1, (1, 2): 1, (1, 4): 1, (3, 10): 1, (3, 12): 1,
+        (5, 18): 1, (5, 20): 1, (6, 12): -1, (6, 18): -1, (7, 13): -1,
+        (7, 19): -1, (7, 26): 1, (7, 28): 1, (8, 8): 1, (8, 16): 1,
+        (8, 32): 1, (9, 9): 1, (9, 17): 1, (9, 33): 1, (9, 34): 1,
+        (9, 36): 1, (10, 10): 1, (10, 18): 1, (11, 11): 1, (11, 19): 1,
+        (11, 42): 1, (11, 44): 1, (12, 12): 1, (12, 20): 1, (13, 13): 1,
+        (13, 21): 1, (13, 50): 1, (13, 52): 1, (14, 14): 1, (14, 22): 1,
+        (14, 44): -1, (14, 50): -1, (15, 15): 1, (15, 23): 1, (15, 45): -1,
+        (15, 51): -1, (15, 58): 1, (15, 60): 1,
+    }),
+    (2, 2, 0, 0): (0, 1, {}),
+}
+PINNED_D_DUAL_F3 = {
+    (0, 0, 0, 0): (0, 4, {}),
+    (0, 1, 0, 0): (0, 16, {}),
+    (0, 2, 0, 0): (0, 64, {}),
+    (1, 1, 0, 0): (4, 16, {
+        (1, 2): 2, (1, 4): 2, (2, 2): 1, (2, 4): 1, (3, 3): 1, (3, 5): 1,
+        (3, 10): 2, (3, 12): 2,
+    }),
+    (1, 2, 0, 0): (16, 64, {
+        (0, 0): 1, (1, 1): 1, (1, 2): 1, (1, 4): 1, (3, 10): 1, (3, 12): 1,
+        (5, 18): 1, (5, 20): 1, (6, 12): 2, (6, 18): 2, (7, 13): 2,
+        (7, 19): 2, (7, 26): 1, (7, 28): 1, (8, 8): 1, (8, 16): 1,
+        (8, 32): 1, (9, 9): 1, (9, 17): 1, (9, 33): 1, (9, 34): 1,
+        (9, 36): 1, (10, 10): 1, (10, 18): 1, (11, 11): 1, (11, 19): 1,
+        (11, 42): 1, (11, 44): 1, (12, 12): 1, (12, 20): 1, (13, 13): 1,
+        (13, 21): 1, (13, 50): 1, (13, 52): 1, (14, 14): 1, (14, 22): 1,
+        (14, 44): 2, (14, 50): 2, (15, 15): 1, (15, 23): 1, (15, 45): 2,
+        (15, 51): 2, (15, 58): 1, (15, 60): 1,
+    }),
+    (2, 2, 0, 0): (0, 1, {}),
+}
+PINNED_D_EXTERIOR_SPHERE2 = {
+    (0, 0, 0, 0): (0, 1, {}),
+    (0, 0, 0, 1): (0, 2, {}),
+    (0, 0, 0, 2): (0, 1, {}),
+    (0, 1, 0, 0): (0, 1, {}),
+    (0, 1, 0, 1): (0, 3, {}),
+    (0, 1, 0, 2): (0, 3, {}),
+    (0, 1, 0, 3): (0, 1, {}),
+    (0, 1, 1, 1): (3, 1, {}),
+    (0, 1, 1, 2): (3, 3, {}),
+    (0, 1, 1, 3): (1, 3, {}),
+    (0, 1, 1, 4): (0, 1, {}),
+    (0, 2, 0, 0): (0, 1, {}),
+    (0, 2, 0, 1): (0, 4, {}),
+    (0, 2, 0, 2): (0, 6, {}),
+    (0, 2, 0, 3): (0, 4, {}),
+    (0, 2, 0, 4): (0, 1, {}),
+    (1, 1, 0, 0): (1, 1, {}),
+    (1, 1, 0, 1): (2, 3, {
+        (0, 1): -1, (1, 1): 1,
+    }),
+    (1, 1, 0, 2): (1, 3, {
+        (0, 0): 1, (0, 2): -1,
+    }),
+    (1, 1, 0, 3): (0, 1, {}),
+    (1, 1, 1, 1): (0, 1, {}),
+    (1, 1, 1, 2): (0, 3, {}),
+    (1, 1, 1, 3): (0, 3, {}),
+    (1, 1, 1, 4): (0, 1, {}),
+    (1, 2, 0, 0): (1, 1, {
+        (0, 0): 1,
+    }),
+    (1, 2, 0, 1): (3, 4, {
+        (0, 0): 1, (0, 1): 1, (2, 2): 1, (2, 3): 1,
+    }),
+    (1, 2, 0, 2): (3, 6, {
+        (0, 2): 1, (1, 1): 1, (1, 3): 1, (1, 4): 1, (2, 2): 1,
+    }),
+    (1, 2, 0, 3): (1, 4, {
+        (0, 0): 1, (0, 3): 1,
+    }),
+    (1, 2, 0, 4): (0, 1, {}),
+}
+
+
+def _suspension_bar(A, p_max):
+    B = loday_model(A, sphere_min(1), p_max)
+    M = augmentation_module(B, A, "right")
+    N = augmentation_module(B, A, "left")
+    return two_sided_bar(M, B, N, p_max)
+
+
+@pytest.mark.parametrize(
+    "build, pinned",
+    [
+        (lambda: circle_bar(dual_numbers(), 3), PINNED_D_DUAL_Q),
+        (lambda: circle_bar(dual_numbers(GF(3)), 3), PINNED_D_DUAL_F3),
+        (lambda: _suspension_bar(exterior_line(), 3), PINNED_D_EXTERIOR_SPHERE2),
+    ],
+    ids=["dual-Q", "dual-F3", "exterior-sphere2"],
+)
+def test_page_differentials_pinned(build, pinned):
+    D = build()
+    got = {}
+    for page in sseq_pages(D, r_stable(D)):
+        for (p, q, t), m in page.d.items():
+            entries = {(i, j): v for j, col in enumerate(m.cols) for i, v in col.items()}
+            got[(page.r, p, q, t)] = (m.nrows, m.ncols, entries)
+    assert got == pinned
