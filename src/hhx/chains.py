@@ -14,6 +14,8 @@ degree at a time.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 from .fields import Field
 from .matrix import SMat
 
@@ -472,10 +474,9 @@ class DoubleComplex:
         bounds = []
         if not self.p_exact:
             bounds.append(max(self.p_range, default=0) - 1)
-        for p, qv in self.q_valid.items():
+        for qv in self.q_valid.values():
             if qv is not None:
                 bounds.append(qv)
-            del p
         if not bounds:
             top = max((p + q for (p, q) in self.gens), default=0)
             return top, True
@@ -595,46 +596,89 @@ def _filtration_data(D: DoubleComplex, t: int):
     return coords, mats
 
 
-def _span_basis(vectors, nrows, field):
-    """Column span as an SMat whose columns are the given sparse vectors."""
-    return SMat(nrows, len(vectors), field, [dict(v) for v in vectors])
+class _Subquotients:
+    """Filtered cycle spaces, boundaries and representatives of one internal
+    degree, each computed once.
 
+    The coordinates of a level are sorted by p, so F_p is a prefix of them
+    and "filtration > p - r" a suffix.  A cycle space is keyed by the
+    restriction it actually solves, (n, prefix length, suffix start), and
+    many (p, r) share one: every r > p asks for Dx = 0 outright, and once
+    F_p holds the whole level only p - r still moves the key.
+    Boundary images share the key of the cycle space they come from;
+    representatives are keyed by (n, p, r).
+    """
 
-def _cycle_space(coords, mats, n, p, r, field):
-    """Basis of {x in F_p level n : Dx in F_{p-r}}, as sparse dicts."""
-    if n >= len(coords):
-        return []
-    cols = [k for k, (pp, _, _) in enumerate(coords[n]) if pp <= p]
-    if not cols:
-        return []
-    if n == 0 or not coords[n - 1]:
-        kernel_of = SMat(0, len(cols), field)
-    else:
-        rows = [k for k, (pp, _, _) in enumerate(coords[n - 1]) if pp > p - r]
-        kernel_of = mats[n].restrict(rows, cols)
-    out = []
-    for v in kernel_of.nullspace():
-        out.append({cols[j]: val for j, val in v.items()})
-    return out
+    def __init__(self, coords, mats, field):
+        self.mats = mats
+        self.field = field
+        self.ps = [[p for (p, _, _) in cs] for cs in coords]
+        self._cycles: dict = {}
+        self._boundaries: dict = {}
+        self.reps: dict = {}
 
+    def cycles(self, n, p, r):
+        """(key, basis) of {x in F_p level n : Dx in F_{p-r}}, as sparse dicts."""
+        if n >= len(self.ps):
+            return None, []
+        a = bisect_right(self.ps[n], p)
+        b = bisect_right(self.ps[n - 1], p - r) if n else 0
+        key = (n, a, b)
+        z = self._cycles.get(key)
+        if z is None:
+            if not a:
+                z = []
+            elif n == 0 or b == len(self.ps[n - 1]):
+                z = [{j: self.field.one} for j in range(a)]
+            else:
+                rows = range(b, len(self.ps[n - 1]))
+                z = self.mats[n].restrict(rows, range(a)).nullspace()
+            self._cycles[key] = z
+        return key, z
 
-def _proj_rank(vectors, coords_n, p, field):
-    """Rank of the span projected to coordinates with filtration exactly >= p."""
-    if not vectors:
-        return 0
-    keep = {k for k, (pp, _, _) in enumerate(coords_n) if pp >= p}
-    m = SMat(len(coords_n), len(vectors), field, [dict(v) for v in vectors])
-    rows = sorted(keep)
-    return m.restrict(rows, list(range(len(vectors)))).rank()
+    def boundaries(self, n, p, r):
+        """Nonzero images of the cycles in F_{p+r-1} level n + 1 landing in F_p."""
+        key, z = self.cycles(n + 1, p + r - 1, r - 1)
+        if not z:
+            return []
+        out = self._boundaries.get(key)
+        if out is None:
+            d = self.mats[n + 1]
+            out = self._boundaries[key] = [img for img in map(d.mul_vec, z) if img]
+        return out
+
+    def representatives(self, n, p, r):
+        """Cycles whose p-projections descend to a basis of E^r_{p, n-p}."""
+        key = (n, p, r)
+        reps = self.reps.get(key)
+        if reps is None:
+            reps = []
+            _, z = self.cycles(n, p, r)
+            if z:
+                bound = self.boundaries(n, p, r)
+                nb = len(bound)
+                lo = bisect_left(self.ps[n], p)
+                stacked = SMat(len(self.ps[n]), nb + len(z), self.field, bound + z)
+                pivots, _ = stacked.restrict(range(lo, len(self.ps[n]))).rref()
+                reps = [z[j - nb] for j in pivots if j >= nb]
+            self.reps[key] = reps
+        return reps
 
 
 def sseq_pages(D: DoubleComplex, r_max: int) -> list:
     """Pages E^0..E^{r_max} of the column filtration, split by internal t.
 
-    Dimensions come from the standard subquotient description
-    E^r_p = Z^r_p / (Z^{r-1}_{p-1} + d Z^{r-1}_{p+r-1}) computed through
-    projections to the p-block; differentials act on representative bases.
-    Entries with p + q beyond the trusted total range are refused (omitted).
+    E^r_p = Z^r_p / (Z^{r-1}_{p-1} + d Z^{r-1}_{p+r-1}) is computed through
+    projections to the p-block: the representatives are the cycles of Z^r_p
+    whose projections are independent modulo the projected boundaries, and
+    since those boundaries lie in Z^r_p the page dimension is their count.
+    Differentials act on representative bases, one echelon form per d_r
+    block.  Per internal degree t, a ``_Subquotients`` cache holds every
+    cycle space and boundary image under the restriction it solves, so each
+    is built once for all the (p, r) that share it; the representatives of
+    a page are dropped when its differentials are attached, and the whole
+    cache when t is done.  Entries with p + q beyond the trusted total range
+    are refused (omitted).
     """
     field = D.field
     n_valid, exact = D.s_bound()
@@ -649,58 +693,20 @@ def sseq_pages(D: DoubleComplex, r_max: int) -> list:
         SpectralSequencePage(r, {}, {}, n_valid) for r in range(r_max + 1)
     ]
     for t in ts:
-        coords, mats = _filtration_data(D, t)
+        sub = _Subquotients(*_filtration_data(D, t), field)
         for r in range(r_max + 1):
             for (p, q) in keys:
-                n = p + q
-                if n > n_valid:
-                    continue
-                z_here = _cycle_space(coords, mats, n, p, r, field)
-                if not z_here:
-                    continue
-                boundaries = []
-                if n + 1 < len(coords):
-                    z_up = _cycle_space(coords, mats, n + 1, p + r - 1, r - 1, field)
-                    for v in z_up:
-                        img = mats[n + 1].mul_vec(v)
-                        if img:
-                            boundaries.append(img)
-                rank_z = _proj_rank(z_here, coords[n], p, field)
-                rank_b = _proj_rank(boundaries, coords[n], p, field)
-                dim = rank_z - rank_b
-                if dim:
-                    pages[r].entries[(p, q, t)] = dim
-        # differentials on representatives
-        for r in range(r_max + 1):
-            _attach_differentials(pages[r], D, coords, mats, t, r, field, n_valid)
+                if p + q <= n_valid:
+                    dim = len(sub.representatives(p + q, p, r))
+                    if dim:
+                        pages[r].entries[(p, q, t)] = dim
+            _attach_differentials(pages[r], sub, t, r, n_valid)
+            sub.reps.clear()
     return pages
 
 
-def _representatives(coords, mats, n, p, r, field):
-    """Representative vectors whose p-projections descend to a basis of E^r."""
-    z_here = _cycle_space(coords, mats, n, p, r, field)
-    if not z_here:
-        return []
-    boundaries = []
-    if n + 1 < len(coords):
-        for v in _cycle_space(coords, mats, n + 1, p + r - 1, r - 1, field):
-            img = mats[n + 1].mul_vec(v)
-            if img:
-                boundaries.append(img)
-    keep = [k for k, (pp, _, _) in enumerate(coords[n]) if pp >= p]
-    nb = len(boundaries)
-    stacked = SMat(
-        len(coords[n]),
-        nb + len(z_here),
-        field,
-        [dict(v) for v in boundaries] + [dict(v) for v in z_here],
-    )
-    proj = stacked.restrict(keep, list(range(nb + len(z_here))))
-    pivots, _ = proj.rref()
-    return [z_here[j - nb] for j in pivots if j >= nb]
-
-
-def _attach_differentials(page, D, coords, mats, t, r, field, n_valid):
+def _attach_differentials(page, sub, t, r, n_valid):
+    field = sub.field
     for (p, q, tt), dim_src in list(page.entries.items()):
         if tt != t:
             continue
@@ -711,37 +717,24 @@ def _attach_differentials(page, D, coords, mats, t, r, field, n_valid):
                 # target is zero: record the zero matrix for shape fidelity
                 page.d[(p, q, t)] = SMat(0, dim_src, field)
             continue
-        reps = _representatives(coords, mats, n, p, r, field)
-        tgt_reps = _representatives(coords, mats, n - 1, tp, r, field)
-        tgt_bound = []
-        if n < len(coords):
-            for v in _cycle_space(coords, mats, n, tp + r - 1, r - 1, field):
-                img = mats[n].mul_vec(v)
-                if img:
-                    tgt_bound.append(img)
-        keep = [k for k, (pp, _, _) in enumerate(coords[n - 1]) if pp >= tp]
+        reps = sub.representatives(n, p, r)
+        tgt_reps = sub.representatives(n - 1, tp, r)
+        tgt_bound = sub.boundaries(n - 1, tp, r)
+        # solve in the projection to the tp-block
+        lo = bisect_left(sub.ps[n - 1], tp)
         nrep = len(tgt_reps)
         solver = SMat(
-            len(coords[n - 1]),
-            nrep + len(tgt_bound),
-            field,
-            [dict(v) for v in tgt_reps] + [dict(v) for v in tgt_bound],
-        ).restrict(keep, list(range(nrep + len(tgt_bound))))
+            len(sub.ps[n - 1]), nrep + len(tgt_bound), field, tgt_reps + tgt_bound
+        ).restrict(range(lo, len(sub.ps[n - 1])))
+        bs = [
+            {k - lo: v for k, v in sub.mats[n].mul_vec(rep).items() if k >= lo}
+            for rep in reps
+        ]
         out = SMat(nrep, len(reps), field)
-        keep_idx = {k: i for i, k in enumerate(keep)}
-        for j, rep in enumerate(reps):
-            img = mats[n].mul_vec(rep)
-            b = {}
-            for k, v in img.items():
-                ii = keep_idx.get(k)
-                if ii is not None:
-                    b[ii] = v
-            sol = solver.solve(b)
+        for j, sol in enumerate(solver.solve_many(bs)):
             if sol is None:
                 raise ChainError("page differential left its own page")
-            for i, v in sol.items():
-                if i < nrep and v != field.zero:
-                    out.add_at(i, j, v)
+            out.cols[j] = {i: v for i, v in sol.items() if i < nrep}
         page.d[(p, q, t)] = out
 
 

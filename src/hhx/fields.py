@@ -52,10 +52,13 @@ class Field:
 
     Concrete instances are the singleton ``QQ`` and ``GF(p)``.  Elements are
     not wrapped; the field object knows how to coerce, invert, parse and
-    serialize them.
+    serialize them.  ``zero`` and ``one`` are constants of the instance, so
+    the inner loops that compare against them pay no coercion.
     """
 
     char: int
+    zero: object
+    one: object
 
     def __call__(self, value):
         raise NotImplementedError
@@ -69,20 +72,14 @@ class Field:
     def show(self, a) -> str:
         raise NotImplementedError
 
-    @property
-    def zero(self):
-        return self(0)
-
-    @property
-    def one(self):
-        return self(1)
-
     def is_zero(self, a) -> bool:
         return a == self.zero
 
 
 class _Rationals(Field):
     char = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def __call__(self, value):
         if isinstance(value, float):
@@ -131,6 +128,8 @@ class _PrimeField(Field):
             raise FieldError(f"prime {p} too large (need p < 2**31)")
         self.p = p
         self.char = p
+        self.zero = 0
+        self.one = 1
 
     def __call__(self, value):
         if isinstance(value, float):

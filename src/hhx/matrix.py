@@ -259,17 +259,34 @@ class SMat:
 
     def solve(self, b: dict):
         """One solution of self @ x = b with free coordinates zero, or None."""
-        aug = SMat(self.nrows, self.ncols + 1, self.field, self.cols + [dict(b)])
-        pivots, rows = aug.rref()
-        x = {}
-        for c, row in zip(pivots, rows):
-            if c == self.ncols:
-                return None
-            rhs = row.get(self.ncols)
-            if rhs:
-                x[c] = rhs
-        sanity = self.mul_vec(x)
-        if sanity != {i: v for i, v in b.items() if v != self.field.zero}:
-            return None
-        return x
+        return self.solve_many([b])[0]
 
+    def solve_many(self, bs) -> list:
+        """``solve`` for every b in bs, from one echelon form of [self | bs].
+
+        b_j is inconsistent exactly when an echelon row with its pivot past
+        the last column of self has an entry in b_j's column; otherwise the
+        rows pivoting inside self carry the solution with free coordinates
+        zero, the same one a separate echelon form of [self | b_j] gives.
+        """
+        zero = self.field.zero
+        n = self.ncols
+        rhs = [{i: v for i, v in b.items() if v != zero} for b in bs]
+        aug = SMat(self.nrows, n + len(rhs), self.field, self.cols + rhs)
+        pivots, rows = aug.rref()
+        xs: list = [{} for _ in rhs]
+        # rows come sorted by pivot, so every row pivoting past self comes
+        # after the rows that fill in solutions
+        for c, row in zip(pivots, rows):
+            for j, v in row.items():
+                if j < n:
+                    continue
+                if c < n:
+                    xs[j - n][c] = v
+                else:
+                    xs[j - n] = None
+        # exact re-check of every solution against its right-hand side
+        return [
+            x if x is not None and self.mul_vec(x) == b else None
+            for x, b in zip(xs, rhs)
+        ]

@@ -211,7 +211,7 @@ def test_criterion_08_convergence():
             tab = total_complex(D).homology(page.n_valid)
             for n in range(page.n_valid + 1):
                 assert page.total(n) == tab.total(n)
-    _report(8, None, body)
+    _report(8, 60, body)
 
 
 def test_criterion_09_cohomology():

@@ -128,6 +128,48 @@ def test_solve_examples():
     assert m2.solve({}) == {}
 
 
+def dense_solve(rows, b, field):
+    """Oracle for solve: free coordinates zero, None when [A | b] pivots on b."""
+    ncols = len(rows[0])
+    pivots, reduced = dense_rref([r + [v] for r, v in zip(rows, b)], field)
+    if ncols in pivots:
+        return None
+    return {c: row[ncols] for c, row in zip(pivots, reduced) if ncols in row}
+
+
+@st.composite
+def solve_batches(draw, max_n=5):
+    """A matrix (possibly with no columns) and a batch of right-hand sides:
+    zero, in the column span, or arbitrary (often inconsistent)."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(0, max_n))
+    row = st.lists(small_int, min_size=m, max_size=m)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    bs = []
+    kinds = st.lists(st.sampled_from(["zero", "image", "any"]), min_size=1, max_size=5)
+    for kind in draw(kinds):
+        if kind == "zero":
+            bs.append([0] * n)
+        elif kind == "image":
+            x = draw(st.lists(small_int, min_size=m, max_size=m))
+            bs.append([sum(a * c for a, c in zip(row, x)) for row in rows])
+        else:
+            bs.append(draw(st.lists(small_int, min_size=n, max_size=n)))
+    return rows, bs
+
+
+@settings(max_examples=60, deadline=None)
+@given(solve_batches())
+@example(([[], []], [[0, 0], [1, 0], [0, 0]]))
+@example(([[1, 1], [1, 1]], [[1, 2], [2, 2], [0, 0]]))
+def test_solve_many_matches_dense_oracle(batch):
+    rows, bs = batch
+    for field in (QQ, GF(2), GF(3)):
+        vecs = [{i: field(v) for i, v in enumerate(b) if field(v)} for b in bs]
+        got = SMat.from_dense(rows, field).solve_many(vecs)
+        assert got == [dense_solve(rows, b, field) for b in bs]
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_rank_matches_dense_oracle_q(rows):
