@@ -626,13 +626,11 @@ class _Subquotients:
         key = (n, a, b)
         z = self._cycles.get(key)
         if z is None:
-            if not a:
-                z = []
-            elif n == 0 or b == len(self.ps[n - 1]):
-                z = [{j: self.field.one} for j in range(a)]
-            else:
+            if n and b < len(self.ps[n - 1]):
                 rows = range(b, len(self.ps[n - 1]))
                 z = self.mats[n].restrict(rows, range(a)).nullspace()
+            else:
+                z = [{j: self.field.one} for j in range(a)]
             self._cycles[key] = z
         return key, z
 
@@ -673,12 +671,10 @@ def sseq_pages(D: DoubleComplex, r_max: int) -> list:
     whose projections are independent modulo the projected boundaries, and
     since those boundaries lie in Z^r_p the page dimension is their count.
     Differentials act on representative bases, one echelon form per d_r
-    block.  Per internal degree t, a ``_Subquotients`` cache holds every
-    cycle space and boundary image under the restriction it solves, so each
-    is built once for all the (p, r) that share it; the representatives of
-    a page are dropped when its differentials are attached, and the whole
-    cache when t is done.  Entries with p + q beyond the trusted total range
-    are refused (omitted).
+    block.  One ``_Subquotients`` cache per internal degree t builds each
+    cycle space and boundary image once (see its keys); a page's
+    representatives are dropped once its differentials are attached.
+    Entries with p + q beyond the trusted total range are refused (omitted).
     """
     field = D.field
     n_valid, exact = D.s_bound()

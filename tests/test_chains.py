@@ -588,6 +588,6 @@ def test_page_differentials_pinned(build, pinned):
     got = {}
     for page in sseq_pages(D, r_stable(D)):
         for (p, q, t), m in page.d.items():
-            entries = {(i, j): v for j, col in enumerate(m.cols) for i, v in col.items()}
+            entries = {(i, j): v for j, c in enumerate(m.cols) for i, v in c.items()}
             got[(page.r, p, q, t)] = (m.nrows, m.ncols, entries)
     assert got == pinned
