@@ -143,8 +143,8 @@ def solve_batches(draw, max_n=5):
     zero, in the column span, or arbitrary (often inconsistent)."""
     n = draw(st.integers(1, max_n))
     m = draw(st.integers(0, max_n))
-    row = st.lists(small_int, min_size=m, max_size=m)
-    rows = draw(st.lists(row, min_size=n, max_size=n))
+    one_row = st.lists(small_int, min_size=m, max_size=m)
+    rows = draw(st.lists(one_row, min_size=n, max_size=n))
     bs = []
     kinds = st.lists(st.sampled_from(["zero", "image", "any"]), min_size=1, max_size=5)
     for kind in draw(kinds):
