@@ -75,8 +75,8 @@ class GradedAlgebra:
     def multiply(self, u, v) -> tuple:
         """Bilinear product of two dense coefficient vectors."""
         zero = self.field.zero
-        ch = self.field.char
-        out = [zero] * self.dim
+        add = self.field.add_into
+        out: dict = {}
         for i, a in enumerate(u):
             if a == zero:
                 continue
@@ -85,10 +85,8 @@ class GradedAlgebra:
                     continue
                 ab = a * b
                 for k, ck in self.mul_basis(i, j).items():
-                    out[k] = out[k] + ab * ck
-        if ch:
-            out = [x % ch for x in out]
-        return tuple(out)
+                    add(out, k, ab * ck)
+        return tuple(out.get(k, zero) for k in range(self.dim))
 
     def product_chain(self, indices) -> dict:
         """Left-to-right product of basis elements, as a sparse expansion.
@@ -96,19 +94,13 @@ class GradedAlgebra:
         An empty chain gives the unit.
         """
         zero = self.field.zero
-        ch = self.field.char
+        add = self.field.add_into
         acc = {k: v for k, v in enumerate(self.unit) if v != zero}
         for idx in indices:
             nxt: dict = {}
             for k, a in acc.items():
                 for m, c in self.mul_basis(k, idx).items():
-                    nv = nxt.get(m, zero) + a * c
-                    if ch:
-                        nv %= ch
-                    if nv == zero:
-                        nxt.pop(m, None)
-                    else:
-                        nxt[m] = nv
+                    add(nxt, m, a * c)
             acc = nxt
             if not acc:
                 break
@@ -234,10 +226,8 @@ def make_algebra(field: Field, basis, unit, table, commutative: bool) -> GradedA
     if commutative:
         for i in range(d):
             for j in range(d):
-                sign = field(-1) if (degrees[i] * degrees[j]) % 2 else field.one
-                flipped = tuple(sign * v for v in table_t[j][i])
-                if field.char:
-                    flipped = tuple(v % field.char for v in flipped)
+                sign = -1 if (degrees[i] * degrees[j]) % 2 else 1
+                flipped = tuple(field(sign * v) for v in table_t[j][i])
                 if table_t[i][j] != flipped:
                     raise AlgebraError(
                         f"sign rule fails at pair ({names[i]}, {names[j]}): "
@@ -270,8 +260,7 @@ def tensor_algebras(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
             continue
         for j, b in enumerate(B.unit):
             if b != zero:
-                v = a * b
-                unit[i * dB + j] = v % field.char if field.char else v
+                unit[i * dB + j] = field(a * b)
     table = []
     for i1 in range(A.dim):
         for j1 in range(dB):
@@ -279,17 +268,10 @@ def tensor_algebras(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
             for i2 in range(A.dim):
                 for j2 in range(dB):
                     vec = [zero] * dim
-                    sign = (
-                        field(-1)
-                        if (B.degrees[j1] * A.degrees[i2]) % 2
-                        else field.one
-                    )
+                    sign = -1 if (B.degrees[j1] * A.degrees[i2]) % 2 else 1
                     for k1, ca in A.mul_basis(i1, i2).items():
                         for k2, cb in B.mul_basis(j1, j2).items():
-                            v = sign * ca * cb
-                            if field.char:
-                                v %= field.char
-                            vec[k1 * dB + k2] = v
+                            vec[k1 * dB + k2] = field(sign * ca * cb)
                     row.append(vec)
             table.append(row)
     # reshape flat rows into the dim x dim table
@@ -312,10 +294,7 @@ def opposite(A: GradedAlgebra) -> GradedAlgebra:
         row = []
         for j in range(d):
             if (A.degrees[i] * A.degrees[j]) % 2:
-                sign = field(-1)
-                vec = [sign * v for v in A.table[j][i]]
-                if field.char:
-                    vec = [v % field.char for v in vec]
+                vec = [field(-v) for v in A.table[j][i]]
             else:
                 vec = list(A.table[j][i])
             row.append(vec)
@@ -377,20 +356,11 @@ def is_etale(A: GradedAlgebra) -> bool:
     # trace of left multiplication by each basis element
     tr = []
     for k in range(d):
-        s = field.zero
-        for m in range(d):
-            s = s + A.table[k][m][m]
-        if field.char:
-            s %= field.char
-        tr.append(s)
+        tr.append(field(sum(A.table[k][m][m] for m in range(d))))
     gram = SMat(d, d, field)
     for i in range(d):
         for j in range(d):
-            s = field.zero
-            for k, c in A.mul_basis(i, j).items():
-                s = s + c * tr[k]
-            if field.char:
-                s %= field.char
+            s = field(sum(c * tr[k] for k, c in A.mul_basis(i, j).items()))
             if s != field.zero:
                 gram.cols[j][i] = s
     return gram.rank() == d

@@ -18,7 +18,7 @@ from .chains import (
     DoubleComplex,
     total_complex,
 )
-from .loday import _add_into, _shuffle_chain, loday_complex
+from .loday import _shuffle_chain, loday_complex
 from .matrix import SMat
 from .simplicial import sphere_min
 
@@ -73,7 +73,7 @@ class DGAlgebraModel:
         """Unit identity, Leibniz in total degree, and commutativity if flagged."""
         C = self.complex
         field = C.field
-        ch = field.char
+        add = field.add_into
         one = field.one
         for p in range(C.top + 1):
             for i in range(C.level_dim(p)):
@@ -82,7 +82,7 @@ class DGAlgebraModel:
                     for u, cu in other.items():
                         prod = self.mul(p, i, 0, u) if swap else self.mul(0, u, p, i)
                         for k, c in prod.items():
-                            _add_into(acc, k, cu * c, ch)
+                            add(acc, k, cu * c)
                     if acc != {i: one}:
                         side = "right" if swap else "left"
                         raise ChainError(
@@ -101,17 +101,17 @@ class DGAlgebraModel:
                         lhs: dict = {}
                         for k, c in self.mul(p, i, q, j).items():
                             for r, v in d_n.cols[k].items():
-                                _add_into(lhs, r, c * v, ch)
+                                add(lhs, r, c * v)
                         rhs: dict = {}
                         if p >= 1:
                             for i2, c in C.diffs[p].cols[i].items():
                                 for k, v in self.mul(p - 1, i2, q, j).items():
-                                    _add_into(rhs, k, c * v, ch)
+                                    add(rhs, k, c * v)
                         if q >= 1:
                             for j2, c in C.diffs[q].cols[j].items():
                                 cc = -c if x_odd else c
                                 for k, v in self.mul(p, i, q - 1, j2).items():
-                                    _add_into(rhs, k, cc * v, ch)
+                                    add(rhs, k, cc * v)
                         if lhs != rhs:
                             raise ChainError(
                                 f"Leibniz fails at levels ({p}, {q}), "
@@ -127,7 +127,7 @@ class DGAlgebraModel:
                             flip = ((p + t_i) * (q + t_j)) % 2
                             ba = self.mul(q, j, p, i)
                             if flip:
-                                ba = {k: (-v) % ch if ch else -v for k, v in ba.items()}
+                                ba = {k: field(-v) for k, v in ba.items()}
                             if self.mul(p, i, q, j) != ba:
                                 raise ChainError(
                                     f"commutativity fails at levels ({p}, {q})"
@@ -157,7 +157,7 @@ class DGModule:
     def validate(self) -> "DGModule":
         B = self.model
         field = B.field
-        ch = field.char
+        add = field.add_into
         one = field.one
         dim0 = B.complex.level_dim(0)
         nm = len(self.gens)
@@ -165,7 +165,7 @@ class DGModule:
             acc: dict = {}
             for u, cu in B.unit.items():
                 for k, c in self.act.get((i, u), {}).items():
-                    _add_into(acc, k, cu * c, ch)
+                    add(acc, k, cu * c)
             if acc != {i: one}:
                 raise ChainError("module action does not respect the unit")
         for u in range(dim0):
@@ -175,7 +175,7 @@ class DGModule:
                     via: dict = {}
                     for w, cw in prod.items():
                         for k, c in self.act.get((i, w), {}).items():
-                            _add_into(via, k, cw * c, ch)
+                            add(via, k, cw * c)
                     # apply one factor after the other, in the order the
                     # side dictates: (m.u).v against m.(uv), or u.(v.n)
                     # against (uv).n
@@ -183,7 +183,7 @@ class DGModule:
                     steps: dict = {}
                     for k, c in self.act.get((i, first), {}).items():
                         for k2, c2 in self.act.get((k, second), {}).items():
-                            _add_into(steps, k2, c * c2, ch)
+                            add(steps, k2, c * c2)
                     if steps != via:
                         raise ChainError("module action fails associativity")
         if B.complex.top >= 1:
@@ -194,7 +194,7 @@ class DGModule:
                     acc = {}
                     for u, cu in col.items():
                         for k, c in self.act.get((i, u), {}).items():
-                            _add_into(acc, k, cu * c, ch)
+                            add(acc, k, cu * c)
                     if acc:
                         raise ChainError(
                             "module action does not kill level-one boundaries"
@@ -283,7 +283,6 @@ def two_sided_bar(
     M.validate()
     N.validate()
     field = B.field
-    ch = field.char
     C = B.complex
     q_top = C.top
     flat = [(q, j) for q in range(q_top + 1) for j in range(C.level_dim(q))]
@@ -317,10 +316,7 @@ def two_sided_bar(
                         neg = pref % 2 == 1
                         for j2, c in C.diffs[ql].cols[jl].items():
                             w2 = word[:l] + ((ql - 1, j2),) + word[l + 1 :]
-                            v = -c if neg else c
-                            if ch:
-                                v %= ch
-                            m.add_at(rows[(i_m, w2, k_n)], cpos, v)
+                            m.add_at(rows[(i_m, w2, k_n)], cpos, -c if neg else c)
                     pref += ql + tB[(ql, jl)]
             d_v[(p, q)] = m
         if p >= 1:
@@ -341,18 +337,12 @@ def two_sided_bar(
                     neg = f % 2 == 1
                     for j2, c in prod.items():
                         w2 = word[: f - 1] + ((qa + qb, j2),) + word[f + 1 :]
-                        v = -c if neg else c
-                        if ch:
-                            v %= ch
-                        m.add_at(rows[(i_m, w2, k_n)], cpos, v)
+                        m.add_at(rows[(i_m, w2, k_n)], cpos, -c if neg else c)
                 qp, jp = word[p - 1]
                 if qp == 0:
                     neg = p % 2 == 1
                     for k2, c in N.act.get((k_n, jp), {}).items():
-                        v = -c if neg else c
-                        if ch:
-                            v %= ch
-                        m.add_at(rows[(i_m, word[: p - 1], k2)], cpos, v)
+                        m.add_at(rows[(i_m, word[: p - 1], k2)], cpos, -c if neg else c)
             d_h[(p, q)] = m
     qv = None if C.exact_top else C.s_valid
     q_valid = {p: qv for p in range(p_max + 1)}

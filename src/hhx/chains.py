@@ -134,6 +134,21 @@ def _t_blocks(gens) -> dict:
     return out
 
 
+def _check_degrees(m: SMat, src, tgt, what: str, error=ChainError) -> None:
+    """Raise error unless every entry of m joins generators of the same t.
+
+    src and tgt list the (name, t) generators of the columns and the rows.
+    """
+    for j, col in enumerate(m.cols):
+        name, t = src[j]
+        for i, v in col.items():
+            if v and tgt[i][1] != t:
+                raise error(
+                    f"{what} mixes internal degrees: generator {name!r} "
+                    f"(t={t}) hits {tgt[i][0]!r} (t={tgt[i][1]})"
+                )
+
+
 class ChainComplex:
     """Levels of (name, t) generators with differentials d_s: s -> s-1.
 
@@ -190,16 +205,8 @@ class ChainComplex:
             if not (self.diffs[s - 1] @ self.diffs[s]).is_zero():
                 raise ChainError(f"d^2 != 0 between levels {s} and {s - 2}")
         for s in range(1, self.top + 1):
-            src = self.levels[s]
-            tgt = self.levels[s - 1]
-            for j, col in enumerate(self.diffs[s].cols):
-                for i, v in col.items():
-                    if v != self.field.zero and tgt[i][1] != src[j][1]:
-                        raise ChainError(
-                            f"differential at level {s} mixes internal degrees: "
-                            f"generator {src[j][0]!r} (t={src[j][1]}) hits "
-                            f"{tgt[i][0]!r} (t={tgt[i][1]})"
-                        )
+            what = f"differential at level {s}"
+            _check_degrees(self.diffs[s], self.levels[s], self.levels[s - 1], what)
         return self
 
     def homology(self, s_max: int | None = None, provenance: str = "chain") -> BettiTable:
@@ -260,16 +267,9 @@ class ChainMap:
         self._validate()
 
     def _validate(self):
-        field = self.source.field
         for s in range(0, self.source.top + 1):
-            src = self.source.levels[s]
-            tgt = self.target.levels[s]
-            for j, col in enumerate(self.mats[s].cols):
-                for i, v in col.items():
-                    if v != field.zero and tgt[i][1] != src[j][1]:
-                        raise ChainError(
-                            f"chain map mixes internal degrees at level {s}"
-                        )
+            src, tgt = self.source.levels[s], self.target.levels[s]
+            _check_degrees(self.mats[s], src, tgt, f"chain map at level {s}")
         for s in range(1, self.source.top + 1):
             left = self.target.diffs[s] @ self.mats[s]
             right = self.mats[s - 1] @ self.source.diffs[s]
@@ -451,22 +451,14 @@ class DoubleComplex:
             anti = (self.h(p, q - 1) @ vm) + (self.v(p - 1, q) @ hm)
             if not anti.is_zero():
                 raise ChainError(f"squares do not anticommute at ({p}, {q})")
-            for table, which in ((self.d_h, "horizontal"), (self.d_v, "vertical")):
+            for table, which, tgt in (
+                (self.d_h, "horizontal", (p - 1, q)),
+                (self.d_v, "vertical", (p, q - 1)),
+            ):
                 m = table.get((p, q))
-                if m is None:
-                    continue
-                tgt = (
-                    self.gens.get((p - 1, q), ())
-                    if which == "horizontal"
-                    else self.gens.get((p, q - 1), ())
-                )
-                src = self.gens[(p, q)]
-                for j, col in enumerate(m.cols):
-                    for i, val in col.items():
-                        if val != self.field.zero and tgt[i][1] != src[j][1]:
-                            raise ChainError(
-                                f"{which} map at ({p}, {q}) mixes internal degrees"
-                            )
+                if m is not None:
+                    what = f"{which} map at ({p}, {q})"
+                    _check_degrees(m, self.gens[(p, q)], self.gens.get(tgt, ()), what)
         return self
 
     def s_bound(self):
@@ -560,42 +552,6 @@ class SpectralSequencePage:
         return f"SpectralSequencePage(r={self.r}, entries={dict(sorted(self.entries.items()))})"
 
 
-def _filtration_data(D: DoubleComplex, t: int):
-    """Per total degree n: ordered coords [(p, q, i)] (ascending p) restricted
-    to internal degree t, plus the total differential between those levels."""
-    keys = sorted(D.gens)
-    if not keys:
-        return [], []
-    top = max(p + q for (p, q) in keys)
-    coords = []
-    for n in range(top + 1):
-        here = []
-        for (p, q) in keys:
-            if p + q != n:
-                continue
-            for i, (_, tt) in enumerate(D.gens[(p, q)]):
-                if tt == t:
-                    here.append((p, q, i))
-        here.sort()
-        coords.append(here)
-    index = [{c: k for k, c in enumerate(cs)} for cs in coords]
-    mats = [None]
-    for n in range(1, top + 1):
-        m = SMat(len(coords[n - 1]), len(coords[n]), D.field)
-        for k, (p, q, i) in enumerate(coords[n]):
-            for tbl, tgt in ((D.d_h, (p - 1, q)), (D.d_v, (p, q - 1))):
-                mm = tbl.get((p, q))
-                if mm is None or tgt not in D.gens:
-                    continue
-                col = mm.cols[i]
-                for ii, v in col.items():
-                    dest = index[n - 1].get((tgt[0], tgt[1], ii))
-                    if dest is not None:
-                        m.add_at(dest, k, v)
-        mats.append(m)
-    return coords, mats
-
-
 class _Subquotients:
     """Filtered cycle spaces, boundaries and representatives of one internal
     degree, each computed once.
@@ -609,10 +565,10 @@ class _Subquotients:
     representatives are keyed by (n, p, r).
     """
 
-    def __init__(self, coords, mats, field):
+    def __init__(self, ps, mats, field):
         self.mats = mats
         self.field = field
-        self.ps = [[p for (p, _, _) in cs] for cs in coords]
+        self.ps = ps
         self._cycles: dict = {}
         self._boundaries: dict = {}
         self.reps: dict = {}
@@ -671,9 +627,12 @@ def sseq_pages(D: DoubleComplex, r_max: int) -> list:
     whose projections are independent modulo the projected boundaries, and
     since those boundaries lie in Z^r_p the page dimension is their count.
     Differentials act on representative bases, one echelon form per d_r
-    block.  One ``_Subquotients`` cache per internal degree t builds each
-    cycle space and boundary image once (see its keys); a page's
-    representatives are dropped once its differentials are attached.
+    block.  The total complex is built once; each t takes its block of
+    every level (ordered by p, the first entry of a generator's name) and
+    the restriction of the total differential to those blocks.  One
+    ``_Subquotients`` cache per internal degree t builds each cycle space
+    and boundary image once (see its keys); a page's representatives are
+    dropped once its differentials are attached.
     Entries with p + q beyond the trusted total range are refused (omitted).
     """
     field = D.field
@@ -684,12 +643,19 @@ def sseq_pages(D: DoubleComplex, r_max: int) -> list:
     top = max(p + q for (p, q) in keys)
     if exact:
         n_valid = top
-    ts = sorted({t for gs in D.gens.values() for (_, t) in gs})
+    T = total_complex(D)
+    blocks = [_t_blocks(lv) for lv in T.levels]
+    ts = sorted({t for b in blocks for t in b})
     pages = [
         SpectralSequencePage(r, {}, {}, n_valid) for r in range(r_max + 1)
     ]
     for t in ts:
-        sub = _Subquotients(*_filtration_data(D, t), field)
+        idx = [b.get(t, []) for b in blocks]
+        ps = [[T.levels[n][k][0][0] for k in ix] for n, ix in enumerate(idx)]
+        mats = [None] + [
+            T.diffs[n].restrict(idx[n - 1], idx[n]) for n in range(1, len(idx))
+        ]
+        sub = _Subquotients(ps, mats, field)
         for r in range(r_max + 1):
             for (p, q) in keys:
                 if p + q <= n_valid:

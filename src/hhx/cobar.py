@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import GradedAlgebra, center, opposite, tensor_algebras
-from .chains import BettiTable, ChainError, _t_blocks
-from .loday import _add_into
+from .chains import BettiTable, ChainError, _check_degrees, _t_blocks
 from .matrix import SMat
 
 __all__ = [
@@ -49,7 +48,7 @@ class AModule:
     def validate(self) -> "AModule":
         A = self.algebra
         field = A.field
-        ch = field.char
+        add = field.add_into
         one = field.one
         for j in range(self.dim):
             acc: dict = {}
@@ -57,7 +56,7 @@ class AModule:
                 if cu == field.zero:
                     continue
                 for k, c in self.act.get((u, j), {}).items():
-                    _add_into(acc, k, cu * c, ch)
+                    add(acc, k, cu * c)
             if acc != {j: one}:
                 raise ChainError("module action does not respect the unit")
         for a in range(A.dim):
@@ -67,11 +66,11 @@ class AModule:
                     via: dict = {}
                     for k, c in prod.items():
                         for m, cm in self.act.get((k, j), {}).items():
-                            _add_into(via, m, c * cm, ch)
+                            add(via, m, c * cm)
                     steps: dict = {}
                     for m, cm in self.act.get((b, j), {}).items():
                         for m2, c2 in self.act.get((a, m), {}).items():
-                            _add_into(steps, m2, cm * c2, ch)
+                            add(steps, m2, cm * c2)
                     if steps != via:
                         raise ChainError("module action fails associativity")
         return self
@@ -96,7 +95,6 @@ def envelope_bimodule(A: GradedAlgebra):
     """
     E = tensor_algebras(A, opposite(A))
     field = A.field
-    ch = field.char
     dA = A.dim
     act: dict = {}
     for a in range(dA):
@@ -105,7 +103,7 @@ def envelope_bimodule(A: GradedAlgebra):
             for m in range(dA):
                 vec = dict(A.product_chain((a, m, b)))
                 if (A.degrees[b] * A.degrees[m]) % 2:
-                    vec = {k: (-v) % ch if ch else -v for k, v in vec.items()}
+                    vec = {k: field(-v) for k, v in vec.items()}
                 if vec:
                     act[(jE, m)] = vec
     return E, AModule(E, list(zip(A.names, A.degrees)), act)
@@ -140,14 +138,9 @@ class CobarComplex:
         for n, d in enumerate(self.deltas):
             if (d.nrows, d.ncols) != (self.level_dim(n + 1), self.level_dim(n)):
                 raise ChainError(f"coboundary at level {n} has the wrong shape")
-            src = self.levels[n]
-            tgt = self.levels[n + 1]
-            for j, col in enumerate(d.cols):
-                for i, v in col.items():
-                    if v != self.field.zero and tgt[i][1] != src[j][1]:
-                        raise ChainError(
-                            f"coboundary at level {n} mixes internal degrees"
-                        )
+            _check_degrees(
+                d, self.levels[n], self.levels[n + 1], f"coboundary at level {n}"
+            )
         for n in range(len(self.deltas) - 1):
             if not (self.deltas[n + 1] @ self.deltas[n]).is_zero():
                 raise ChainError(f"coboundary squared is nonzero at level {n}")
@@ -168,20 +161,19 @@ class CobarComplex:
             )
         out = {}
         blocks = [_t_blocks(lv) for lv in self.levels]
+        # rank of each t block of delta_{n-1}, found as r_out at level n - 1;
+        # a t missing there has no columns, so its block has rank 0
+        r_prev: dict = {}
         for n in range(0, n_max + 1):
+            r_here = {}
             for t, idx in blocks[n].items():
-                dim = len(idx)
-                r_out = self.deltas[n].restrict(blocks[n + 1].get(t, []), idx).rank()
-                r_in = 0
-                if n >= 1:
-                    r_in = (
-                        self.deltas[n - 1]
-                        .restrict(idx, blocks[n - 1].get(t, []))
-                        .rank()
-                    )
-                h = dim - r_out - r_in
+                rows = blocks[n + 1].get(t)
+                r_out = self.deltas[n].restrict(rows, idx).rank() if rows else 0
+                r_here[t] = r_out
+                h = len(idx) - r_out - r_prev.get(t, 0)
                 if h:
                     out[(n, t)] = h
+            r_prev = r_here
         return BettiTable(out, n_max, provenance)
 
 
@@ -200,7 +192,6 @@ def cobar_complex(M: AModule, A: GradedAlgebra, N: AModule, n_max: int) -> Cobar
     M.validate()
     N.validate()
     field = A.field
-    ch = field.char
     dA = A.dim
     deg = A.degrees
     levels = []
@@ -240,25 +231,16 @@ def cobar_complex(M: AModule, A: GradedAlgebra, N: AModule, n_max: int) -> Cobar
                 neg = t_odd and deg[b1] % 2 == 1
                 psi = (b1, *phi)
                 for k2, c in vec.items():
-                    v = -c if neg else c
-                    if ch:
-                        v %= ch
-                    d.add_at(rows[(psi, m, k2)], cpos, v)
+                    d.add_at(rows[(psi, m, k2)], cpos, -c if neg else c)
             for i in range(1, n + 1):
                 neg = i % 2 == 1
-                for u, v_, c in rev_mul.get(phi[i - 1], ()):
-                    psi = phi[: i - 1] + (u, v_) + phi[i - 1 + 1 :]
-                    v = -c if neg else c
-                    if ch:
-                        v %= ch
-                    d.add_at(rows[(psi, m, k)], cpos, v)
+                for u, v, c in rev_mul.get(phi[i - 1], ()):
+                    psi = phi[: i - 1] + (u, v) + phi[i:]
+                    d.add_at(rows[(psi, m, k)], cpos, -c if neg else c)
             neg = (n + 1) % 2 == 1
             for u, ms, c in rev_act.get(m, ()):
                 psi = (*phi, u)
-                v = -c if neg else c
-                if ch:
-                    v %= ch
-                d.add_at(rows[(psi, ms, k)], cpos, v)
+                d.add_at(rows[(psi, ms, k)], cpos, -c if neg else c)
         deltas.append(d)
     return CobarComplex(field, levels, deltas).validate()
 

@@ -5,6 +5,11 @@ fields F_p with p < 2**31.  Field elements are plain Python objects (Fraction
 for the rationals, int in [0, p) for F_p) so that downstream sparse linear
 algebra can stay close to the machine representation.  Every operation is
 exact; floats are rejected everywhere.
+
+The rule "reduce mod p, drop zeros" lives here and nowhere else: sparse
+vectors accumulate through ``Field.add_into``, and a single value is
+normalized by calling the field, ``field(x)``.  Callers never read the
+characteristic.
 """
 
 from __future__ import annotations
@@ -54,6 +59,10 @@ class Field:
     not wrapped; the field object knows how to coerce, invert, parse and
     serialize them.  ``zero`` and ``one`` are constants of the instance, so
     the inner loops that compare against them pay no coercion.
+
+    ``add_into`` is the one accumulate path for sparse {key: value} dicts:
+    every sum of field elements into such a dict goes through it, so stored
+    values are always normalized and never zero.
     """
 
     char: int
@@ -72,8 +81,13 @@ class Field:
     def show(self, a) -> str:
         raise NotImplementedError
 
-    def is_zero(self, a) -> bool:
-        return a == self.zero
+    def add_into(self, acc: dict, key, c) -> None:
+        """acc[key] += c in the field; a key whose sum is zero is dropped.
+
+        c is a field element or a product of one with integers (a sign, a
+        multiplicity), so on F_p it may be any int.
+        """
+        raise NotImplementedError
 
 
 class _Rationals(Field):
@@ -96,6 +110,18 @@ class _Rationals(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
         return 1 / Fraction(a)
+
+    def add_into(self, acc: dict, key, c) -> None:
+        # a missing key takes c as it is: c is a Fraction, and skipping the
+        # sum with zero saves a Fraction addition
+        if key in acc:
+            nv = acc[key] + c
+            if nv:
+                acc[key] = nv
+            else:
+                del acc[key]
+        elif c:
+            acc[key] = c
 
     def parse(self, text: str):
         text = text.strip()
@@ -152,6 +178,13 @@ class _PrimeField(Field):
         if a == 0:
             raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")
         return pow(a, self.p - 2, self.p)
+
+    def add_into(self, acc: dict, key, c) -> None:
+        nv = (acc.get(key, 0) + c) % self.p
+        if nv:
+            acc[key] = nv
+        else:
+            acc.pop(key, None)
 
     def parse(self, text: str):
         # rational literals reduce mod p so shared input files work over any field

@@ -28,7 +28,7 @@ import itertools
 from .algebra import AlgebraError, AlgebraMap, GradedAlgebra, unit_adapted
 from .chains import BettiTable, ChainComplex, ChainMap
 from .fields import Field
-from .matrix import SMat
+from .matrix import SMat, echelon_quotient
 from .simplicial import SimplicialMap, SimplicialSet
 
 __all__ = [
@@ -56,32 +56,23 @@ def _rank_tuple(phi, wt) -> int:
     return g
 
 
-def _add_into(acc: dict, key, c, ch: int) -> None:
-    nv = acc.get(key, 0) + c
-    if ch:
-        nv %= ch
-    if nv == 0:
-        acc.pop(key, None)
-    else:
-        acc[key] = nv
-
-
-def _add_level(acc: dict, vec: dict, c0, index: dict, pi, ch: int) -> None:
+def _add_level(acc: dict, vec: dict, c0, index: dict, pi, add) -> None:
     """acc += c0 * vec, with the monomials of vec rewritten as coordinates.
 
     index sends a monomial to its coordinate; a monomial it lacks is zero in
     the level (a degenerate one, in a normalized level).  pi, when given,
-    rewrites each coordinate as {generator: coeff}.
+    rewrites each coordinate as {generator: coeff}.  add is the field's
+    add_into.
     """
     for psi, c in vec.items():
         g = index.get(psi)
         if g is None:
             continue
         if pi is None:
-            _add_into(acc, g, c0 * c, ch)
+            add(acc, g, c0 * c)
         else:
             for p, cc in pi[g].items():
-                _add_into(acc, p, c0 * c * cc, ch)
+                add(acc, p, c0 * c * cc)
 
 
 def _positions(names) -> dict:
@@ -130,7 +121,6 @@ class _Push:
 
     def column(self, phi) -> dict:
         """Image of a basis function, keyed by target tuple."""
-        ch = self.A.field.char
         flips = 0
         if self.pairs is not None:
             for k, l in self.pairs:
@@ -157,13 +147,14 @@ class _Push:
         if not branch:
             return {tuple(psi): sign}
         # distinct choices at the branching fibers give distinct targets
+        field = self.A.field
         out: dict = {}
         for combo in itertools.product(*(terms for _, terms in branch)):
             c = sign
             for (p, _), (i, cv) in zip(branch, combo):
                 psi[p] = i
                 c = c * cv
-            out[tuple(psi)] = c % ch if ch else c
+            out[tuple(psi)] = field(c)
         return out
 
 
@@ -205,7 +196,7 @@ def _module_basis(A: GradedAlgebra, base: AlgebraMap) -> list[dict]:
     cands += [
         {i: one, j: one} for i in range(A.dim) for j in range(i + 1, A.dim)
     ]
-    ch = field.char
+    add = field.add_into
 
     def spans(cand: dict) -> list[dict]:
         cols = []
@@ -213,7 +204,7 @@ def _module_basis(A: GradedAlgebra, base: AlgebraMap) -> list[dict]:
             col: dict = {}
             for i, ci in cand.items():
                 for k, v in act[tau][i].items():
-                    _add_into(col, k, ci * v, ch)
+                    add(col, k, ci * v)
             cols.append(col)
         return cols
 
@@ -253,7 +244,7 @@ def _relative_quotient(A: GradedAlgebra, base: AlgebraMap, m: int):
     if m < 2:
         return list(range(dA ** m)), None
     field = A.field
-    ch = field.char
+    add = field.add_into
     T = base.source
     act = _base_action(A, base)
     wt = _weights(dA, m)
@@ -264,47 +255,12 @@ def _relative_quotient(A: GradedAlgebra, base: AlgebraMap, m: int):
             for tau in range(T.dim):
                 row: dict = {}
                 for k, c in act[tau][phi[j]].items():
-                    _add_into(row, g + (k - phi[j]) * wt[j], c, ch)
+                    add(row, g + (k - phi[j]) * wt[j], c)
                 for k, c in act[tau][phi[j + 1]].items():
-                    _add_into(row, g + (k - phi[j + 1]) * wt[j + 1], -c, ch)
+                    add(row, g + (k - phi[j + 1]) * wt[j + 1], -c)
                 if row:
                     rows.append(row)
-    return _echelon_quotient(rows, dA ** m, field)
-
-
-def _echelon_quotient(rows, dim: int, field: Field):
-    """Quotient of the coordinate space field^dim by the span of rows.
-
-    Returns (free, pi): free lists the non-pivot coordinates of the
-    canonical echelon form, pi rewrites every coordinate as
-    {position in free: coeff}.
-    """
-    ch = field.char
-    rel = SMat.from_entries(
-        len(rows),
-        dim,
-        field,
-        [(r, c, v) for r, row in enumerate(rows) for c, v in row.items()],
-    )
-    pivots, rrows = rel.rref()
-    pivot_set = set(pivots)
-    free = [c for c in range(dim) if c not in pivot_set]
-    pos = {c: p for p, c in enumerate(free)}
-    pi: list[dict] = [None] * dim
-    for c in free:
-        pi[c] = {pos[c]: field.one}
-    for c, row in zip(pivots, rrows):
-        out = {}
-        for f, v in row.items():
-            if f == c:
-                continue
-            nv = -v
-            if ch:
-                nv %= ch
-            if nv != 0:
-                out[pos[f]] = nv
-        pi[c] = out
-    return free, pi
+    return echelon_quotient(rows, dA ** m, field)
 
 
 def _check_base(A: GradedAlgebra, base) -> None:
@@ -376,7 +332,7 @@ def _assemble(A: GradedAlgebra, X: SimplicialSet, simps, names, index, pis=None)
     non-degenerate ones in a unit-adapted basis it is the normalized one.
     """
     field = A.field
-    ch = field.char
+    add = field.add_into
     levels = [[(phi, sum(A.degrees[i] for i in phi)) for phi in nm] for nm in names]
     diffs: list = [None]
     for n in range(1, len(names)):
@@ -391,7 +347,7 @@ def _assemble(A: GradedAlgebra, X: SimplicialSet, simps, names, index, pis=None)
         for phi in names[n]:
             acc: dict = {}
             for i, push in enumerate(pushes):
-                _add_level(acc, push.column(phi), -1 if i % 2 else 1, idx, pi, ch)
+                _add_level(acc, push.column(phi), -1 if i % 2 else 1, idx, pi, add)
             cols.append(acc)
         diffs.append(SMat(len(names[n - 1]), len(names[n]), field, cols))
     return ChainComplex(field, levels, diffs)
@@ -447,7 +403,7 @@ class LodayComplex:
         A = self.algebra
         X = self.space
         field: Field = A.field
-        ch = field.char
+        add = field.add_into
         frees: list[list[int]] = [list(range(len(C.levels[0])))]
         pis: list = [None]
         nlevels = [list(C.levels[0])]
@@ -460,10 +416,10 @@ class LodayComplex:
                 push = _Push(A, tp, len(self.simps[n]))
                 for phi, _ in C.levels[n - 1]:
                     img: dict = {}
-                    _add_level(img, push.column(phi), 1, self.index[n], pi_q, ch)
+                    _add_level(img, push.column(phi), 1, self.index[n], pi_q, add)
                     if img:
                         rows.append(img)
-            free, pi = _echelon_quotient(rows, len(C.levels[n]), field)
+            free, pi = echelon_quotient(rows, len(C.levels[n]), field)
             frees.append(free)
             pis.append(pi)
             nlevels.append([C.levels[n][c] for c in free])
@@ -479,7 +435,7 @@ class LodayComplex:
                     acc = {}
                     for k, v in dcol.items():
                         for p, cc in pi_prev[k].items():
-                            _add_into(acc, p, v * cc, ch)
+                            add(acc, p, v * cc)
                 cols.append(acc)
             ndiffs.append(SMat(len(nlevels[n - 1]), len(frees[n]), field, cols))
         self._norm = (ChainComplex(field, nlevels, ndiffs), frees, pis)
@@ -562,7 +518,7 @@ def induced_map(
         CY = unnormalized_complex(A, f.target, N)
         index = [_positions(phi for phi, _ in lv) for lv in CY.levels]
     field = A.field
-    ch = field.char
+    add = field.add_into
     mats = []
     for n in range(N + 1):
         tgt_level = f.target.level(n)
@@ -571,7 +527,7 @@ def induced_map(
         cols = []
         for phi, _ in CX.levels[n]:
             col: dict = {}
-            _add_level(col, push.column(phi), 1, index[n], None, ch)
+            _add_level(col, push.column(phi), 1, index[n], None, add)
             cols.append(col)
         mats.append(SMat(len(CY.levels[n]), len(CX.levels[n]), field, cols))
     return ChainMap(CX, CY, mats)
@@ -588,7 +544,7 @@ def _shuffle_sign(mu, nu) -> int:
 
 def _pointwise_product(A: GradedAlgebra, phi, psi) -> dict:
     """Slotwise product of two level functions, with the crossing sign."""
-    ch = A.field.char
+    add = A.field.add_into
     sign = 1
     odd = [d % 2 == 1 for d in A.degrees]
     if any(odd):
@@ -614,7 +570,7 @@ def _pointwise_product(A: GradedAlgebra, phi, psi) -> dict:
         c = sign
         for _, cv in combo:
             c = c * cv
-        _add_into(out, row, c, ch)
+        add(out, row, c)
     return out
 
 
@@ -643,7 +599,7 @@ def _shuffle_chain(L: LodayComplex, z1, z2) -> dict:
     s1, v1 = z1
     s2, v2 = z2
     A = L.algebra
-    ch = A.field.char
+    add = A.field.add_into
     C = L.complex
     index = L.index[s1 + s2]
     out: dict = {}
@@ -659,15 +615,15 @@ def _shuffle_chain(L: LodayComplex, z1, z2) -> dict:
             if (s2 * t1) % 2:
                 a = -a
             for tup, cv in pu.column(phi).items():
-                _add_into(left, tup, a * cv, ch)
+                add(left, tup, a * cv)
         right: dict = {}
         for c, a in v2.items():
             phi = C.levels[s2][c][0]
             for tup, cv in pv.column(phi).items():
-                _add_into(right, tup, a * cv, ch)
+                add(right, tup, a * cv)
         for phi, ca in left.items():
             for psi, cb in right.items():
-                _add_level(out, _pointwise_product(A, phi, psi), ca * cb * eps, index, None, ch)
+                _add_level(out, _pointwise_product(A, phi, psi), ca * cb * eps, index, None, add)
     return out
 
 
@@ -701,7 +657,7 @@ def cyclic_bar_oracle(A: GradedAlgebra, N: int) -> ChainComplex:
     if N < 1:
         raise ValueError(f"level bound must be at least 1, got {N}")
     field = A.field
-    ch = field.char
+    add = field.add_into
     dA = A.dim
     levels = []
     for n in range(N + 1):
@@ -721,12 +677,12 @@ def cyclic_bar_oracle(A: GradedAlgebra, N: int) -> ChainComplex:
                 sign = -1 if i % 2 else 1
                 for k, c in A.mul_basis(phi[i], phi[i + 1]).items():
                     psi = phi[:i] + (k,) + phi[i + 2:]
-                    _add_into(acc, _rank_tuple(psi, wt), sign * c, ch)
+                    add(acc, _rank_tuple(psi, wt), sign * c)
             wrap = n + A.degrees[phi[n]] * sum(A.degrees[phi[i]] for i in range(n))
             sign = -1 if wrap % 2 else 1
             for k, c in A.mul_basis(phi[n], phi[0]).items():
                 psi = (k,) + phi[1:n]
-                _add_into(acc, _rank_tuple(psi, wt), sign * c, ch)
+                add(acc, _rank_tuple(psi, wt), sign * c)
             cols.append(acc)
         diffs.append(SMat(dA ** n, dA ** (n + 1), field, cols))
     return ChainComplex(field, levels, diffs)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import _kernel
-from .fields import QQ, Field
+from .fields import Field
 
 
 class SMat:
@@ -59,14 +59,7 @@ class SMat:
         """Accumulate v into entry (i, j)."""
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise IndexError(f"entry ({i}, {j}) outside {self.nrows}x{self.ncols}")
-        col = self.cols[j]
-        nv = col.get(i, self.field.zero) + v
-        if self.field.char:
-            nv %= self.field.char
-        if nv == self.field.zero:
-            col.pop(i, None)
-        else:
-            col[i] = nv
+        self.field.add_into(self.cols[j], i, v)
         self._rank = None
 
     def entry(self, i: int, j: int):
@@ -88,20 +81,13 @@ class SMat:
 
     def mul_vec(self, vec: dict) -> dict:
         """Apply to a sparse column vector {index: value}."""
-        zero = self.field.zero
-        ch = self.field.char
+        add = self.field.add_into
         out: dict = {}
         for j, x in vec.items():
-            if x == zero:
+            if not x:
                 continue
             for i, v in self.cols[j].items():
-                nv = out.get(i, zero) + v * x
-                if ch:
-                    nv %= ch
-                if nv == zero:
-                    out.pop(i, None)
-                else:
-                    out[i] = nv
+                add(out, i, v * x)
         return out
 
     def matmul(self, other: "SMat") -> "SMat":
@@ -122,36 +108,25 @@ class SMat:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in matrix sum")
         out = SMat(self.nrows, self.ncols, self.field)
-        zero = self.field.zero
-        ch = self.field.char
+        add = self.field.add_into
         for j in range(self.ncols):
             col = dict(self.cols[j])
             for i, v in other.cols[j].items():
-                nv = col.get(i, zero) + v
-                if ch:
-                    nv %= ch
-                if nv == zero:
-                    col.pop(i, None)
-                else:
-                    col[i] = nv
+                add(col, i, v)
             out.cols[j] = col
         return out
 
     def scale(self, a) -> "SMat":
-        a = self.field(a)
-        out = SMat(self.nrows, self.ncols, self.field)
-        if a == self.field.zero:
-            return out
-        ch = self.field.char
-        for j, col in enumerate(self.cols):
-            if ch:
-                out.cols[j] = {i: v * a % ch for i, v in col.items()}
-            else:
-                out.cols[j] = {i: v * a for i, v in col.items()}
-        return out
+        field = self.field
+        a = field(a)
+        if a == field.zero:
+            return SMat(self.nrows, self.ncols, field)
+        # a product of two nonzero field elements is nonzero
+        cols = [{i: field(v * a) for i, v in col.items()} for col in self.cols]
+        return SMat(self.nrows, self.ncols, field, cols)
 
     def __neg__(self) -> "SMat":
-        return self.scale(-1 if self.field is QQ else self.field.char - 1)
+        return self.scale(-1)
 
     def __sub__(self, other: "SMat") -> "SMat":
         return self + (-other)
@@ -245,6 +220,7 @@ class SMat:
         """Canonical basis of the right kernel, one vector per free column."""
         pivots, rows = self.rref()
         pivot_set = set(pivots)
+        add = self.field.add_into
         basis = []
         for f in range(self.ncols):
             if f in pivot_set:
@@ -253,7 +229,7 @@ class SMat:
             for c, row in zip(pivots, rows):
                 coeff = row.get(f)
                 if coeff:
-                    v[c] = -coeff if self.field.char == 0 else (-coeff) % self.field.char
+                    add(v, c, -coeff)
             basis.append(v)
         return basis
 
@@ -290,3 +266,28 @@ class SMat:
             x if x is not None and self.mul_vec(x) == b else None
             for x, b in zip(xs, rhs)
         ]
+
+
+def echelon_quotient(rows, dim: int, field: Field):
+    """Quotient of the coordinate space field^dim by the span of rows.
+
+    rows are sparse {coordinate: value} dicts with normalized nonzero
+    values.  Returns (free, pi): free lists the non-pivot coordinates of
+    the canonical echelon form of rows, pi rewrites every coordinate as
+    {position in free: coeff}.
+    """
+    pivots, rrows = SMat(dim, len(rows), field, list(rows)).transpose().rref()
+    pivot_set = set(pivots)
+    free = [c for c in range(dim) if c not in pivot_set]
+    pos = {c: k for k, c in enumerate(free)}
+    pi: list[dict] = [None] * dim
+    for c in free:
+        pi[c] = {pos[c]: field.one}
+    add = field.add_into
+    for c, row in zip(pivots, rrows):
+        out: dict = {}
+        for f, v in row.items():
+            if f != c:
+                add(out, pos[f], -v)
+        pi[c] = out
+    return free, pi

@@ -17,10 +17,11 @@ from .chains import (
     ChainComplex,
     ChainError,
     DoubleComplex,
+    _check_degrees,
     _t_blocks,
 )
-from .loday import _Push, _add_into, _rank_tuple, _weights, unnormalized_complex
-from .matrix import SMat
+from .loday import _Push, _rank_tuple, _weights, unnormalized_complex
+from .matrix import SMat, echelon_quotient
 from .simplicial import disjoint_union, point
 
 __all__ = [
@@ -172,12 +173,9 @@ class PosetFunctor:
                 raise PosetError(f"no map assigned to ({a}, {b})")
             if (m.nrows, m.ncols) != (self.dim(b), self.dim(a)):
                 raise PosetError(f"map at ({a}, {b}) has the wrong shape")
-            src = self.spaces[a]
-            tgt = self.spaces[b]
-            for j, col in enumerate(m.cols):
-                for i, v in col.items():
-                    if v != self.field.zero and tgt[i][1] != src[j][1]:
-                        raise PosetError(f"map at ({a}, {b}) mixes internal degrees")
+            _check_degrees(
+                m, self.spaces[a], self.spaces[b], f"map at ({a}, {b})", PosetError
+            )
         for a in P.objects:
             for b in P.objects:
                 if not P.less(a, b):
@@ -395,35 +393,10 @@ def edge_map(I: Poset, F: PosetFunctor, x0) -> EdgeMap:
         raise PosetError(f"object {x0!r} is not a single component")
     F.validate()
     field = F.field
-    ch = field.char
     C = nerve_complex(I, F)
-    dim0 = C.level_dim(0)
     # quotient of level 0 by the image of d_1, in echelon coordinates
     rel_cols = C.diffs[1].cols if C.top >= 1 else []
-    rel = SMat.from_entries(
-        len(rel_cols),
-        dim0,
-        field,
-        [(r, i, v) for r, col in enumerate(rel_cols) for i, v in col.items()],
-    )
-    pivots, rrows = rel.rref()
-    pivot_set = set(pivots)
-    free = [i for i in range(dim0) if i not in pivot_set]
-    pos = {i: k for k, i in enumerate(free)}
-    pi: list = [None] * dim0
-    for i in free:
-        pi[i] = {pos[i]: field.one}
-    for i, row in zip(pivots, rrows):
-        out = {}
-        for f, v in row.items():
-            if f == i:
-                continue
-            nv = -v
-            if ch:
-                nv %= ch
-            if nv != 0:
-                out[pos[f]] = nv
-        pi[i] = out
+    free, pi = echelon_quotient(rel_cols, C.level_dim(0), field)
     # locate the block of the chain (x0,)
     offset = next(
         p for p, ((chain, _nm), _t) in enumerate(C.levels[0]) if chain == (x0,)

@@ -22,6 +22,7 @@ from hhx.chains import (
 )
 from hhx.bar import augmentation_module, circle_bar, loday_model, two_sided_bar
 from hhx.catalog import dual_numbers, exterior_line
+from hhx.cobar import CobarComplex
 from hhx.fields import GF, QQ
 from hhx.matrix import SMat
 from hhx.simplicial import sphere_min
@@ -116,6 +117,30 @@ def test_validate_rejects_t_mixing():
     levels = [[("a", 0)], [("b", 1)]]
     with pytest.raises(ChainError, match="internal degrees"):
         cx(levels, [[[1]]])
+
+
+def _mixed_degree_builders():
+    # each builds a map whose one entry sends ("a", t=0) to ("b", t=1)
+    one = SMat.from_dense([[1]], QQ)
+    src = ChainComplex(QQ, [[("a", 0)]], [None], exact_top=True)
+    tgt = ChainComplex(QQ, [[("b", 1)]], [None], exact_top=True)
+    a, b = [("a", 0)], [("b", 1)]
+    return {
+        "chain-map": lambda: ChainMap(src, tgt, [one]),
+        "horizontal": lambda: DoubleComplex(
+            QQ, {(0, 0): b, (1, 0): a}, {(1, 0): one}, {}
+        ).validate(),
+        "vertical": lambda: DoubleComplex(
+            QQ, {(0, 0): b, (0, 1): a}, {}, {(0, 1): one}
+        ).validate(),
+        "cobar": lambda: CobarComplex(QQ, [a, b], [one]).validate(),
+    }
+
+
+@pytest.mark.parametrize("which", sorted(_mixed_degree_builders()))
+def test_maps_reject_t_mixing(which):
+    with pytest.raises(ChainError, match="mixes internal degrees.*'a'.*'b'"):
+        _mixed_degree_builders()[which]()
 
 
 def test_homology_mod_p_differs():

@@ -14,7 +14,7 @@ from hhx.catalog import (
     split_pair,
     split_triple,
 )
-from hhx.chains import ChainError
+from hhx.chains import ChainError, _t_blocks
 from hhx.cobar import (
     AModule,
     cobar,
@@ -23,6 +23,7 @@ from hhx.cobar import (
     hochschild_cohomology,
     regular_module,
 )
+from hhx.matrix import SMat
 
 
 def profile(A):
@@ -129,6 +130,25 @@ def test_dual_numbers_cohomology_periodic():
     assert want == [2, 1, 1, 1]
     table = hochschild_cohomology(dual_numbers(), 4)
     assert table.entries == {(n, 0): d for n, d in enumerate(want)}
+
+
+def test_cohomology_ranks_each_block_once(monkeypatch):
+    # the block of delta_n at t is r_out at level n and r_in at level n + 1;
+    # it is ranked once, and blocks without rows are not ranked at all
+    E, reg = envelope_bimodule(dual_numbers())
+    blocks = [_t_blocks(lv) for lv in cobar_complex(reg, E, reg, 4).levels]
+    nonempty = sum(1 for n in range(4) for t in blocks[n] if t in blocks[n + 1])
+    calls = []
+    rank = SMat.rank
+
+    def counted(self):
+        calls.append((self.nrows, self.ncols))
+        return rank(self)
+
+    monkeypatch.setattr(SMat, "rank", counted)
+    table = hochschild_cohomology(dual_numbers(), 4)
+    assert table.entries == {(0, 0): 2, (1, 0): 1, (2, 0): 1, (3, 0): 1}
+    assert len(calls) == nonempty == 4
 
 
 def test_matrix_algebra_cohomology_trivial():

@@ -96,6 +96,14 @@ def test_functoriality_violation_names_triple():
         PosetFunctor(P, QQ, spaces, maps).validate()
 
 
+def test_functor_rejects_t_mixing():
+    P = chain_poset(["a", "b"])
+    ident = SMat.from_entries(1, 1, QQ, [(0, 0, QQ.one)])
+    spaces = {"a": [("e", 0)], "b": [("f", 1)]}
+    with pytest.raises(PosetError, match=r"map at \(a, b\) mixes internal degrees"):
+        PosetFunctor(P, QQ, spaces, {("a", "b"): ident}).validate()
+
+
 # --------------------------------------------------- the circle model
 
 
