@@ -420,10 +420,6 @@ class DoubleComplex:
     def p_range(self):
         return sorted({p for (p, _) in self.gens})
 
-    @property
-    def q_range(self):
-        return sorted({q for (_, q) in self.gens})
-
     def _mat(self, table, p, q, tp, tq) -> SMat:
         m = table.get((p, q))
         if m is None:

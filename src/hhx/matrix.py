@@ -164,14 +164,6 @@ class SMat:
                 rows[i][j] = v
         return rows
 
-    def to_dense(self):
-        zero = self.field.zero
-        out = [[zero] * self.ncols for _ in range(self.nrows)]
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                out[i][j] = v
-        return out
-
     # -- elimination-backed queries ------------------------------------
 
     def _kernel_rows(self) -> list[dict]:

@@ -3,8 +3,13 @@
 A circle covered by finitely many arcs gives a poset of pieces ordered by
 inclusion; tensor powers of an algebra over the components of each piece
 give a functor on that poset, and the homology of its nerve recovers the
-circle computation one level at a time.  Everything here is finite and
-exact.
+circle computation one level at a time.  ``nerve_complex`` does not build
+the whole nerve: an acyclic matching of its chains (sequential element
+matchings, Jonsson 2008) cancels all but a few critical chains, and the
+Morse complex on those (Sköldberg 2006) has the same homology.  The whole
+nerve stays as ``_full_nerve``, the oracle the tests hold the Morse
+complex to and the level-one complex behind ``edge_map``'s H_0 basis.
+Everything here is finite and exact.
 """
 
 from __future__ import annotations
@@ -58,7 +63,9 @@ class Poset:
     trusted to reproduce the space the poset stands in for.
     """
 
-    __slots__ = ("objects", "le", "components", "comp_maps", "window", "_covers")
+    __slots__ = (
+        "objects", "le", "components", "comp_maps", "window", "_covers", "_succ",
+    )
 
     def __init__(self, objects, le, components, comp_maps=None, window=None):
         self.objects = tuple(objects)
@@ -67,6 +74,7 @@ class Poset:
         self.comp_maps = None if comp_maps is None else dict(comp_maps)
         self.window = window
         self._covers = None
+        self._succ = None
         self._check()
 
     def _check(self):
@@ -108,37 +116,45 @@ class Poset:
             self._covers = tuple(out)
         return self._covers
 
+    def _successors(self):
+        """Indices of the objects above each object, in object order."""
+        if self._succ is None:
+            index = {x: i for i, x in enumerate(self.objects)}
+            above = [[] for _ in self.objects]
+            for a, b in self.le:
+                if a != b:
+                    above[index[a]].append(index[b])
+            self._succ = tuple(tuple(sorted(s)) for s in above)
+        return self._succ
+
+    def _chain_levels(self, top: int):
+        """Strict chains as index tuples, levels 0..top, each lexicographic.
+
+        Level p extends every (p-1)-chain by each successor of its last
+        object, so lexicographic order carries over from level to level.
+        """
+        succ = self._successors()
+        level = [(i,) for i in range(len(self.objects))]
+        levels = [level]
+        for _ in range(top):
+            level = [ch + (j,) for ch in level for j in succ[ch[-1]]]
+            levels.append(level)
+        return levels
+
     def chains(self, p: int):
         """All strict chains x_0 < ... < x_p, in lexicographic object order."""
-        order = {x: i for i, x in enumerate(self.objects)}
-        out = []
-
-        def grow(chain):
-            if len(chain) == p + 1:
-                out.append(tuple(chain))
-                return
-            for x in self.objects:
-                if self.less(chain[-1], x):
-                    chain.append(x)
-                    grow(chain)
-                    chain.pop()
-
-        for x in self.objects:
-            grow([x])
-        out.sort(key=lambda ch: tuple(order[x] for x in ch))
-        return out
+        if p < 0:
+            return []
+        names = self.objects
+        return [tuple(names[i] for i in ch) for ch in self._chain_levels(p)[p]]
 
     def longest_chain(self) -> int:
-        best = {x: 0 for x in self.objects}
-        # objects sorted topologically by number of predecessors
-        rank = {
-            x: sum(1 for y in self.objects if self.less(y, x)) for x in self.objects
-        }
-        for x in sorted(self.objects, key=lambda v: rank[v]):
-            for y in self.objects:
-                if self.less(y, x):
-                    best[x] = max(best[x], best[y] + 1)
-        return max(best.values(), default=0)
+        succ = self._successors()
+        height = [0] * len(succ)
+        # an object has strictly fewer successors than any object below it
+        for i in sorted(range(len(succ)), key=lambda i: len(succ[i])):
+            height[i] = max((height[j] + 1 for j in succ[i]), default=0)
+        return max(height, default=0)
 
 
 class PosetFunctor:
@@ -176,19 +192,9 @@ class PosetFunctor:
             _check_degrees(
                 m, self.spaces[a], self.spaces[b], f"map at ({a}, {b})", PosetError
             )
-        for a in P.objects:
-            for b in P.objects:
-                if not P.less(a, b):
-                    continue
-                for c in P.objects:
-                    if not P.less(b, c):
-                        continue
-                    left = self.maps[(a, c)]
-                    right = self.maps[(b, c)] @ self.maps[(a, b)]
-                    if left != right:
-                        raise PosetError(
-                            f"functoriality fails on the triple ({a}, {b}, {c})"
-                        )
+        for a, b, c in P.chains(2):
+            if self.maps[(a, c)] != self.maps[(b, c)] @ self.maps[(a, b)]:
+                raise PosetError(f"functoriality fails on the triple ({a}, {b}, {c})")
         return self
 
 
@@ -321,43 +327,175 @@ def arc_functor(A: GradedAlgebra, P: Poset) -> PosetFunctor:
     return PosetFunctor(P, field, spaces, maps).validate()
 
 
-def nerve_complex(I: Poset, F: PosetFunctor) -> ChainComplex:
-    """Strict chains of the poset with coefficients at the chain's start.
+def _generators(I: Poset, F: PosetFunctor, chain_levels, skip=()):
+    """Generators ((chain, name), t) per level and each chain's first offset.
+
+    A chain in ``skip`` gets no generators.
+    """
+    names = I.objects
+    levels = []
+    offsets = []
+    for chains in chain_levels:
+        lv = []
+        offs = {}
+        for ch in chains:
+            if ch in skip:
+                continue
+            offs[ch] = len(lv)
+            named = tuple(names[i] for i in ch)
+            lv.extend(((named, nm), t) for nm, t in F.spaces[named[0]])
+        levels.append(lv)
+        offsets.append(offs)
+    return levels, offsets
+
+
+def _full_nerve(I: Poset, F: PosetFunctor, top: int | None = None) -> ChainComplex:
+    """Every strict chain of the poset with coefficients at the chain's start.
 
     Level p sums F(x_0) over chains x_0 < ... < x_p; the first face pushes
-    along F(x_0 <= x_1), the others drop an object.  Chains above the
-    longest one vanish, so the complex is exact at its top.
+    along F(x_0 <= x_1), the others drop an object.  Without ``top`` the
+    levels run to the longest chain, where the complex is exact; with it
+    they stop at ``top``.
     """
     F.validate()
     field = F.field
+    names = I.objects
     ell = I.longest_chain()
-    levels = []
-    offsets = []
-    for p in range(ell + 1):
-        lv = []
-        offs = {}
-        for ch in I.chains(p):
-            offs[ch] = len(lv)
-            lv.extend(((ch, nm), t) for nm, t in F.spaces[ch[0]])
-        levels.append(lv)
-        offsets.append(offs)
+    top = ell if top is None else min(top, ell)
+    levels, offsets = _generators(I, F, I._chain_levels(top))
     diffs: list = [None]
-    for p in range(1, ell + 1):
+    for p in range(1, top + 1):
         d = SMat(len(levels[p - 1]), len(levels[p]), field)
         for ch, base in offsets[p].items():
-            n0 = F.dim(ch[0])
-            tail = ch[1:]
-            m0 = F.maps[(ch[0], ch[1])]
-            tbase = offsets[p - 1][tail]
-            for j in range(n0):
-                for i, v in m0.cols[j].items():
+            m0 = F.maps[(names[ch[0]], names[ch[1]])]
+            tbase = offsets[p - 1][ch[1:]]
+            for j, col in enumerate(m0.cols):
+                for i, v in col.items():
                     d.add_at(tbase + i, base + j, v)
             for drop in range(1, p + 1):
-                sub = ch[:drop] + ch[drop + 1 :]
-                tbase = offsets[p - 1][sub]
+                tbase = offsets[p - 1][ch[:drop] + ch[drop + 1 :]]
                 sign = field.one if drop % 2 == 0 else -field.one
-                for j in range(n0):
+                for j in range(m0.ncols):
                     d.add_at(tbase + j, base + j, sign)
+        diffs.append(d)
+    return ChainComplex(field, levels, diffs, exact_top=top == ell)
+
+
+def _matching(levels, n: int) -> dict:
+    """Sequential element matching on chains, as a partner dict.
+
+    For each object y in order, a still-free chain with y at a position
+    >= 1 is matched with the chain without y when that one is free too.
+    """
+    through: list = [[] for _ in range(n)]
+    for chains in levels[1:]:
+        for ch in chains:
+            for y in ch[1:]:
+                through[y].append(ch)
+    partner: dict = {}
+    for y, taus in enumerate(through):
+        for tau in taus:
+            if tau in partner:
+                continue
+            k = tau.index(y)
+            sigma = tau[:k] + tau[k + 1 :]
+            if sigma not in partner:
+                partner[tau] = sigma
+                partner[sigma] = tau
+    return partner
+
+
+def nerve_complex(I: Poset, F: PosetFunctor) -> ChainComplex:
+    """Morse complex of the nerve on the critical chains of a matching.
+
+    The nerve (``_full_nerve``) sums F(x_0) over the strict chains
+    x_0 < ... < x_p.  A face that drops x_i with i >= 1 carries the sign
+    (-1)^i times the identity on F(x_0), so a chain and the chain without
+    one object y at a position >= 1 span a block that can be cancelled
+    whatever F is.  ``_matching`` pairs chains this way, taking each
+    object y in turn (a sequential element matching).  The matching is
+    acyclic: the face d_0 strictly raises x_0, and for fixed x_0 the
+    chains form the augmented order complex of the objects above x_0,
+    where a sequence of element matchings is acyclic (Jonsson,
+    *Simplicial Complexes of Graphs*, 2008).  The unmatched (critical)
+    chains then carry a complex with the homology of the nerve
+    (Sköldberg, "Morse theory from an algebraic viewpoint", Trans. AMS
+    2006): its differential sums, over the zig-zag paths from a critical
+    chain down to critical chains, the products of the face maps with the
+    negated inverse pair blocks.  Here that sum is psi(d c): psi is the
+    identity on critical chains, zero on chains matched with a shorter
+    one, and on a chain sigma matched with a longer tau it is
+    -[d tau : sigma]^{-1} psi(d tau - [d tau : sigma] sigma).  psi is
+    memoized per level by a depth-first search, which eliminates the
+    matched chains in a topological order of the matching graph.  Chains
+    above the longest one vanish, so the complex is exact at its top.
+    """
+    F.validate()
+    field = F.field
+    one = field.one
+    add = field.add_into
+    names = I.objects
+    spaces = [F.spaces[x] for x in names]
+    chain_levels = I._chain_levels(I.longest_chain())
+    partner = _matching(chain_levels, len(names))
+    levels, offsets = _generators(I, F, chain_levels, skip=partner)
+
+    def faces(tau):
+        return [tau[1:]] + [tau[:k] + tau[k + 1 :] for k in range(1, len(tau))]
+
+    def boundary(tau, memo, scale, skip=None):
+        """scale * psi(d tau minus its skip face), one column per F(tau_0) basis vector."""
+        out = [{} for _ in spaces[tau[0]]]
+        low = memo[tau[1:]]
+        if low is not None:
+            m0 = F.maps[(names[tau[0]], names[tau[1]])]
+            for acc, col in zip(out, m0.cols):
+                for i, v in col.items():
+                    v = scale * v
+                    for r, c in low[i].items():
+                        add(acc, r, v * c)
+        for k in range(1, len(tau)):
+            f = tau[:k] + tau[k + 1 :]
+            cols = None if f == skip else memo[f]
+            if cols is None:
+                continue
+            sign = scale if k % 2 == 0 else -scale
+            for acc, col in zip(out, cols):
+                for r, c in col.items():
+                    add(acc, r, sign * c)
+        return out
+
+    def fill(sigma, memo):
+        """Memoize psi on sigma and on every chain its value reaches."""
+        stack = [sigma]
+        while stack:
+            s = stack[-1]
+            if s not in memo and len(partner[s]) < len(s):
+                memo[s] = None
+            if s in memo:
+                stack.pop()
+                continue
+            tau = partner[s]
+            todo = [f for f in faces(tau) if f != s and f not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
+            k = next((i for i, x in enumerate(s) if x != tau[i]), len(s))
+            memo[s] = boundary(tau, memo, one if k % 2 else -one, skip=s)
+            stack.pop()
+
+    diffs: list = [None]
+    for p in range(1, len(chain_levels)):
+        memo = {
+            f: [{base + j: one} for j in range(len(spaces[f[0]]))]
+            for f, base in offsets[p - 1].items()
+        }
+        d = SMat(len(levels[p - 1]), len(levels[p]), field)
+        for c, base in offsets[p].items():
+            for f in faces(c):
+                fill(f, memo)
+            for j, col in enumerate(boundary(c, memo, one)):
+                d.cols[base + j] = col
         diffs.append(d)
     return ChainComplex(field, levels, diffs, exact_top=True)
 
@@ -386,14 +524,18 @@ class EdgeMap:
 
 
 def edge_map(I: Poset, F: PosetFunctor, x0) -> EdgeMap:
-    """Place a coefficient at the one-object chain (x0) and read its class."""
+    """Place a coefficient at the one-object chain (x0) and read its class.
+
+    The class lives in the canonical H_0 basis, the quotient of the full
+    nerve's level 0 by the image of d_1; whether anything survives above
+    level zero is read from the Morse table of ``nerve_complex``.
+    """
     if x0 not in I.objects:
         raise PosetError(f"object {x0!r} is not in the poset")
     if I.components.get(x0) != 1:
         raise PosetError(f"object {x0!r} is not a single component")
-    F.validate()
     field = F.field
-    C = nerve_complex(I, F)
+    C = _full_nerve(I, F, top=1)
     # quotient of level 0 by the image of d_1, in echelon coordinates
     rel_cols = C.diffs[1].cols if C.top >= 1 else []
     free, pi = echelon_quotient(rel_cols, C.level_dim(0), field)
@@ -421,8 +563,9 @@ def edge_map(I: Poset, F: PosetFunctor, x0) -> EdgeMap:
                 iso = False
                 break
     if iso:
-        w = C.s_valid if I.window is None else min(I.window, C.s_valid)
-        table = C.homology(w, provenance="poset")
+        M = nerve_complex(I, F)
+        w = M.s_valid if I.window is None else min(I.window, M.s_valid)
+        table = M.homology(w, provenance="poset")
         iso = all(s == 0 for s, _t in table.entries)
     return EdgeMap(mat, iso, src_dims, h0_dims)
 
@@ -460,20 +603,14 @@ class PosetChainFunctor:
                         raise PosetError(
                             f"chain map at ({a}, {b}) does not commute at level {q}"
                         )
-        for a in P.objects:
-            for b in P.objects:
-                if not P.less(a, b):
-                    continue
-                for c in P.objects:
-                    if not P.less(b, c):
-                        continue
-                    for q in range(len(self.maps[(a, c)])):
-                        left = self.maps[(a, c)][q]
-                        right = self.maps[(b, c)][q] @ self.maps[(a, b)][q]
-                        if left != right:
-                            raise PosetError(
-                                f"functoriality fails on ({a}, {b}, {c}) at level {q}"
-                            )
+        for a, b, c in P.chains(2):
+            for q in range(len(self.maps[(a, c)])):
+                left = self.maps[(a, c)][q]
+                right = self.maps[(b, c)][q] @ self.maps[(a, b)][q]
+                if left != right:
+                    raise PosetError(
+                        f"functoriality fails on ({a}, {b}, {c}) at level {q}"
+                    )
         return self
 
 
@@ -524,11 +661,15 @@ def nerve_double_complex(I: Poset, Fc: PosetChainFunctor) -> DoubleComplex:
     Fc.validate()
     field = Fc.field
     ell = I.longest_chain()
+    names = I.objects
+    chains = [
+        [tuple(names[i] for i in ch) for ch in lv] for lv in I._chain_levels(ell)
+    ]
     gens: dict = {}
     offsets: dict = {}
     q_tops = []
     for p in range(ell + 1):
-        for ch in I.chains(p):
+        for ch in chains[p]:
             C0 = Fc.complexes[ch[0]]
             q_tops.append(C0.top)
             for q in range(C0.top + 1):
@@ -540,7 +681,7 @@ def nerve_double_complex(I: Poset, Fc: PosetChainFunctor) -> DoubleComplex:
     for (p, q), lv in sorted(gens.items()):
         if q >= 1:
             m = SMat(len(gens.get((p, q - 1), ())), len(lv), field)
-            for ch in I.chains(p):
+            for ch in chains[p]:
                 C0 = Fc.complexes[ch[0]]
                 if q > C0.top:
                     continue
@@ -552,7 +693,7 @@ def nerve_double_complex(I: Poset, Fc: PosetChainFunctor) -> DoubleComplex:
             d_v[(p, q)] = m
         if p >= 1:
             m = SMat(len(gens.get((p - 1, q), ())), len(lv), field)
-            for ch in I.chains(p):
+            for ch in chains[p]:
                 C0 = Fc.complexes[ch[0]]
                 if q > C0.top:
                     continue

@@ -1,9 +1,13 @@
 """Poset nerves with functor coefficients and the circle's arc model."""
 
+import itertools
 import json
+import random
+from pathlib import Path
 
 import pytest
 
+from hhx.algebra import algebra_from_json
 from hhx.catalog import (
     dual_numbers,
     exterior_line,
@@ -32,7 +36,10 @@ from hhx.poset import (
     poset_homology,
     poset_to_json,
 )
+from hhx.poset import _full_nerve, _matching
 from hhx.simplicial import circle_min
+
+CORPUS = Path(__file__).resolve().parent.parent / "src" / "hhx" / "corpus"
 
 
 def chain_poset(names):
@@ -332,6 +339,168 @@ def test_json_closes_transitively():
     }
     P = poset_from_json(obj)
     assert ("a", "c") in P.le
+
+
+# ------------------------------ Morse complex against the full nerve
+
+
+def face_poset(facets):
+    """Nonempty faces of a simplicial complex, ordered by inclusion."""
+    faces = set()
+    for f in facets:
+        for k in range(1, len(f) + 1):
+            faces.update(itertools.combinations(sorted(f), k))
+    faces = sorted(faces, key=lambda f: (len(f), f))
+    names = ["".join(map(str, f)) for f in faces]
+    le = {
+        (names[i], names[j])
+        for i, a in enumerate(faces)
+        for j, b in enumerate(faces)
+        if set(a) <= set(b)
+    }
+    return Poset(names, le, {nm: 1 for nm in names})
+
+
+def shuffled_random_poset(n=12, seed=0):
+    """Random relations among n objects listed out of any linear extension."""
+    rng = random.Random(seed)
+    rank = list(range(n))
+    rng.shuffle(rank)
+    objects = [f"o{i}" for i in range(n)]
+    rels = [
+        [objects[a], objects[b]]
+        for a in range(n)
+        for b in range(n)
+        if rank[a] < rank[b] and rng.random() < 0.35
+    ]
+    return poset_from_json(
+        {"objects": [{"name": x, "components": 1} for x in objects], "relations": rels}
+    )
+
+
+TRIANGLE = [(0, 1), (1, 2), (0, 2)]
+OCTAHEDRON = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+# the 7-vertex torus
+TORUS = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)] + [
+    (i, (i + 2) % 7, (i + 3) % 7) for i in range(7)
+]
+CIRCLE_TABLE = {(0, 0): 1, (0, 2): 2, (1, 0): 1, (1, 2): 2}
+TORUS_TABLE = {(0, 0): 1, (0, 2): 2, (1, 0): 2, (1, 2): 4, (2, 0): 1, (2, 2): 2}
+
+
+def euler_by_t(C):
+    out = {}
+    for s, lv in enumerate(C.levels):
+        for _nm, t in lv:
+            out[t] = out.get(t, 0) + (-1) ** s
+    return out
+
+
+def assert_morse_matches_full(P, F):
+    M = nerve_complex(P, F).validate()
+    C = _full_nerve(P, F)
+    assert M.s_valid == C.s_valid
+    assert euler_by_t(M) == euler_by_t(C)
+    table = M.homology(provenance="poset")
+    assert table.entries == C.homology(provenance="poset").entries
+    return table
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
+@pytest.mark.parametrize("name", ["dual", "qxq", "q3", "gf4", "exterior"])
+def test_morse_matches_full_nerve_m2(name, field):
+    A = algebra_from_json(json.loads((CORPUS / f"{name}.json").read_text()), field)
+    P = cyclic_cech_poset(2)
+    assert_morse_matches_full(P, arc_functor(A, P))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
+def test_morse_matches_full_nerve_m3(field):
+    P = cyclic_cech_poset(3)
+    assert_morse_matches_full(P, arc_functor(dual_numbers(field), P))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["Q", "F2"])
+@pytest.mark.parametrize(
+    "facets, want",
+    [(TRIANGLE, CIRCLE_TABLE), (OCTAHEDRON, None), (TORUS, TORUS_TABLE)],
+    ids=["triangle", "octahedron", "torus"],
+)
+def test_morse_matches_full_nerve_face_posets(facets, want, field):
+    P = face_poset(facets)
+    table = assert_morse_matches_full(P, constant_functor(P, field, ((0, 1), (2, 2))))
+    if want is not None:
+        assert table.entries == want
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["Q", "F2"])
+def test_morse_matches_full_nerve_out_of_order(field):
+    P = shuffled_random_poset()
+    pos = {x: i for i, x in enumerate(P.objects)}
+    assert any(pos[a] > pos[b] for a, b in P.le)
+    assert_morse_matches_full(P, constant_functor(P, field, ((0, 1), (2, 2))))
+
+
+def matching_of(P):
+    return _matching(P._chain_levels(P.longest_chain()), len(P.objects))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cyclic_cech_poset(2),
+        lambda: cyclic_cech_poset(3),
+        lambda: face_poset(TORUS),
+        shuffled_random_poset,
+    ],
+    ids=["m2", "m3", "torus", "out-of-order"],
+)
+def test_matching_pairs(make):
+    P = make()
+    partner = matching_of(P)
+    for ch, other in partner.items():
+        # an involution without fixed points: no chain is in two pairs
+        assert partner[other] == ch and other != ch
+        lo, hi = sorted((ch, other), key=len)
+        # same start, one object dropped at a position >= 1
+        assert any(hi[:k] + hi[k + 1 :] == lo for k in range(1, len(hi)))
+    # acyclic: every face points down except the matched one, which points up
+    edges = {}
+    for lv in P._chain_levels(P.longest_chain()):
+        for ch in lv:
+            faces = [ch[:k] + ch[k + 1 :] for k in range(len(ch))] if len(ch) > 1 else []
+            edges[ch] = [f for f in faces if partner.get(f) != ch]
+            if len(partner.get(ch, ch)) > len(ch):
+                edges[ch].append(partner[ch])
+    state = {}
+    for root in edges:
+        if root in state:
+            continue
+        state[root] = "open"
+        stack = [(root, iter(edges[root]))]
+        while stack:
+            node, it = stack[-1]
+            nxt = next(it, None)
+            if nxt is None:
+                state[node] = "done"
+                stack.pop()
+            else:
+                assert state.get(nxt) != "open", f"cycle through {nxt}"
+                if nxt not in state:
+                    state[nxt] = "open"
+                    stack.append((nxt, iter(edges[nxt])))
+
+
+@pytest.mark.parametrize(
+    "m, chains, dual_gens", [(2, 13, 42), (3, 57, 228)], ids=["m2", "m3"]
+)
+def test_critical_counts_pinned(m, chains, dual_gens):
+    P = cyclic_cech_poset(m)
+    M = nerve_complex(P, arc_functor(dual_numbers(), P))
+    assert sum(M.level_dim(s) for s in range(M.top + 1)) == dual_gens
+    crit = {chain for lv in M.levels for (chain, _nm), _t in lv}
+    assert len(crit) == chains
+    assert len(matching_of(P)) == sum(len(P.chains(p)) for p in range(M.top + 1)) - chains
 
 
 def test_homology_deterministic():
