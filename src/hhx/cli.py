@@ -41,6 +41,7 @@ from .poset import (
     constant_functor,
     cyclic_cech_poset,
     edge_map,
+    nerve_complex,
     poset_from_json,
     poset_homology,
 )
@@ -319,11 +320,12 @@ def _cmd_poset_hh(args) -> int:
         window = spec.s_max
     else:
         window = P.window
-    table = poset_homology(P, F, window)
+    M = nerve_complex(P, F)
+    table = M.homology(window, provenance="poset")
     doc = table.to_json()
     human = _table_human(table)
     if args.edge is not None:
-        E = edge_map(P, F, args.edge)
+        E = edge_map(P, F, args.edge, M)
         doc["edge"] = {"at": args.edge, "iso": E.iso}
         human.append(f"edge map at {args.edge}: iso {str(E.iso).lower()}")
     _emit(args, doc, human)

@@ -16,19 +16,27 @@ single s_j; the other monomials, in lexicographic order, are the normalized
 basis, and the normalized differential drops degenerate monomials from its
 targets.
 
-An optional base turns every tensor product into one over a subalgebra.  The
-relative model is assembled over the quotient by the base actions, and its
-degenerate part is divided out by elimination.
+An optional base T, a commutative algebra mapping into A, turns every tensor
+product into one over T (Hochschild's relative setting).  A must be free over
+T; its module basis is taken with the unit g_0 = 1 first, so A = T (x) V with
+V spanned by the g_j, and the tensor power over T on m positions is
+T (x) V^(x)m, with basis (t_tau, g_j1, ..., g_jm): tau runs over a
+unit-adapted basis of T and acts as one global coefficient.  A face
+multiplies the g's fibre by fibre, writes each product in A as a sum of
+t * g, and moves the t's to the front, where they multiply into t_tau, with
+the Koszul sign for the g's they pass; an empty fibre gets g_0.  A
+degeneracy puts g_0 outside its image and leaves t_tau alone, so the
+normalized basis is the same test as above, run on the j's with g_0 as the
+unit, and tau free.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .algebra import AlgebraError, AlgebraMap, GradedAlgebra, unit_adapted
+from .algebra import AlgebraError, AlgebraMap, GradedAlgebra, make_algebra, unit_adapted
 from .chains import BettiTable, ChainComplex, ChainMap
-from .fields import Field
-from .matrix import SMat, echelon_quotient
+from .matrix import SMat
 from .simplicial import SimplicialMap, SimplicialSet
 
 __all__ = [
@@ -56,23 +64,17 @@ def _rank_tuple(phi, wt) -> int:
     return g
 
 
-def _add_level(acc: dict, vec: dict, c0, index: dict, pi, add) -> None:
+def _add_level(acc: dict, vec: dict, c0, index: dict, add) -> None:
     """acc += c0 * vec, with the monomials of vec rewritten as coordinates.
 
     index sends a monomial to its coordinate; a monomial it lacks is zero in
-    the level (a degenerate one, in a normalized level).  pi, when given,
-    rewrites each coordinate as {generator: coeff}.  add is the field's
-    add_into.
+    the level (a degenerate one, in a normalized level).  add is the
+    field's add_into.
     """
     for psi, c in vec.items():
         g = index.get(psi)
-        if g is None:
-            continue
-        if pi is None:
+        if g is not None:
             add(acc, g, c0 * c)
-        else:
-            for p, cc in pi[g].items():
-                add(acc, p, c0 * c * cc)
 
 
 def _positions(names) -> dict:
@@ -158,109 +160,130 @@ class _Push:
         return out
 
 
-def _base_action(A: GradedAlgebra, base: AlgebraMap):
-    """act[tau][i] = sparse expansion of (base of e_tau) * e_i."""
-    T = base.source
-    act = []
-    for tau in range(T.dim):
-        t_img = base.apply(T.basis_vector(tau))
-        row = []
-        for i in range(A.dim):
-            prod = A.multiply(t_img, A.basis_vector(i))
-            row.append({k: v for k, v in enumerate(prod) if v != A.field.zero})
-        act.append(row)
-    return act
+class _RelativePush(_Push):
+    """The push of _Push, read in A^(x)_T m' = T (x) V^(x)m'.
+
+    A is written in a base-adapted basis (see _base_adapted): index
+    k * dim T + s holds base(t_s) * g_k.  A relative monomial holds t_tau at
+    position 0 and the unit t_u of T everywhere else.  The push multiplies
+    in A; every t of the result then moves to position 0, paying the Koszul
+    sign of the g's it passes, and the t's multiply in T.
+    """
+
+    __slots__ = ("T", "u", "tdeg", "gdeg", "gathered")
+
+    def __init__(self, A: GradedAlgebra, T: GradedAlgebra, tp, m_tgt: int):
+        super().__init__(A, tp, m_tgt)
+        self.T = T
+        self.u = T.unit.index(T.field.one)
+        self.tdeg = [d % 2 for d in T.degrees]
+        self.gdeg = [d % 2 for d in A.degrees[self.u :: T.dim]]
+        self.gathered: dict = {}
+
+    def _gather(self, psi) -> dict:
+        """A monomial of the push, as {relative monomial: coeff}."""
+        dT, u = self.T.dim, self.u
+        ks = [i // dT for i in psi]
+        ts = [i % dT for i in psi]
+        flips = 0
+        passed = 0
+        for k, t in zip(ks, ts):
+            if self.tdeg[t]:
+                flips += passed
+            passed += self.gdeg[k]
+        sign = self.signs[flips % 2]
+        rest = tuple(k * dT + u for k in ks[1:])
+        prod = self.T.product_chain([t for t in ts if t != u])
+        return {(ks[0] * dT + r,) + rest: sign * c for r, c in prod.items()}
+
+    def column(self, phi) -> dict:
+        add = self.A.field.add_into
+        out: dict = {}
+        for psi, c in super().column(phi).items():
+            moved = self.gathered.get(psi)
+            if moved is None:
+                moved = self.gathered[psi] = self._gather(psi)
+            for chi, cc in moved.items():
+                add(out, chi, c * cc)
+        return out
 
 
-def _module_basis(A: GradedAlgebra, base: AlgebraMap) -> list[dict]:
-    """Free basis of A over the base subalgebra, certified by rank.
+def _module_basis(A: GradedAlgebra, ts) -> list[tuple]:
+    """t * g for t in ts and g in a free basis of A over their span, unit first.
 
-    Candidate generators are basis elements and two-element sums; at each
-    step the candidate whose base-span grows the running span the most is
-    kept, and the growth must be a full copy of the base.  A successful run
-    proves freeness (the evaluation map is onto and the dimensions match);
-    failure means not free, or free in a way this search cannot see, which
-    does not happen for the shipped algebras.
+    ts are the images of a basis of the base.  The unit comes first; it
+    spans a full copy of the base exactly when the base map is injective,
+    which freeness of positive rank forces.  Further candidates are
+    homogeneous: basis elements and sums of two of the same degree.  Each
+    step keeps the first candidate whose base-span grows the running span
+    by a full copy of the base.  A successful run proves freeness (the
+    evaluation map is onto and the dimensions match); failure means not
+    free, or free in a way this search cannot see, which does not happen
+    for the shipped algebras.
     """
     field = A.field
-    T = base.source
-    dT = T.dim
+    dT = len(ts)
     if A.dim % dT:
         raise AlgebraError(
             f"algebra is not free over the base: dimension {A.dim} is not a "
             f"multiple of the base dimension {dT}"
         )
-    act = _base_action(A, base)
-    one = field.one
-    cands: list[dict] = [{i: one} for i in range(A.dim)]
+    cands = [A.basis_vector(i) for i in range(A.dim)]
     cands += [
-        {i: one, j: one} for i in range(A.dim) for j in range(i + 1, A.dim)
+        tuple(a + b for a, b in zip(cands[i], cands[j]))
+        for i in range(A.dim)
+        for j in range(i + 1, A.dim)
+        if A.degrees[i] == A.degrees[j]
     ]
-    add = field.add_into
-
-    def spans(cand: dict) -> list[dict]:
-        cols = []
-        for tau in range(dT):
-            col: dict = {}
-            for i, ci in cand.items():
-                for k, v in act[tau][i].items():
-                    add(col, k, ci * v)
-            cols.append(col)
-        return cols
-
-    cols: list[dict] = []
-    rank = 0
-    chosen: list[dict] = []
-    while rank < A.dim:
-        best = None
-        best_growth = 0
-        best_cols = None
-        for cand in cands:
-            tc = spans(cand)
-            grown = SMat(A.dim, len(cols) + dT, field, cols + tc).rank()
-            if grown - rank > best_growth:
-                best, best_growth, best_cols = cand, grown - rank, tc
-                if best_growth == dT:
-                    break
-        if best_growth < dT:
+    basis: list[tuple] = []
+    pool = [A.unit]
+    while len(basis) < A.dim:
+        for cand in pool:
+            grown = basis + [A.multiply(t, cand) for t in ts]
+            if SMat.from_dense(grown, field).rank() == len(grown):
+                basis = grown
+                break
+        else:
             raise AlgebraError(
                 "algebra is not free over the base: no generator spans a "
                 "full copy of the base over the current span"
             )
-        cols += best_cols
-        rank += dT
-        chosen.append(best)
-    return chosen
+        pool = cands
+    return basis
 
 
-def _relative_quotient(A: GradedAlgebra, base: AlgebraMap, m: int):
-    """Identify base actions on consecutive factors of A^(x)m.
+def _base_adapted(A: GradedAlgebra, base: AlgebraMap):
+    """(B, T): A in a basis adapted to the base, and the base it is adapted to.
 
-    Returns (free, pi): free lists the surviving global indices, pi rewrites
-    any global index as {position in free: coeff}.  pi is None when there is
-    nothing to quotient.
+    T is the unit-adapted copy of the base algebra (algebra.unit_adapted),
+    with basis t_s and unit t_u, and g_0 = 1, g_1, ... is the module basis.
+    Index k * dim T + s of B is base(t_s) * g_k, so A = T (x) V with V the
+    span of the g_k, and the unit of B is the index u of g_0.
     """
-    dA = A.dim
-    if m < 2:
-        return list(range(dA ** m)), None
     field = A.field
-    add = field.add_into
-    T = base.source
-    act = _base_action(A, base)
-    wt = _weights(dA, m)
-    rows = []
-    for phi in itertools.product(range(dA), repeat=m):
-        g = _rank_tuple(phi, wt)
-        for j in range(m - 1):
-            for tau in range(T.dim):
-                row: dict = {}
-                for k, c in act[tau][phi[j]].items():
-                    add(row, g + (k - phi[j]) * wt[j], c)
-                for k, c in act[tau][phi[j + 1]].items():
-                    add(row, g + (k - phi[j + 1]) * wt[j + 1], -c)
-                if row:
-                    rows.append(row)
-    return echelon_quotient(rows, dA ** m, field)
+    zero = field.zero
+    Tu = unit_adapted(base.source)
+    T = Tu.source
+    basis = _module_basis(
+        A, [base.apply(Tu.apply(T.basis_vector(s))) for s in range(T.dim)]
+    )
+    # coordinates of every product in the new basis, one solve per product
+    M = SMat.from_dense(basis, field).transpose()
+    coords = M.solve_many([dict(enumerate(A.multiply(x, y))) for x in basis for y in basis])
+    d = A.dim
+    table = [
+        [[coords[i * d + j].get(k, zero) for k in range(d)] for j in range(d)]
+        for i in range(d)
+    ]
+    u = T.unit.index(field.one)
+    B = make_algebra(
+        field,
+        [(A.show_element(b), A.element_degree(b)) for b in basis],
+        [field.one if k == u else zero for k in range(d)],
+        table,
+        A.commutative,
+    )
+    return B, T
 
 
 def _check_base(A: GradedAlgebra, base) -> None:
@@ -270,7 +293,6 @@ def _check_base(A: GradedAlgebra, base) -> None:
         raise AlgebraError("base map target differs from the coefficient algebra")
     if not base.source.commutative:
         raise AlgebraError("base algebra must be commutative")
-    _module_basis(A, base)
 
 
 def _check_inputs(A: GradedAlgebra, N: int) -> None:
@@ -283,16 +305,15 @@ def _check_inputs(A: GradedAlgebra, N: int) -> None:
         raise ValueError(f"level bound must be at least 1, got {N}")
 
 
-def _nondegenerate(A: GradedAlgebra, X: SimplicialSet, simps, n: int) -> list:
-    """Level-n monomials outside every degeneracy image, in lexicographic order.
+def _nondegenerate(dim: int, u: int, X: SimplicialSet, simps, n: int) -> list:
+    """Level-n index tuples outside every degeneracy image, in lexicographic order.
 
-    The unit of A must be a basis vector e_u.  A monomial is degenerate
-    exactly when its non-unit positions all lie in the image of one s_j.
-    Positions are fixed left to right, and a prefix is dropped as soon as
-    one image holds its non-unit positions and every later position, since
-    then all its completions are degenerate.
+    Each position holds one of dim basis indices, u the one of the unit.  A
+    tuple is degenerate exactly when its non-unit positions all lie in the
+    image of one s_j.  Positions are fixed left to right, and a prefix is
+    dropped as soon as one image holds its non-unit positions and every
+    later position, since then all its completions are degenerate.
     """
-    u = A.unit.index(A.field.one)
     m = len(simps[n])
     # inside[k]: bit j is set when position k lies in the image of s_j
     inside = [0] * m
@@ -318,16 +339,16 @@ def _nondegenerate(A: GradedAlgebra, X: SimplicialSet, simps, n: int) -> list:
         if k == m:
             out.append(prefix)
             continue
-        for i in reversed(range(A.dim)):
+        for i in reversed(range(dim)):
             stack.append((prefix + (i,), alive if i == u else alive & inside[k]))
     return out
 
 
-def _assemble(A: GradedAlgebra, X: SimplicialSet, simps, names, index, pis=None):
+def _assemble(A: GradedAlgebra, X: SimplicialSet, simps, names, index, push=_Push):
     """The tensor-power differential on the given monomials of each level.
 
-    names[n] lists the level-n generators; index[n] and pis[n] rewrite the
-    monomials of a face image as their coordinates (see _add_level).  Run
+    names[n] lists the level-n generators and index[n] sends a monomial to
+    its coordinate (see _add_level); push(A, tp, m) builds a face push.  Run
     over every monomial this is the unnormalized model; run over the
     non-degenerate ones in a unit-adapted basis it is the normalized one.
     """
@@ -338,112 +359,51 @@ def _assemble(A: GradedAlgebra, X: SimplicialSet, simps, names, index, pis=None)
     for n in range(1, len(names)):
         tindex = _positions(simps[n - 1])
         pushes = [
-            _Push(A, [tindex[X.face(s, i)] for s in simps[n]], len(simps[n - 1]))
+            push(A, [tindex[X.face(s, i)] for s in simps[n]], len(simps[n - 1]))
             for i in range(n + 1)
         ]
         idx = index[n - 1]
-        pi = pis[n - 1] if pis is not None else None
         cols = []
         for phi in names[n]:
             acc: dict = {}
-            for i, push in enumerate(pushes):
-                _add_level(acc, push.column(phi), -1 if i % 2 else 1, idx, pi, add)
+            for i, face in enumerate(pushes):
+                _add_level(acc, face.column(phi), -1 if i % 2 else 1, idx, add)
             cols.append(acc)
         diffs.append(SMat(len(names[n - 1]), len(names[n]), field, cols))
     return ChainComplex(field, levels, diffs)
 
 
 class LodayComplex:
-    """Tensor-power chain model of an algebra over a space.
+    """Normalized tensor-power chain model of an algebra over a space.
 
-    Without a base, complex is already the normalized model, written in the
-    unit-adapted basis that algebra holds.  With a base, complex is the
-    model over the relative quotient, algebra is the given one, and
-    normalized_data divides out the degenerate part.  index[n] sends a
-    level-n monomial (a tuple of basis indices of algebra) to its coordinate
-    in complex, or to its global position when quots rewrites that.
+    complex is built on the non-degenerate monomials of a basis of
+    algebra, a copy of the given algebra: the unit-adapted one without a
+    base, the base-adapted one (see _base_adapted) with.  index[n] sends a
+    level-n monomial (a tuple of basis indices of algebra) to its
+    coordinate in complex.
     """
 
-    __slots__ = (
-        "complex", "algebra", "space", "top", "base", "simps", "index", "quots", "_norm"
-    )
+    __slots__ = ("complex", "algebra", "space", "simps", "index", "_norm")
 
-    def __init__(self, complex: ChainComplex, algebra, space, top, base, simps, index, quots):
+    def __init__(self, complex: ChainComplex, algebra, space, simps, index):
         self.complex = complex
         self.algebra = algebra
         self.space = space
-        self.top = top
-        self.base = base
         self.simps = simps
         self.index = index
-        self.quots = quots
         self._norm = None
-
-    def level_pi(self, n: int):
-        q = self.quots[n] if self.quots is not None else None
-        return q[1] if q is not None else None
 
     def normalized_data(self):
         """(normalized complex, free coords per level, projections per level).
 
-        Without a base, complex is normalized already: its generators are the
-        monomials of the unit-adapted basis that lie in no degeneracy image,
-        so every coordinate is free and every projection is the identity
-        (None).  With a base, the degenerate part of each level is the span
-        of all degeneracy images; the quotient is taken in canonical echelon
-        coordinates, so two runs agree basis-for-basis.
+        complex is normalized already, so every coordinate is free and every
+        projection is the identity (None).
         """
-        if self._norm is not None:
-            return self._norm
-        C = self.complex
-        if self.base is None:
+        if self._norm is None:
+            C = self.complex
             frees = [list(range(len(lv))) for lv in C.levels]
             self._norm = (C, frees, [None] * len(C.levels))
-            return self._norm
-        A = self.algebra
-        X = self.space
-        field: Field = A.field
-        add = field.add_into
-        frees: list[list[int]] = [list(range(len(C.levels[0])))]
-        pis: list = [None]
-        nlevels = [list(C.levels[0])]
-        for n in range(1, self.top + 1):
-            tindex = _positions(self.simps[n])
-            pi_q = self.level_pi(n)
-            rows = []
-            for j in range(n):
-                tp = [tindex[X.degenerate(s, j)] for s in self.simps[n - 1]]
-                push = _Push(A, tp, len(self.simps[n]))
-                for phi, _ in C.levels[n - 1]:
-                    img: dict = {}
-                    _add_level(img, push.column(phi), 1, self.index[n], pi_q, add)
-                    if img:
-                        rows.append(img)
-            free, pi = echelon_quotient(rows, len(C.levels[n]), field)
-            frees.append(free)
-            pis.append(pi)
-            nlevels.append([C.levels[n][c] for c in free])
-        ndiffs: list = [None]
-        for n in range(1, self.top + 1):
-            pi_prev = pis[n - 1]
-            cols = []
-            for c in frees[n]:
-                dcol = C.diffs[n].cols[c]
-                if pi_prev is None:
-                    acc = {k: v for k, v in dcol.items()}
-                else:
-                    acc = {}
-                    for k, v in dcol.items():
-                        for p, cc in pi_prev[k].items():
-                            add(acc, p, v * cc)
-                cols.append(acc)
-            ndiffs.append(SMat(len(nlevels[n - 1]), len(frees[n]), field, cols))
-        self._norm = (ChainComplex(field, nlevels, ndiffs), frees, pis)
         return self._norm
-
-
-def _all_monomials(A: GradedAlgebra, simps) -> list:
-    return [list(itertools.product(range(A.dim), repeat=len(s))) for s in simps]
 
 
 def loday_complex(
@@ -451,38 +411,51 @@ def loday_complex(
 ) -> LodayComplex:
     """Levels 0..N of the normalized model; homology trusted to N - 1.
 
-    Without a base the normalized complex is built directly on the
-    non-degenerate monomials of the unit-adapted copy of A.  With a base
-    the relative model is built, and normalized_data reduces it.
+    Without a base the complex is built on the non-degenerate monomials of
+    the unit-adapted copy of A.  With a base T it is built on the basis
+    (t_tau, g_j1, ..., g_jm) of A^(x)_T m = T (x) V^(x)m, in the
+    base-adapted copy of A (see _base_adapted), keeping the tuples j that
+    are non-degenerate with g_0 = 1 as the unit; tau is free.
     """
     _check_inputs(A, N)
-    if base is not None:
-        _check_base(A, base)
     simps = [X.level(n) for n in range(N + 1)]
     if base is None:
         A = unit_adapted(A).source
-        names = [_nondegenerate(A, X, simps, n) for n in range(N + 1)]
-        index = [_positions(nm) for nm in names]
-        C = _assemble(A, X, simps, names, index)
-        return LodayComplex(C, A, X, N, None, simps, index, None)
-    everything = _all_monomials(A, simps)
-    quots = [_relative_quotient(A, base, len(s)) for s in simps]
-    names = [[every[g] for g in q[0]] for every, q in zip(everything, quots)]
-    index = [_positions(every) for every in everything]
-    C = _assemble(A, X, simps, names, index, [q[1] for q in quots])
-    return LodayComplex(C, A, X, N, base, simps, index, quots)
+        u = A.unit.index(A.field.one)
+        names = [_nondegenerate(A.dim, u, X, simps, n) for n in range(N + 1)]
+        push = _Push
+    else:
+        _check_base(A, base)
+        A, T = _base_adapted(A, base)
+        dT = T.dim
+        u = T.unit.index(T.field.one)
+        names = [
+            [
+                (ks[0] * dT + tau,) + tuple(k * dT + u for k in ks[1:])
+                for ks in _nondegenerate(A.dim // dT, 0, X, simps, n)
+                for tau in range(dT)
+            ]
+            for n in range(N + 1)
+        ]
+
+        def push(B, tp, m):
+            return _RelativePush(B, T, tp, m)
+
+    index = [_positions(nm) for nm in names]
+    C = _assemble(A, X, simps, names, index, push)
+    return LodayComplex(C, A, X, simps, index)
 
 
 def unnormalized_complex(A: GradedAlgebra, X: SimplicialSet, N: int) -> ChainComplex:
     """Levels 0..N on every monomial, in the basis A comes with."""
     _check_inputs(A, N)
     simps = [X.level(n) for n in range(N + 1)]
-    names = _all_monomials(A, simps)
+    names = [list(itertools.product(range(A.dim), repeat=len(s))) for s in simps]
     return _assemble(A, X, simps, names, [_positions(nm) for nm in names])
 
 
 def normalize(L) -> ChainComplex:
-    """Quotient by the degenerate part; a bare complex passes through."""
+    """The normalized complex of a LodayComplex; a bare complex passes through."""
     if isinstance(L, ChainComplex):
         return L
     return L.normalized_data()[0]
@@ -527,7 +500,7 @@ def induced_map(
         cols = []
         for phi, _ in CX.levels[n]:
             col: dict = {}
-            _add_level(col, push.column(phi), 1, index[n], None, add)
+            _add_level(col, push.column(phi), 1, index[n], add)
             cols.append(col)
         mats.append(SMat(len(CY.levels[n]), len(CX.levels[n]), field, cols))
     return ChainMap(CX, CY, mats)
@@ -623,7 +596,7 @@ def _shuffle_chain(L: LodayComplex, z1, z2) -> dict:
                 add(right, tup, a * cv)
         for phi, ca in left.items():
             for psi, cb in right.items():
-                _add_level(out, _pointwise_product(A, phi, psi), ca * cb * eps, index, None, add)
+                _add_level(out, _pointwise_product(A, phi, psi), ca * cb * eps, index, add)
     return out
 
 

@@ -176,7 +176,9 @@ class SMat:
                     out.append({})
                     continue
                 mult = lcm(*(v.denominator for v in r.values()))
-                out.append({c: int(v * mult) for c, v in r.items()})
+                # the denominator divides mult, so this is v * mult without
+                # building a Fraction per entry
+                out.append({c: v.numerator * (mult // v.denominator) for c, v in r.items()})
             return out
         return rows
 

@@ -162,21 +162,25 @@ class PosetFunctor:
 
     ``spaces`` maps each object to a list of (name, t) generators and
     ``maps`` each strictly related pair to an SMat; identity pairs are
-    implicit.
+    implicit.  A functor is not changed after it is built, so ``validate``
+    checks it once and later calls return at once.
     """
 
-    __slots__ = ("poset", "field", "spaces", "maps")
+    __slots__ = ("poset", "field", "spaces", "maps", "_valid")
 
     def __init__(self, poset: Poset, field, spaces: dict, maps: dict):
         self.poset = poset
         self.field = field
         self.spaces = {x: tuple(v) for x, v in spaces.items()}
         self.maps = dict(maps)
+        self._valid = False
 
     def dim(self, x) -> int:
         return len(self.spaces[x])
 
     def validate(self) -> "PosetFunctor":
+        if self._valid:
+            return self
         P = self.poset
         for x in P.objects:
             if x not in self.spaces:
@@ -195,6 +199,7 @@ class PosetFunctor:
         for a, b, c in P.chains(2):
             if self.maps[(a, c)] != self.maps[(b, c)] @ self.maps[(a, b)]:
                 raise PosetError(f"functoriality fails on the triple ({a}, {b}, {c})")
+        self._valid = True
         return self
 
 
@@ -523,12 +528,13 @@ class EdgeMap:
         self.h0_dims = dict(h0_dims)
 
 
-def edge_map(I: Poset, F: PosetFunctor, x0) -> EdgeMap:
+def edge_map(I: Poset, F: PosetFunctor, x0, morse: ChainComplex | None = None) -> EdgeMap:
     """Place a coefficient at the one-object chain (x0) and read its class.
 
     The class lives in the canonical H_0 basis, the quotient of the full
     nerve's level 0 by the image of d_1; whether anything survives above
-    level zero is read from the Morse table of ``nerve_complex``.
+    level zero is read from the Morse table of ``nerve_complex``, or of
+    ``morse`` when the caller has built that complex already.
     """
     if x0 not in I.objects:
         raise PosetError(f"object {x0!r} is not in the poset")
@@ -563,7 +569,7 @@ def edge_map(I: Poset, F: PosetFunctor, x0) -> EdgeMap:
                 iso = False
                 break
     if iso:
-        M = nerve_complex(I, F)
+        M = nerve_complex(I, F) if morse is None else morse
         w = M.s_valid if I.window is None else min(I.window, M.s_valid)
         table = M.homology(w, provenance="poset")
         iso = all(s == 0 for s, _t in table.entries)

@@ -1,14 +1,23 @@
 """Tensor-power chain models: construction, normalization, products, oracle."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhx.algebra import AlgebraError, AlgebraMap, make_algebra, unit_adapted
+from hhx.algebra import (
+    AlgebraError,
+    AlgebraMap,
+    algebra_from_json,
+    make_algebra,
+    tensor_algebras,
+    unit_adapted,
+)
 from hhx.catalog import (
     dual_numbers,
     dual_pair,
@@ -47,6 +56,9 @@ from hhx.simplicial import (
     point,
     sphere_min,
 )
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "src" / "hhx" / "corpus"
 
 
 def dense(rows, field):
@@ -378,10 +390,19 @@ def test_normalized_data_is_cached():
 
 
 def test_relative_dims_double_the_base_rank():
-    # free of rank 2 over the base, so level n carries rank 2^(n+1), read
-    # over the ground field as 2^(n+2)
-    L = loday_complex(dual_pair(), circle_min(), 4, base=pair_into_dual_pair())
-    assert [len(lv) for lv in L.complex.levels] == [4, 8, 16, 32, 64]
+    # free of rank r = 2 over the base, so the tensor power over the base on
+    # m factors has dim(A) * r^(m - 1) = 4 * 2^(m - 1) monomials t (x) g..g
+    # before the degeneracy filter: level 0 of m points, where nothing is
+    # degenerate
+    A, base = dual_pair(), pair_into_dual_pair()
+    for m in range(1, 5):
+        L = loday_complex(A, disjoint_union(*[point()] * m), 1, base=base)
+        assert len(L.complex.levels[0]) == 4 * 2 ** (m - 1)
+    # on the circle, 2 non-degenerate tuples of generators per level, each
+    # times the 2 base basis vectors
+    L = loday_complex(A, circle_min(), 4, base=base)
+    assert [len(lv) for lv in L.complex.levels] == [4, 4, 4, 4, 4]
+    assert normalize(L) is L.complex
     L.complex.validate()
 
 
@@ -413,6 +434,107 @@ def test_relative_base_dual_square_periodic():
     ).validate()
     assert relative.window_equal(resolution.homology(2), 2)
     assert not absolute.window_equal(relative, 2)
+
+
+def _unit_map(A):
+    """The unit map k -> A."""
+    col = {k: c for k, c in enumerate(A.unit) if c != A.field.zero}
+    return AlgebraMap(ground(A.field), A, SMat(A.dim, 1, A.field, [col]))
+
+
+@pytest.mark.parametrize("name", ["dual", "qxq", "q3", "exterior", "gf4"])
+def test_relative_over_the_ground_field_is_absolute(name):
+    # over the unit map k -> A every tensor product over the base is the
+    # one over k; qxq and q3 have no unit basis vector, exterior has odd
+    # degrees and gf4 lives over F_2
+    A = algebra_from_json(json.loads((CORPUS / f"{name}.json").read_text()))
+    for X, s in [(circle_min(), 3), (sphere_min(2), 2)]:
+        assert hh(A, X, s, base=_unit_map(A)).entries == hh(A, X, s).entries, name
+
+
+def _with_shifted_copy(table) -> dict:
+    """The entries of a Betti table, once at t and once more at t + 1."""
+    out: dict = {}
+    for (s, t), v in table.entries.items():
+        for shift in (0, 1):
+            out[(s, t + shift)] = out.get((s, t + shift), 0) + v
+    return out
+
+
+def _odd_base(D, E):
+    """E -> E (x) D, x -> x (x) 1, for E = k[x]/(x^2) with |x| = 1."""
+    A = tensor_algebras(E, D)
+    m = SMat(A.dim, E.dim, QQ)
+    m.add_at(A.names.index("1⊗1"), E.names.index("1"), QQ(1))
+    m.add_at(A.names.index("x⊗1"), E.names.index("x"), QQ(1))
+    return AlgebraMap(E, A, m)
+
+
+@pytest.mark.parametrize(
+    "D, E",
+    [
+        (dual_numbers(), exterior_line()),
+        (exterior_line(), exterior_line()),
+        (dual_numbers(), _permuted(exterior_line(), [1, 0])),
+    ],
+    ids=["dual", "exterior", "dual-unit-last"],
+)
+def test_relative_odd_base_is_degree_shifted_absolute(D, E):
+    # (E (x) D)^{(x)_E m} = E (x) D^{(x) m} and the faces act on the D
+    # factors only, so the table is hh(D) once at t = 0 and once at t = 1.
+    # The base is odd, and so are the module generators of D = E; the last
+    # case puts the unit of the base after x.
+    base = _odd_base(D, E)
+    A = base.target
+    for X, s in [(circle_min(), 3), (sphere_min(2), 2)]:
+        assert hh(A, X, s, base=base).entries == _with_shifted_copy(hh(D, X, s))
+    if D.degrees == (0, 0):
+        assert hh(A, circle_min(), 3, base=base).entries == {
+            (0, 0): 2, (0, 1): 2, (1, 0): 1, (1, 1): 1,
+            (2, 0): 1, (2, 1): 1, (3, 0): 1, (3, 1): 1,
+        }
+
+
+@pytest.mark.parametrize(
+    "E", [exterior_line(), _permuted(exterior_line(), [1, 0])], ids=["E", "E-unit-last"]
+)
+def test_relative_odd_base_with_generators_multiplying_into_it(E):
+    # A = k[x, w, v]/(v^2, vw - xv), x and w odd, is E (x) B with E = k[x]/(x^2)
+    # and B = k[w', v]/(w'^2, v^2, vw') for w' = w - x, so over E its table
+    # is hh(B) once at t = 0 and once at t = 1.  The module generators 1, w,
+    # v are taken from the basis given, and w * v = x * v puts the odd base
+    # element x behind odd generators, where moving it to the front pays a
+    # Koszul sign.
+    names = [("1", 0), ("x", 1), ("w", 1), ("v", 2), ("xw", 2), ("xv", 3)]
+    prods = {(1, 2): (4, 1), (1, 3): (5, 1), (2, 1): (4, -1), (2, 3): (5, 1),
+             (3, 1): (5, 1), (3, 2): (5, 1)}
+    table = []
+    for a in range(6):
+        row = []
+        for b in range(6):
+            vec = [0] * 6
+            if a == 0 or b == 0:
+                vec[a + b] = 1
+            elif (a, b) in prods:
+                k, c = prods[(a, b)]
+                vec[k] = c
+            row.append(vec)
+        table.append(row)
+    A = make_algebra(QQ, names, [1, 0, 0, 0, 0, 0], table, True)
+    m = SMat.from_entries(
+        6, 2, QQ, [(0, E.names.index("1"), QQ(1)), (1, E.names.index("x"), QQ(1))]
+    )
+    base = AlgebraMap(E, A, m)
+    z = [0, 0, 0]
+    B = make_algebra(
+        QQ, [("1", 0), ("w'", 1), ("v", 2)], [1, 0, 0],
+        [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], z, z], [[0, 0, 1], z, z]],
+        True,
+    )
+    for X, s in [(circle_min(), 3), (sphere_min(2), 3)]:
+        L = loday_complex(A, X, s + 1, base=base)
+        L.complex.validate()
+        assert L.complex.homology(s).entries == _with_shifted_copy(hh(B, X, s))
 
 
 def test_base_rejects_non_free():

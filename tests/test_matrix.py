@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -168,6 +169,35 @@ def test_solve_many_matches_dense_oracle(batch):
         vecs = [{i: field(v) for i, v in enumerate(b) if field(v)} for b in bs]
         got = SMat.from_dense(rows, field).solve_many(vecs)
         assert got == [dense_solve(rows, b, field) for b in bs]
+
+
+fractions = st.builds(
+    Fraction, st.integers(-20, 20), st.integers(1, 12)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda m: st.lists(st.lists(fractions, min_size=m, max_size=m), min_size=1, max_size=5)
+    )
+)
+@example([[Fraction(1, 6), Fraction(-3, 4), Fraction(0), Fraction(5, 9)]])
+def test_kernel_rows_scale_each_row_by_its_denominators(rows):
+    # each Q row becomes integers by one lcm of its denominators, equal to
+    # scaling by Fraction products; F_p rows pass through unchanged
+    m = SMat.from_dense(rows, QQ)
+    want = []
+    for r in m.to_rows():
+        mult = lcm(*(v.denominator for v in r.values())) if r else 1
+        want.append({c: int(v * mult) for c, v in r.items()})
+    got = m._kernel_rows()
+    assert got == want
+    assert all(type(v) is int for r in got for v in r.values())
+    ints = [[v.numerator for v in r] for r in rows]
+    for p in (2, 3, 7):
+        mp = SMat.from_dense(ints, GF(p))
+        assert mp._kernel_rows() == mp.to_rows()
 
 
 @settings(max_examples=60, deadline=None)

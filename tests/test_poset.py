@@ -17,7 +17,7 @@ from hhx.catalog import (
     split_pair,
     split_triple,
 )
-from hhx.chains import ChainError, e_infinity, total_complex
+from hhx.chains import ChainError, _check_degrees, e_infinity, total_complex
 from hhx.fields import GF, QQ
 from hhx.loday import hh
 from hhx.matrix import SMat
@@ -101,6 +101,39 @@ def test_functoriality_violation_names_triple():
     maps = {("a", "b"): ident, ("b", "c"): ident, ("a", "c"): doubled}
     with pytest.raises(PosetError, match="triple.*a.*b.*c"):
         PosetFunctor(P, QQ, spaces, maps).validate()
+
+
+def test_builders_reject_hand_built_invalid_functor():
+    # nothing validates a functor built by hand before a builder sees it,
+    # and a failed check marks nothing valid
+    P = chain_poset(["a", "b", "c"])
+    one = QQ.one
+    ident = SMat.from_entries(1, 1, QQ, [(0, 0, one)])
+    doubled = SMat.from_entries(1, 1, QQ, [(0, 0, one + one)])
+    spaces = {nm: [("e", 0)] for nm in P.objects}
+    F = PosetFunctor(P, QQ, spaces, {("a", "b"): ident, ("b", "c"): ident, ("a", "c"): doubled})
+    for _ in range(2):
+        with pytest.raises(PosetError, match=r"functoriality fails on the triple \(a, b, c\)"):
+            nerve_complex(P, F)
+
+
+def test_functor_validated_once(monkeypatch):
+    # arc_functor checks its maps; the nerve, the H_0 quotient and the
+    # Morse complex behind the edge check then reuse that result
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _check_degrees(*args)
+
+    monkeypatch.setattr("hhx.poset._check_degrees", counted)
+    P = cyclic_cech_poset(2)
+    F = arc_functor(split_pair(), P)
+    built = len(calls)
+    assert built == sum(1 for a, b in P.le if a != b)
+    poset_homology(P, F, 1)
+    assert edge_map(P, F, "0").iso
+    assert len(calls) == built
 
 
 def test_functor_rejects_t_mixing():
