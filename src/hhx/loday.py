@@ -267,7 +267,7 @@ def _base_adapted(A: GradedAlgebra, base: AlgebraMap):
     basis = _module_basis(
         A, [base.apply(Tu.apply(T.basis_vector(s))) for s in range(T.dim)]
     )
-    # coordinates of every product in the new basis, one solve per product
+    # coordinates of every product in the new basis, from one echelon form
     M = SMat.from_dense(basis, field).transpose()
     coords = M.solve_many([dict(enumerate(A.multiply(x, y))) for x in basis for y in basis])
     d = A.dim
