@@ -561,7 +561,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_oracle_hh)
 
     p = subs.add_parser(
-        "cohomology", help="Hochschild cohomology over the enveloping algebra"
+        "cohomology", help="Hochschild cohomology on the normalized cochains"
     )
     p.add_argument("--algebra", required=True)
     p.add_argument("--nmax", type=int, required=True, help="report levels 0..nmax")

@@ -1,17 +1,28 @@
 """Cochain complexes of multilinear maps over an associative algebra.
 
-The n-th level collects maps A(x)...(x)A(x)M -> N; the coboundary feeds one
-more algebra slot through the left action on N, the multiplication of
-adjacent slots, and the action on M.  Cohomology of the regular bimodule
-over the enveloping algebra starts at the center and measures how far the
-algebra is from being separable.
+One builder, ``cobar_complex``, makes two complexes.  Given a left module
+M, level n collects the maps A(x)...(x)A(x)M -> N, and the coboundary feeds
+one more algebra slot through the left action on N, the multiplication of
+adjacent slots, and the action on M.  ``cobar`` (the ``rhom`` command)
+runs it.  Over the enveloping algebra E = A (x) A-op with M = N = A it is
+Hom over E out of the bar resolution of A, which computes HH*(A, A); the
+tests keep it as the oracle for the second complex.
+
+Without M, N is an A-bimodule and level n is the normalized Hochschild
+cochains Hom(Ā^(x)n, N), Ā = A/k: A is written in a basis holding the
+unit (see algebra.unit_adapted), maps with a unit slot are left out, and
+the last term of the coboundary is the right action on N.  Level n then
+has (dim A - 1)^n dim N generators where the complex over E has
+dim(A)^(2n+2).  ``hochschild_cohomology`` computes on it.  Cohomology of
+the regular bimodule starts at the center and measures how far the algebra
+is from being separable.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .algebra import GradedAlgebra, center, opposite, tensor_algebras
+from .algebra import GradedAlgebra, center, opposite, tensor_algebras, unit_adapted
 from .chains import BettiTable, ChainError, _check_degrees, _t_blocks
 from .matrix import SMat
 
@@ -31,15 +42,20 @@ class AModule:
 
     ``act`` maps (algebra basis index, module basis index) pairs to sparse
     expansions over the module basis; missing keys mean the product is
-    zero.
+    zero.  ``right``, when given, makes the module a bimodule: it maps
+    (module basis index, algebra basis index) pairs to the expansion of
+    m * a, with no sign.
     """
 
-    __slots__ = ("algebra", "gens", "act")
+    __slots__ = ("algebra", "gens", "act", "right")
 
-    def __init__(self, algebra: GradedAlgebra, gens, act: dict):
+    def __init__(
+        self, algebra: GradedAlgebra, gens, act: dict, right: dict | None = None
+    ):
         self.algebra = algebra
         self.gens = tuple(gens)
         self.act = dict(act)
+        self.right = None if right is None else dict(right)
 
     @property
     def dim(self) -> int:
@@ -50,41 +66,57 @@ class AModule:
         field = A.field
         add = field.add_into
         one = field.one
+        act, right = self.act, self.right
+
+        def lmul(a: dict, vec: dict) -> dict:
+            out: dict = {}
+            for i, ca in a.items():
+                for j, cj in vec.items():
+                    for k, c in act.get((i, j), {}).items():
+                        add(out, k, ca * cj * c)
+            return out
+
+        def rmul(vec: dict, b: dict) -> dict:
+            out: dict = {}
+            for j, cj in vec.items():
+                for i, cb in b.items():
+                    for k, c in right.get((j, i), {}).items():
+                        add(out, k, cj * cb * c)
+            return out
+
+        unit = {u: c for u, c in enumerate(A.unit) if c != field.zero}
+        basis = [{a: one} for a in range(A.dim)]
         for j in range(self.dim):
-            acc: dict = {}
-            for u, cu in enumerate(A.unit):
-                if cu == field.zero:
-                    continue
-                for k, c in self.act.get((u, j), {}).items():
-                    add(acc, k, cu * c)
-            if acc != {j: one}:
+            m = {j: one}
+            if lmul(unit, m) != m or (right is not None and rmul(m, unit) != m):
                 raise ChainError("module action does not respect the unit")
-        for a in range(A.dim):
-            for b in range(A.dim):
-                prod = A.mul_basis(a, b)
-                for j in range(self.dim):
-                    via: dict = {}
-                    for k, c in prod.items():
-                        for m, cm in self.act.get((k, j), {}).items():
-                            add(via, m, c * cm)
-                    steps: dict = {}
-                    for m, cm in self.act.get((b, j), {}).items():
-                        for m2, c2 in self.act.get((a, m), {}).items():
-                            add(steps, m2, cm * c2)
-                    if steps != via:
+            for a in range(A.dim):
+                for b in range(A.dim):
+                    ab = A.mul_basis(a, b)
+                    if lmul(ab, m) != lmul(basis[a], lmul(basis[b], m)):
                         raise ChainError("module action fails associativity")
+                    if right is None:
+                        continue
+                    if rmul(m, ab) != rmul(rmul(m, basis[a]), basis[b]):
+                        raise ChainError("right action fails associativity")
+                    if rmul(lmul(basis[a], m), basis[b]) != lmul(
+                        basis[a], rmul(m, basis[b])
+                    ):
+                        raise ChainError("left and right actions do not commute")
         return self
 
 
 def regular_module(A: GradedAlgebra) -> AModule:
-    """A acting on itself by left multiplication."""
+    """A acting on itself by left and right multiplication."""
     act = {}
+    right = {}
     for i in range(A.dim):
         for j in range(A.dim):
             vec = A.mul_basis(i, j)
             if vec:
                 act[(i, j)] = dict(vec)
-    return AModule(A, list(zip(A.names, A.degrees)), act)
+                right[(i, j)] = dict(vec)
+    return AModule(A, list(zip(A.names, A.degrees)), act, right)
 
 
 def envelope_bimodule(A: GradedAlgebra):
@@ -114,8 +146,9 @@ class CobarComplex:
 
     ``levels[n]`` lists ((slots, source, target), t) generators, where the
     map sends the named basis element of A^n (x) M to the named target
-    basis element of N; ``deltas[n]`` maps level n to level n + 1 and stops
-    one short of the top, so cohomology is trusted strictly below it.
+    basis element of N (source 0 when there is no M); ``deltas[n]`` maps
+    level n to level n + 1 and stops one short of the top, so cohomology is
+    trusted strictly below it.
     """
 
     __slots__ = ("field", "levels", "deltas")
@@ -177,32 +210,51 @@ class CobarComplex:
         return BettiTable(out, n_max, provenance)
 
 
-def cobar_complex(M: AModule, A: GradedAlgebra, N: AModule, n_max: int) -> CobarComplex:
+def cobar_complex(
+    M: AModule | None, A: GradedAlgebra, N: AModule, n_max: int
+) -> CobarComplex:
     """Levels Hom(A^n (x) M, N) for n <= n_max, with their coboundaries.
 
-    Both modules are validated against A first; the coboundary follows the
-    left action on N with a Koszul sign for carrying the new slot past the
-    map, then the slot merges, then the action on M with the alternating
-    tail sign.
+    The modules are validated against A first.  The coboundary of a map f
+    at level n follows the left action on N, with the Koszul sign
+    (-1)^(|a||f|) for carrying the new slot a past f, then the merges of
+    adjacent slots with alternating signs, then the tail term with sign
+    (-1)^(n+1): the action of the last slot on M.
+
+    With M None, N must be a bimodule and the levels are the normalized
+    Hochschild cochains Hom(Ā^n, N): the unit of A must be a basis vector,
+    maps with a unit slot are left out, and the tail term is
+    f(a_1..a_n) * a_(n+1), the right action on N.
     """
     if n_max < 1:
         raise ChainError(f"level bound must be at least 1, got {n_max}")
-    if M.algebra is not A or N.algebra is not A:
+    if N.algebra is not A or (M is not None and M.algebra is not A):
         raise ChainError("modules must be defined over the given algebra")
-    M.validate()
-    N.validate()
     field = A.field
     dA = A.dim
     deg = A.degrees
+    if M is None:
+        if N.right is None:
+            raise ChainError("Hochschild cochains need a bimodule as target")
+        support = [k for k, c in enumerate(A.unit) if c != field.zero]
+        if len(support) != 1 or A.unit[support[0]] != field.one:
+            raise ChainError("normalized cochains need the unit as a basis vector")
+        slots = [i for i in range(dA) if i != support[0]]
+        src = (0,)
+    else:
+        M.validate()
+        slots = range(dA)
+        src = [g[1] for g in M.gens]
+    N.validate()
     levels = []
     indexes = []
     for n in range(n_max + 1):
         lv = []
         idx = {}
-        for phi in itertools.product(range(dA), repeat=n):
+        for phi in itertools.product(slots, repeat=n):
             base = sum(deg[i] for i in phi)
-            for m in range(M.dim):
-                tm = base + M.gens[m][1]
+            for m, tm in enumerate(src):
+                tm += base
                 for k in range(N.dim):
                     name = (phi, m, k)
                     idx[name] = len(lv)
@@ -210,21 +262,30 @@ def cobar_complex(M: AModule, A: GradedAlgebra, N: AModule, n_max: int) -> Cobar
         levels.append(lv)
         indexes.append(idx)
     rev_mul: dict = {}
-    for u in range(dA):
-        for v in range(dA):
+    for u in slots:
+        for v in slots:
             for kk, c in A.mul_basis(u, v).items():
                 rev_mul.setdefault(kk, []).append((u, v, c))
-    rev_act: dict = {}
-    for (u, ms), vec in M.act.items():
-        for mt, c in vec.items():
-            rev_act.setdefault(mt, []).append((u, ms, c))
+    # tail[(m, k)] lists (u, m2, k2, c): the tail term of the coboundary of
+    # the generator (phi, m, k) has coefficient +-c at ((*phi, u), m2, k2)
+    tail: dict = {}
+    if M is None:
+        for (k, u), vec in N.right.items():
+            if u != support[0]:
+                for k2, c in vec.items():
+                    tail.setdefault((0, k), []).append((u, 0, k2, c))
+    else:
+        for (u, ms), vec in M.act.items():
+            for mt, c in vec.items():
+                for k in range(N.dim):
+                    tail.setdefault((mt, k), []).append((u, ms, k, c))
     deltas = []
     for n in range(n_max):
         rows = indexes[n + 1]
         d = SMat(len(levels[n + 1]), len(levels[n]), field)
         for cpos, ((phi, m, k), t) in enumerate(levels[n]):
             t_odd = t % 2 == 1
-            for b1 in range(dA):
+            for b1 in slots:
                 vec = N.act.get((b1, k))
                 if not vec:
                     continue
@@ -238,9 +299,8 @@ def cobar_complex(M: AModule, A: GradedAlgebra, N: AModule, n_max: int) -> Cobar
                     psi = phi[: i - 1] + (u, v) + phi[i:]
                     d.add_at(rows[(psi, m, k)], cpos, -c if neg else c)
             neg = (n + 1) % 2 == 1
-            for u, ms, c in rev_act.get(m, ()):
-                psi = (*phi, u)
-                d.add_at(rows[(psi, ms, k)], cpos, -c if neg else c)
+            for u, m2, k2, c in tail.get((m, k), ()):
+                d.add_at(rows[((*phi, u), m2, k2)], cpos, -c if neg else c)
         deltas.append(d)
     return CobarComplex(field, levels, deltas).validate()
 
@@ -250,24 +310,73 @@ def cobar(M: AModule, A: GradedAlgebra, N: AModule, n_max: int) -> BettiTable:
     return cobar_complex(M, A, N, n_max).cohomology(n_max - 1, provenance="cobar")
 
 
-def hochschild_cohomology(
-    A: GradedAlgebra, n_max: int, module: AModule | None = None
-) -> BettiTable:
-    """Cohomology of A over its enveloping algebra, trusted for n < n_max.
+def _coefficients(A: GradedAlgebra, module: AModule, f) -> AModule:
+    """The coefficients as a bimodule over f.source, acting through f.
 
-    With the default coefficients the zeroth level is the graded center,
-    and that identity is asserted before the table is returned.
+    f is an algebra map onto A.  A module without a right action is read
+    as a left module over A (x) A-op: a.m = (a (x) 1).m and
+    m.b = (-1)^(|b||m|) (1 (x) b).m.
     """
-    E, reg = envelope_bimodule(A)
-    if module is None:
-        mod = reg
+    field = A.field
+    add = field.add_into
+    dA = A.dim
+    if module.right is not None:
+        if module.algebra != A:
+            raise ChainError("coefficients must be a bimodule over the given algebra")
+        act, right = module.act, module.right
     else:
-        if module.algebra.names != E.names or module.algebra.degrees != E.degrees:
+        if module.algebra != envelope_bimodule(A)[0]:
             raise ChainError(
                 "coefficients must be a module over the enveloping algebra"
             )
-        E, mod = module.algebra, module
-    table = cobar_complex(mod, E, mod, n_max).cohomology(
+        unit = [(j, cu) for j, cu in enumerate(A.unit) if cu != field.zero]
+        act, right = {}, {}
+        for a in range(dA):
+            for m in range(module.dim):
+                odd = (A.degrees[a] * module.gens[m][1]) % 2
+                lv = act.setdefault((a, m), {})
+                rv = right.setdefault((m, a), {})
+                for j, cu in unit:
+                    for k, c in module.act.get((a * dA + j, m), {}).items():
+                        add(lv, k, cu * c)
+                    for k, c in module.act.get((j * dA + a, m), {}).items():
+                        add(rv, k, -cu * c if odd else cu * c)
+    pulled: dict = {}
+    pulled_right: dict = {}
+    for i, col in enumerate(f.matrix.cols):
+        for m in range(module.dim):
+            lv: dict = {}
+            rv: dict = {}
+            for a, ca in col.items():
+                for k, c in act.get((a, m), {}).items():
+                    add(lv, k, ca * c)
+                for k, c in right.get((m, a), {}).items():
+                    add(rv, k, ca * c)
+            if lv:
+                pulled[(i, m)] = lv
+            if rv:
+                pulled_right[(m, i)] = rv
+    return AModule(f.source, module.gens, pulled, pulled_right)
+
+
+def hochschild_cohomology(
+    A: GradedAlgebra, n_max: int, module: AModule | None = None
+) -> BettiTable:
+    """Hochschild cohomology of A, trusted for n < n_max.
+
+    Computed on the normalized cochains Hom(Ā^n, M) that ``cobar_complex``
+    builds in the unit-adapted basis of A.  The coefficients M are A
+    itself by default; ``module`` gives others, as an A-bimodule or as a
+    left module over the enveloping algebra (see ``envelope_bimodule``).
+    With the default coefficients the zeroth level is the graded center,
+    and that identity is asserted before the table is returned.
+    """
+    f = unit_adapted(A)
+    if module is None:
+        mod = regular_module(f.source)
+    else:
+        mod = _coefficients(A, module, f)
+    table = cobar_complex(None, f.source, mod, n_max).cohomology(
         n_max - 1, provenance="hochschild-cohomology"
     )
     if module is None:

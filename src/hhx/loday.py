@@ -632,6 +632,9 @@ def cyclic_bar_oracle(A: GradedAlgebra, N: int) -> ChainComplex:
     field = A.field
     add = field.add_into
     dA = A.dim
+    # prod[sign][i][j]: the expansion of e_i * e_j, negated for sign 1
+    plus = [[list(A.mul_basis(i, j).items()) for j in range(dA)] for i in range(dA)]
+    prod = (plus, [[[(k, -c) for k, c in v] for v in row] for row in plus])
     levels = []
     for n in range(N + 1):
         levels.append(
@@ -647,15 +650,13 @@ def cyclic_bar_oracle(A: GradedAlgebra, N: int) -> ChainComplex:
         for phi, _ in levels[n]:
             acc: dict = {}
             for i in range(n):
-                sign = -1 if i % 2 else 1
-                for k, c in A.mul_basis(phi[i], phi[i + 1]).items():
+                for k, c in prod[i % 2][phi[i]][phi[i + 1]]:
                     psi = phi[:i] + (k,) + phi[i + 2:]
-                    add(acc, _rank_tuple(psi, wt), sign * c)
+                    add(acc, _rank_tuple(psi, wt), c)
             wrap = n + A.degrees[phi[n]] * sum(A.degrees[phi[i]] for i in range(n))
-            sign = -1 if wrap % 2 else 1
-            for k, c in A.mul_basis(phi[n], phi[0]).items():
+            for k, c in prod[wrap % 2][phi[n]][phi[0]]:
                 psi = (k,) + phi[1:n]
-                add(acc, _rank_tuple(psi, wt), sign * c)
+                add(acc, _rank_tuple(psi, wt), c)
             cols.append(acc)
         diffs.append(SMat(dA ** n, dA ** (n + 1), field, cols))
     return ChainComplex(field, levels, diffs)

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from hhx.algebra import center, is_etale, tensor_algebras
+from hhx import cobar as cobar_mod
+from hhx.algebra import center, is_etale, make_algebra, tensor_algebras
 from hhx.catalog import (
     dual_numbers,
+    dual_pair,
     exterior_line,
     gf4,
     ground,
@@ -23,6 +25,8 @@ from hhx.cobar import (
     hochschild_cohomology,
     regular_module,
 )
+from hhx.fields import QQ
+from hhx.loday import oracle_hh
 from hhx.matrix import SMat
 
 
@@ -132,12 +136,23 @@ def test_dual_numbers_cohomology_periodic():
     assert table.entries == {(n, 0): d for n, d in enumerate(want)}
 
 
-def test_cohomology_ranks_each_block_once(monkeypatch):
+@pytest.fixture
+def built(monkeypatch):
+    """The complexes cobar_complex returns, in the order it builds them."""
+    out = []
+    build = cobar_mod.cobar_complex
+
+    def spy(*args):
+        out.append(build(*args))
+        return out[-1]
+
+    monkeypatch.setattr(cobar_mod, "cobar_complex", spy)
+    return out
+
+
+def test_cohomology_ranks_each_block_once(monkeypatch, built):
     # the block of delta_n at t is r_out at level n and r_in at level n + 1;
     # it is ranked once, and blocks without rows are not ranked at all
-    E, reg = envelope_bimodule(dual_numbers())
-    blocks = [_t_blocks(lv) for lv in cobar_complex(reg, E, reg, 4).levels]
-    nonempty = sum(1 for n in range(4) for t in blocks[n] if t in blocks[n + 1])
     calls = []
     rank = SMat.rank
 
@@ -148,7 +163,144 @@ def test_cohomology_ranks_each_block_once(monkeypatch):
     monkeypatch.setattr(SMat, "rank", counted)
     table = hochschild_cohomology(dual_numbers(), 4)
     assert table.entries == {(0, 0): 2, (1, 0): 1, (2, 0): 1, (3, 0): 1}
+    (C,) = built
+    blocks = [_t_blocks(lv) for lv in C.levels]
+    nonempty = sum(1 for n in range(4) for t in blocks[n] if t in blocks[n + 1])
     assert len(calls) == nonempty == 4
+
+
+def exterior_pair():
+    # two odd generators whose product is not zero, so that the signs of odd
+    # elements acting on odd elements are seen
+    return tensor_algebras(exterior_line(), exterior_line())
+
+
+def scaled_pair():
+    # k x k on f1 = 2 e1, f2 = e2: the unit 1/2 f1 + f2 has a coefficient
+    # other than 1, so the unit-adapted basis change is seen
+    h, o, z = Fraction(1, 2), 1, 0
+    return make_algebra(
+        QQ,
+        [("f1", 0), ("f2", 0)],
+        [h, o],
+        [[[2, z], [z, z]], [[z, z], [z, o]]],
+        True,
+    )
+
+
+ALGEBRAS = [
+    ground, dual_numbers, split_pair, split_triple, gf4, exterior_line, mat2,
+    dual_pair, exterior_pair, scaled_pair,
+]
+ALGEBRA_IDS = [
+    "Q", "dual", "QxQ", "Q3", "F4", "exterior", "mat2", "dual_pair", "ext_pair",
+    "scaled_pair",
+]
+
+
+@pytest.mark.parametrize("make", ALGEBRAS, ids=ALGEBRA_IDS)
+def test_normalized_cochains_match_cobar_over_envelope(make, built):
+    A = make()
+    table = hochschild_cohomology(A, 3)
+    (C,) = built
+    assert C.top == 3
+    assert [C.level_dim(n) for n in range(4)] == [
+        (A.dim - 1) ** n * A.dim for n in range(4)
+    ]
+    E, reg = envelope_bimodule(A)
+    oracle = cobar_complex(reg, E, reg, 3).cohomology(2)
+    assert table.entries == oracle.entries
+    # the same coefficients, read back from the module over E
+    assert hochschild_cohomology(A, 3, module=reg).entries == oracle.entries
+
+
+def test_normalized_level_sizes_q3(built):
+    hochschild_cohomology(split_triple(), 4)
+    assert [len(lv) for lv in built[0].levels] == [3, 6, 12, 24, 48]
+
+
+def dual_bimodule(A):
+    """A^v on the dual basis e^k of degree -|e_k|.
+
+    (a.phi)(x) = (-1)^(|a|(|phi| + |x|)) phi(x a) and (phi.b)(x) = phi(b x).
+    """
+    field = A.field
+    deg = A.degrees
+    act = {}
+    right = {}
+    for a in range(A.dim):
+        for x in range(A.dim):
+            for k, c in A.mul_basis(x, a).items():
+                odd = (deg[a] * (deg[x] - deg[k])) % 2
+                act.setdefault((a, k), {})[x] = field(-c) if odd else c
+            for k, c in A.mul_basis(a, x).items():
+                right.setdefault((k, a), {})[x] = c
+    gens = [(f"{name}^v", -d) for name, d in zip(A.names, deg)]
+    return AModule(A, gens, act, right)
+
+
+@pytest.mark.parametrize("make", ALGEBRAS, ids=ALGEBRA_IDS)
+def test_cohomology_with_dual_coefficients_is_dual_homology(make):
+    # HH^{n,t}(A, A^v) = HH_{n,-t}(A), the second against the cyclic oracle
+    A = make()
+    table = hochschild_cohomology(A, 4, module=dual_bimodule(A).validate())
+    flipped = {(n, -t): v for (n, t), v in table.entries.items()}
+    assert flipped == oracle_hh(A, 3).entries
+
+
+def test_envelope_with_the_same_names_but_another_product_rejected():
+    # k[x]/(x^2 - x) on the basis 1, x has the names and degrees of the dual
+    # numbers, so only the structure constants tell the envelopes apart
+    A = dual_numbers()
+    o, z = 1, 0
+    B = make_algebra(
+        QQ, [("1", 0), ("x", 0)], [o, z], [[[o, z], [z, o]], [[z, o], [z, o]]], True
+    )
+    _E, reg = envelope_bimodule(B)
+    with pytest.raises(ChainError, match="enveloping algebra"):
+        hochschild_cohomology(A, 2, module=reg)
+
+
+def test_bimodule_over_another_algebra_rejected():
+    with pytest.raises(ChainError, match="bimodule over the given algebra"):
+        hochschild_cohomology(dual_numbers(), 2, module=regular_module(split_pair()))
+
+
+def test_left_module_is_not_a_bimodule():
+    A = dual_numbers()
+    M = regular_module(A)
+    M.right = None
+    with pytest.raises(ChainError, match="need a bimodule"):
+        cobar_complex(None, A, M, 2)
+
+
+def test_normalized_cochains_need_the_unit_as_basis_vector():
+    A = split_pair()
+    M = regular_module(A)
+    with pytest.raises(ChainError, match="unit as a basis vector"):
+        cobar_complex(None, A, M, 2)
+
+
+@pytest.mark.parametrize(
+    "right, message",
+    [
+        # x acts on the right as the identity, so (m.x).x = m but m.x^2 = 0
+        ({(0, 0): {0: 1}, (1, 0): {1: 1}, (0, 1): {0: 1}, (1, 1): {1: 1}},
+         "right action fails associativity"),
+        # x acts on the left by e0 -> e1 and on the right by e1 -> e0
+        ({(0, 0): {0: 1}, (1, 0): {1: 1}, (1, 1): {0: 1}},
+         "do not commute"),
+    ],
+    ids=["associativity", "commute"],
+)
+def test_bad_right_action_caught(right, message):
+    A = dual_numbers()
+    one = A.field.one
+    left = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}}
+    right = {key: {k: A.field(c) for k, c in v.items()} for key, v in right.items()}
+    M = AModule(A, [("e0", 0), ("e1", 0)], left, right)
+    with pytest.raises(ChainError, match=message):
+        M.validate()
 
 
 def test_matrix_algebra_cohomology_trivial():
