@@ -4,6 +4,11 @@ The pieces here glue the tensor-power machinery to resolutions: a model is
 a chain complex with a compatible product, a module is its coefficients
 concentrated in chain degree zero, and the two-sided bar of a pair of
 modules produces a double complex whose total homology is the payoff.
+
+HH over the d-sphere comes from the (d-1)-sphere by one such bar
+(suspension_bar): for d = 1 it is A over A (x) A (circle_bar); for d >= 2
+it is A over the normalized shuffle model of the (d-1)-sphere, with A as
+coefficients on both sides.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ __all__ = [
     "augmentation_module",
     "circle_bar",
     "two_sided_bar",
+    "suspension_bar",
     "hh_via_suspension",
 ]
 
@@ -215,9 +221,7 @@ def algebra_model(A: GradedAlgebra) -> DGAlgebraModel:
     return DGAlgebraModel(C, mul, unit, A.commutative)
 
 
-def loday_model(
-    A: GradedAlgebra, X, q_top: int, validate: bool = True
-) -> DGAlgebraModel:
+def loday_model(A: GradedAlgebra, X, q_top: int) -> DGAlgebraModel:
     """Normalized tensor-power model of a space with the shuffle product.
 
     Products are stored up to level q_top, so anything consuming the model
@@ -237,10 +241,7 @@ def loday_model(
 
     u = L.algebra.unit.index(one)
     unit = {L.index[0][(u,) * len(L.simps[0])]: one}
-    model = DGAlgebraModel(C, mul, unit, True)
-    if validate:
-        model.validate()
-    return model
+    return DGAlgebraModel(C, mul, unit, True).validate()
 
 
 def augmentation_module(B: DGAlgebraModel, A: GradedAlgebra, side: str) -> DGModule:
@@ -353,7 +354,7 @@ def two_sided_bar(
     return D
 
 
-def circle_bar(A: GradedAlgebra, p_max: int, validate: bool = True) -> DoubleComplex:
+def circle_bar(A: GradedAlgebra, p_max: int) -> DoubleComplex:
     """Two-sided bar of A over A (x) A.
 
     The total complex carries the homology of A over the circle; columns
@@ -362,9 +363,7 @@ def circle_bar(A: GradedAlgebra, p_max: int, validate: bool = True) -> DoubleCom
     if not A.commutative:
         raise ChainError("the two-sided bar over A (x) A needs a commutative algebra")
     E = tensor_algebras(A, A)
-    B = algebra_model(E)
-    if validate:
-        B.validate()
+    B = algebra_model(E).validate()
     dA = A.dim
     gens = list(zip(A.names, A.degrees))
     act_r: dict = {}
@@ -384,27 +383,33 @@ def circle_bar(A: GradedAlgebra, p_max: int, validate: bool = True) -> DoubleCom
     return two_sided_bar(M, B, N, p_max)
 
 
-def hh_via_suspension(
-    A: GradedAlgebra, d: int, s_max: int, validate: bool = True
-) -> BettiTable:
-    """Homology over the d-sphere through the two-sided bar construction.
+def suspension_bar(A: GradedAlgebra, d: int, p_max: int) -> DoubleComplex:
+    """The bar double complex whose total homology is A over the d-sphere.
 
-    The base model is A (x) A when d = 1; above that it is the normalized
-    model of the (d-1)-sphere with the shuffle product, truncated to the
-    window the requested range needs.
+    For d = 1 it is circle_bar; for d >= 2 the two-sided bar of A over the
+    normalized model of the (d-1)-sphere, stored up to level p_max.
     """
     if d < 1:
         raise ChainError(f"sphere dimension must be at least 1, got {d}")
+    if d == 1:
+        return circle_bar(A, p_max)
+    B = loday_model(A, sphere_min(d - 1), p_max)
+    M = augmentation_module(B, A, "right")
+    N = augmentation_module(B, A, "left")
+    return two_sided_bar(M, B, N, p_max)
+
+
+def hh_via_suspension(A: GradedAlgebra, d: int, s_max: int) -> BettiTable:
+    """Homology over the d-sphere through the two-sided bar construction.
+
+    The total complex of suspension_bar with columns to s_max + 1: the base
+    model is A (x) A when d = 1; for d >= 2 it is the normalized model of
+    the (d-1)-sphere with the shuffle product, truncated to the window the
+    requested range needs.
+    """
     if s_max < 0:
         raise ChainError(f"window bound must be nonnegative, got {s_max}")
-    if d == 1:
-        D = circle_bar(A, s_max + 1, validate=validate)
-    else:
-        B = loday_model(A, sphere_min(d - 1), s_max + 1, validate=validate)
-        M = augmentation_module(B, A, "right")
-        N = augmentation_module(B, A, "left")
-        D = two_sided_bar(M, B, N, s_max + 1)
-    T = total_complex(D)
+    T = total_complex(suspension_bar(A, d, s_max + 1))
     if not T.exact_top and s_max > T.s_valid:
         raise ChainError(f"bar window exhausted: achievable s_valid is {T.s_valid}")
     return T.homology(s_max, provenance="bar-suspension")

@@ -24,7 +24,6 @@ __all__ = [
     "BettiTable",
     "ChainComplex",
     "ChainMap",
-    "homology",
     "cone",
     "is_quasi_iso",
     "tensor_complexes",
@@ -242,10 +241,6 @@ class ChainComplex:
     def __repr__(self):
         dims = "/".join(str(self.level_dim(s)) for s in range(self.top + 1))
         return f"ChainComplex(dims={dims}, s_valid={self.s_valid})"
-
-
-def homology(C: ChainComplex, s_max: int | None = None) -> BettiTable:
-    return C.homology(s_max)
 
 
 class ChainMap:

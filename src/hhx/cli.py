@@ -24,13 +24,7 @@ from .algebra import (
     is_etale,
     map_from_json,
 )
-from .bar import (
-    augmentation_module,
-    circle_bar,
-    hh_via_suspension,
-    loday_model,
-    two_sided_bar,
-)
+from .bar import hh_via_suspension, suspension_bar
 from .chains import BettiTable, ChainError, r_stable, sseq_pages
 from .cobar import cobar, hochschild_cohomology, regular_module
 from .fields import QQ, FieldError, parse_field
@@ -332,15 +326,6 @@ def _cmd_poset_hh(args) -> int:
     return 0
 
 
-def _suspension_double_complex(A, d: int, p_max: int):
-    if d == 1:
-        return circle_bar(A, p_max)
-    B = loday_model(A, sphere_min(d - 1), p_max)
-    M = augmentation_module(B, A, "right")
-    N = augmentation_module(B, A, "left")
-    return two_sided_bar(M, B, N, p_max)
-
-
 def _cmd_sseq(args) -> int:
     spec = RunSpec(
         "sseq", {"algebra": args.algebra}, p_max=args.pmax,
@@ -352,7 +337,7 @@ def _cmd_sseq(args) -> int:
     if args.rmax is not None and args.rmax < 1:
         raise UsageError(f"--rmax must be positive, got {args.rmax}")
     A = _load_algebra(resolved, override)
-    D = _suspension_double_complex(A, args.sphere, spec.p_max)
+    D = suspension_bar(A, args.sphere, spec.p_max)
     r_stab = r_stable(D)
     r_show = args.rmax if args.rmax is not None else r_stab
     pages = sseq_pages(D, max(r_stab, r_show))

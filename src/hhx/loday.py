@@ -515,38 +515,6 @@ def _shuffle_sign(mu, nu) -> int:
     return -1 if inv % 2 else 1
 
 
-def _pointwise_product(A: GradedAlgebra, phi, psi) -> dict:
-    """Slotwise product of two level functions, with the crossing sign."""
-    add = A.field.add_into
-    sign = 1
-    odd = [d % 2 == 1 for d in A.degrees]
-    if any(odd):
-        flips = 0
-        m = len(phi)
-        for x in range(m):
-            if not odd[psi[x]]:
-                continue
-            for y in range(x + 1, m):
-                if odd[phi[y]]:
-                    flips += 1
-        if flips % 2:
-            sign = -1
-    parts = []
-    for x in range(len(phi)):
-        exp = A.mul_basis(phi[x], psi[x])
-        if not exp:
-            return {}
-        parts.append(list(exp.items()))
-    out: dict = {}
-    for combo in itertools.product(*parts):
-        row = tuple(i for i, _ in combo)
-        c = sign
-        for _, cv in combo:
-            c = c * cv
-        add(out, row, c)
-    return out
-
-
 def _degeneracy_push(L: LodayComplex, level: int, js) -> _Push:
     """Composite degeneracy positions map, innermost first."""
     X = L.space
@@ -575,6 +543,10 @@ def _shuffle_chain(L: LodayComplex, z1, z2) -> dict:
     add = A.field.add_into
     C = L.complex
     index = L.index[s1 + s2]
+    # the slotwise product is the push along the fold of two copies of the
+    # level's simplices onto one, applied to the concatenation phi + psi
+    m = len(L.simps[s1 + s2])
+    fold = _Push(A, list(range(m)) * 2, m)
     out: dict = {}
     for mu_set in itertools.combinations(range(s1 + s2), s1):
         mu = list(mu_set)
@@ -596,7 +568,7 @@ def _shuffle_chain(L: LodayComplex, z1, z2) -> dict:
                 add(right, tup, a * cv)
         for phi, ca in left.items():
             for psi, cb in right.items():
-                _add_level(out, _pointwise_product(A, phi, psi), ca * cb * eps, index, add)
+                _add_level(out, fold.column(phi + psi), ca * cb * eps, index, add)
     return out
 
 
@@ -644,21 +616,27 @@ def cyclic_bar_oracle(A: GradedAlgebra, N: int) -> ChainComplex:
             ]
         )
     diffs: list = [None]
+    # column j of level n is phi written in base dA, first slot most
+    # significant, so a face image is ranked by cutting j into digits
+    pw = [dA ** e for e in range(N + 2)]
     for n in range(1, N + 1):
-        wt = _weights(dA, n)
         cols = []
-        for phi, _ in levels[n]:
+        for j, (phi, _) in enumerate(levels[n]):
             acc: dict = {}
             for i in range(n):
+                # slots i and i + 1 merge into k: keep the i digits above
+                # and the n - 1 - i digits below
+                step = pw[n - 1 - i]
+                rest = j // pw[n + 1 - i] * pw[n - i] + j % step
                 for k, c in prod[i % 2][phi[i]][phi[i + 1]]:
-                    psi = phi[:i] + (k,) + phi[i + 2:]
-                    add(acc, _rank_tuple(psi, wt), c)
+                    add(acc, rest + k * step, c)
             wrap = n + A.degrees[phi[n]] * sum(A.degrees[phi[i]] for i in range(n))
+            # slot n multiplies onto slot 0, and slots 1..n - 1 move down one
+            mid = (j // dA) % pw[n - 1]
             for k, c in prod[wrap % 2][phi[n]][phi[0]]:
-                psi = (k,) + phi[1:n]
-                add(acc, _rank_tuple(psi, wt), c)
+                add(acc, k * pw[n - 1] + mid, c)
             cols.append(acc)
-        diffs.append(SMat(dA ** n, dA ** (n + 1), field, cols))
+        diffs.append(SMat(pw[n], pw[n + 1], field, cols))
     return ChainComplex(field, levels, diffs)
 
 

@@ -625,36 +625,16 @@ def arc_chain_functor(A: GradedAlgebra, P: Poset, q_top: int) -> PosetChainFunct
 
     Each object carries the chain model of its components as a discrete
     space, truncated at q_top; related pairs push along the component
-    maps level by level.
+    maps level by level.  A discrete space repeats level 0 at every level,
+    so each level's push is the map of arc_functor.
     """
-    if not A.commutative:
-        raise PosetError("tensor-power coefficients need a commutative algebra")
-    if P.comp_maps is None:
-        raise PosetError("poset has no component labels")
-    field = A.field
-    dA = A.dim
+    F = arc_functor(A, P)
     complexes = {}
     for x in P.objects:
-        c = P.components[x]
-        space = disjoint_union(*[point() for _ in range(c)])
+        space = disjoint_union(*[point() for _ in range(P.components[x])])
         complexes[x] = unnormalized_complex(A, space, q_top)
-    maps = {}
-    for a, b in P.le:
-        if a == b:
-            continue
-        tp = list(P.comp_maps[(a, b)])
-        ca, cb = complexes[a], complexes[b]
-        push = _Push(A, tp, P.components[b])
-        wt = _weights(dA, P.components[b])
-        mats = []
-        for q in range(q_top + 1):
-            m = SMat(cb.level_dim(q), ca.level_dim(q), field)
-            for j, (phi, _t) in enumerate(ca.levels[q]):
-                for tup, c in push.column(phi).items():
-                    m.add_at(_rank_tuple(tup, wt), j, c)
-            mats.append(m)
-        maps[(a, b)] = mats
-    return PosetChainFunctor(P, field, complexes, maps).validate()
+    maps = {ab: [m] * (q_top + 1) for ab, m in F.maps.items()}
+    return PosetChainFunctor(P, A.field, complexes, maps).validate()
 
 
 def nerve_double_complex(I: Poset, Fc: PosetChainFunctor) -> DoubleComplex:

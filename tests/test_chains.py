@@ -12,7 +12,6 @@ from hhx.chains import (
     DoubleComplex,
     cone,
     e_infinity,
-    homology,
     is_quasi_iso,
     r_stable,
     sseq_pages,
@@ -20,12 +19,11 @@ from hhx.chains import (
     total_complex,
     transpose_double,
 )
-from hhx.bar import augmentation_module, circle_bar, loday_model, two_sided_bar
+from hhx.bar import circle_bar, suspension_bar
 from hhx.catalog import dual_numbers, exterior_line
 from hhx.cobar import CobarComplex
 from hhx.fields import GF, QQ
 from hhx.matrix import SMat
-from hhx.simplicial import sphere_min
 
 
 def cx(levels, dense_diffs, field=QQ, exact=True, s_valid=None):
@@ -592,19 +590,12 @@ PINNED_D_EXTERIOR_SPHERE2 = {
 }
 
 
-def _suspension_bar(A, p_max):
-    B = loday_model(A, sphere_min(1), p_max)
-    M = augmentation_module(B, A, "right")
-    N = augmentation_module(B, A, "left")
-    return two_sided_bar(M, B, N, p_max)
-
-
 @pytest.mark.parametrize(
     "build, pinned",
     [
         (lambda: circle_bar(dual_numbers(), 3), PINNED_D_DUAL_Q),
         (lambda: circle_bar(dual_numbers(GF(3)), 3), PINNED_D_DUAL_F3),
-        (lambda: _suspension_bar(exterior_line(), 3), PINNED_D_EXTERIOR_SPHERE2),
+        (lambda: suspension_bar(exterior_line(), 2, 3), PINNED_D_EXTERIOR_SPHERE2),
     ],
     ids=["dual-Q", "dual-F3", "exterior-sphere2"],
 )

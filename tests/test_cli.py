@@ -215,9 +215,16 @@ def test_poset_hh_file_refuses_arc_coefficients(capsys, tmp_path):
     assert "component" in err
 
 
-def test_sseq_totals_match_circle_homology(capsys):
+@pytest.mark.parametrize(
+    "sphere, expected",
+    [("1", {0: 2, 1: 1, 2: 1}), ("2", {0: 2, 2: 1})],
+    ids=["sphere1", "sphere2"],
+)
+def test_sseq_totals_match_circle_homology(capsys, sphere, expected):
+    # the totals equal hh --space sphere:<sphere> on the same algebra
     code, text, _ = run(
-        capsys, "sseq", "--algebra", "dual.json", "--pmax", "3", "--json",
+        capsys, "sseq", "--algebra", "dual.json", "--pmax", "3",
+        "--sphere", sphere, "--json",
     )
     assert code == 0
     doc = json.loads(text)
@@ -228,7 +235,7 @@ def test_sseq_totals_match_circle_homology(capsys):
         n = e["p"] + e["q"]
         totals[n] = totals.get(n, 0) + e["dim"]
     assert einf["n_valid"] == 2
-    assert totals == {0: 2, 1: 1, 2: 1}
+    assert totals == expected
 
 
 def test_etale_check_report_wording(capsys):
