@@ -7,14 +7,15 @@ which the validity bound s_valid makes explicit: homology is only handed
 out for s <= s_valid, and every construction (cones, tensors, total
 complexes) propagates the bound.
 
-Double complexes are stored with anticommuting differentials; the page
-extraction below works with the column filtration directly, one internal
-degree at a time.
+Double complexes are stored with anticommuting differentials.  Their
+spectral sequence comes from one column reduction of each differential of
+the total complex, filtered by the column index p, as in persistent
+homology: a generator survives to E^r unless the reduction pairs it with
+a generator at most r - 1 columns away, and d_r matches the pairs exactly
+r columns apart.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left, bisect_right
 
 from .fields import Field
 from .matrix import SMat
@@ -510,9 +511,12 @@ def total_complex(D: DoubleComplex) -> ChainComplex:
 class SpectralSequencePage:
     """One page: dimensions and differentials per (p, q, t), plus trust data.
 
-    d_r at (p, q, t) maps chosen representatives to the representatives at
-    (p - r, q + r - 1, t); entries outside the trusted total range are
-    omitted entirely.
+    The basis of E^r at (p, q, t) is the pair basis of ``sseq_pages``: the
+    generators of that block that are unpaired or paired at a gap >= r, in
+    total-complex order.  d[(p, q, t)] is d_r into (p - r, q + r - 1, t) on
+    these bases, a 0/1 matrix with one entry per pair at gap exactly r (a
+    0-row matrix when that target is zero).  Entries outside the trusted
+    total range are omitted entirely.
     """
 
     __slots__ = ("r", "entries", "d", "n_valid")
@@ -543,152 +547,89 @@ class SpectralSequencePage:
         return f"SpectralSequencePage(r={self.r}, entries={dict(sorted(self.entries.items()))})"
 
 
-class _Subquotients:
-    """Filtered cycle spaces, boundaries and representatives of one internal
-    degree, each computed once.
+def _pivots(d: SMat) -> dict:
+    """{column: pivot row} of the left-to-right column reduction of d.
 
-    The coordinates of a level are sorted by p, so F_p is a prefix of them
-    and "filtration > p - r" a suffix.  A cycle space is keyed by the
-    restriction it actually solves, (n, prefix length, suffix start), and
-    many (p, r) share one: every r > p asks for Dx = 0 outright, and once
-    F_p holds the whole level only p - r still moves the key.
-    Boundary images share the key of the cycle space they come from;
-    representatives are keyed by (n, p, r).
+    The pivot of a column is its last nonzero row.  A column whose pivot an
+    earlier reduced column holds takes a multiple of that column away until
+    its pivot is free or it is zero, so the earliest column keeps a pivot.
+    Reduced columns are stored scaled to pivot one.
     """
-
-    def __init__(self, ps, mats, field):
-        self.mats = mats
-        self.field = field
-        self.ps = ps
-        self._cycles: dict = {}
-        self._boundaries: dict = {}
-        self.reps: dict = {}
-
-    def cycles(self, n, p, r):
-        """(key, basis) of {x in F_p level n : Dx in F_{p-r}}, as sparse dicts."""
-        if n >= len(self.ps):
-            return None, []
-        a = bisect_right(self.ps[n], p)
-        b = bisect_right(self.ps[n - 1], p - r) if n else 0
-        key = (n, a, b)
-        z = self._cycles.get(key)
-        if z is None:
-            if n and b < len(self.ps[n - 1]):
-                rows = range(b, len(self.ps[n - 1]))
-                z = self.mats[n].restrict(rows, range(a)).nullspace()
-            else:
-                z = [{j: self.field.one} for j in range(a)]
-            self._cycles[key] = z
-        return key, z
-
-    def boundaries(self, n, p, r):
-        """Nonzero images of the cycles in F_{p+r-1} level n + 1 landing in F_p."""
-        key, z = self.cycles(n + 1, p + r - 1, r - 1)
-        if not z:
-            return []
-        out = self._boundaries.get(key)
-        if out is None:
-            d = self.mats[n + 1]
-            out = self._boundaries[key] = [img for img in map(d.mul_vec, z) if img]
-        return out
-
-    def representatives(self, n, p, r):
-        """Cycles whose p-projections descend to a basis of E^r_{p, n-p}."""
-        key = (n, p, r)
-        reps = self.reps.get(key)
-        if reps is None:
-            reps = []
-            _, z = self.cycles(n, p, r)
-            if z:
-                bound = self.boundaries(n, p, r)
-                nb = len(bound)
-                lo = bisect_left(self.ps[n], p)
-                stacked = SMat(len(self.ps[n]), nb + len(z), self.field, bound + z)
-                pivots, _ = stacked.restrict(range(lo, len(self.ps[n]))).rref()
-                reps = [z[j - nb] for j in pivots if j >= nb]
-            self.reps[key] = reps
-        return reps
+    field = d.field
+    add = field.add_into
+    reduced: dict = {}
+    pivots = {}
+    for j, col in enumerate(d.cols):
+        col = dict(col)
+        while col:
+            low = max(col)
+            red = reduced.get(low)
+            if red is None:
+                a = field.inv(col[low])
+                reduced[low] = {i: field(v * a) for i, v in col.items()}
+                pivots[j] = low
+                break
+            c = -col[low]
+            for i, v in red.items():
+                add(col, i, c * v)
+    return pivots
 
 
 def sseq_pages(D: DoubleComplex, r_max: int) -> list:
     """Pages E^0..E^{r_max} of the column filtration, split by internal t.
 
-    E^r_p = Z^r_p / (Z^{r-1}_{p-1} + d Z^{r-1}_{p+r-1}) is computed through
-    projections to the p-block: the representatives are the cycles of Z^r_p
-    whose projections are independent modulo the projected boundaries, and
-    since those boundaries lie in Z^r_p the page dimension is their count.
-    Differentials act on representative bases, one echelon form per d_r
-    block.  The total complex is built once; each t takes its block of
-    every level (ordered by p, the first entry of a generator's name) and
-    the restriction of the total differential to those blocks.  One
-    ``_Subquotients`` cache per internal degree t builds each cycle space
-    and boundary image once (see its keys); a page's representatives are
-    dropped once its differentials are attached.
+    Each differential of the total complex goes through one column
+    reduction (``_pivots``), as in persistent homology: the coordinates of
+    a level are sorted by p, so F_p of a level is a prefix of them.  The
+    differential preserves t, so reducing a whole level reduces its t-blocks
+    side by side.  A pivot pairs column j (level n) with row i (level n - 1)
+    at the gap g = p_j - p_i.  A generator survives to E^r when it is
+    unpaired or its pair has gap >= r; the survivors of a block (p, q, t),
+    in total-complex order, are the basis of E^r there.  A column j stands
+    for the class of V_j (R_j = D V_j in the reduction) scaled so that R_j
+    has pivot one, a row i paired with j for the class of that R_j; on
+    these classes d_r is the 0/1 matching of the pairs at gap exactly r.
     Entries with p + q beyond the trusted total range are refused (omitted).
     """
     field = D.field
     n_valid, exact = D.s_bound()
-    keys = sorted(D.gens)
-    if not keys:
+    if not D.gens:
         return [SpectralSequencePage(r, {}, {}, 0) for r in range(r_max + 1)]
-    top = max(p + q for (p, q) in keys)
-    if exact:
-        n_valid = top
     T = total_complex(D)
-    blocks = [_t_blocks(lv) for lv in T.levels]
-    ts = sorted({t for b in blocks for t in b})
-    pages = [
-        SpectralSequencePage(r, {}, {}, n_valid) for r in range(r_max + 1)
-    ]
-    for t in ts:
-        idx = [b.get(t, []) for b in blocks]
-        ps = [[T.levels[n][k][0][0] for k in ix] for n, ix in enumerate(idx)]
-        mats = [None] + [
-            T.diffs[n].restrict(idx[n - 1], idx[n]) for n in range(1, len(idx))
-        ]
-        sub = _Subquotients(ps, mats, field)
-        for r in range(r_max + 1):
-            for (p, q) in keys:
-                if p + q <= n_valid:
-                    dim = len(sub.representatives(p + q, p, r))
-                    if dim:
-                        pages[r].entries[(p, q, t)] = dim
-            _attach_differentials(pages[r], sub, t, r, n_valid)
-            sub.reps.clear()
+    if exact:
+        n_valid = T.top
+    # a generator of a trusted level is paired by D_n or D_{n+1}
+    top = min(n_valid + 1, T.top)
+    pivots = [{}] + [_pivots(T.diffs[n]) for n in range(1, top + 1)]
+    gaps: list = [{} for _ in range(top + 1)]
+    for n in range(1, top + 1):
+        lower, upper = T.levels[n - 1], T.levels[n]
+        for j, i in pivots[n].items():
+            gaps[n][j] = gaps[n - 1][i] = upper[j][0][0] - lower[i][0][0]
+    pages = []
+    for r in range(r_max + 1):
+        basis: dict = {}
+        for n in range(min(n_valid, T.top) + 1):
+            for k, ((p, q, _), t) in enumerate(T.levels[n]):
+                if gaps[n].get(k, r) >= r:
+                    basis.setdefault((p, q, t), []).append(k)
+        d = {}
+        for (p, q, t), ks in basis.items():
+            tgt = basis.get((p - r, q + r - 1, t))
+            if tgt is None:
+                if p - r >= 0:
+                    # target is zero: record the zero matrix for shape fidelity
+                    d[(p, q, t)] = SMat(0, len(ks), field)
+                continue
+            row = {i: pos for pos, i in enumerate(tgt)}
+            low, gap = pivots[p + q], gaps[p + q]
+            d[(p, q, t)] = SMat(len(tgt), len(ks), field, [
+                {row[low[j]]: field.one} if j in low and gap[j] == r else {}
+                for j in ks
+            ])
+        entries = {key: len(ks) for key, ks in basis.items()}
+        pages.append(SpectralSequencePage(r, entries, d, n_valid))
     return pages
-
-
-def _attach_differentials(page, sub, t, r, n_valid):
-    field = sub.field
-    for (p, q, tt), dim_src in list(page.entries.items()):
-        if tt != t:
-            continue
-        n = p + q
-        tp, tq = p - r, q + r - 1
-        if (tp, tq, t) not in page.entries:
-            if dim_src and tp >= 0 and n - 1 <= n_valid:
-                # target is zero: record the zero matrix for shape fidelity
-                page.d[(p, q, t)] = SMat(0, dim_src, field)
-            continue
-        reps = sub.representatives(n, p, r)
-        tgt_reps = sub.representatives(n - 1, tp, r)
-        tgt_bound = sub.boundaries(n - 1, tp, r)
-        # solve in the projection to the tp-block
-        lo = bisect_left(sub.ps[n - 1], tp)
-        nrep = len(tgt_reps)
-        solver = SMat(
-            len(sub.ps[n - 1]), nrep + len(tgt_bound), field, tgt_reps + tgt_bound
-        ).restrict(range(lo, len(sub.ps[n - 1])))
-        bs = [
-            {k - lo: v for k, v in sub.mats[n].mul_vec(rep).items() if k >= lo}
-            for rep in reps
-        ]
-        out = SMat(nrep, len(reps), field)
-        for j, sol in enumerate(solver.solve_many(bs)):
-            if sol is None:
-                raise ChainError("page differential left its own page")
-            out.cols[j] = {i: v for i, v in sol.items() if i < nrep}
-        page.d[(p, q, t)] = out
 
 
 def transpose_double(D: DoubleComplex, p_exact=True, q_valid=None) -> DoubleComplex:

@@ -6,12 +6,14 @@ exact; every equality is entrywise equality of integer dimension tables.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
+import hhx
 from hhx.algebra import is_etale
 from hhx.bar import (
     augmentation_module,
@@ -271,6 +273,14 @@ SUITE = [
 ]
 
 
+# child processes import hhx from the same source tree, installed or not
+SRC = str(Path(hhx.__file__).resolve().parents[1])
+CHILD_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+)
+
+
 def _run_suite(outdir: Path) -> None:
     outdir.mkdir()
     for argv in SUITE:
@@ -278,7 +288,7 @@ def _run_suite(outdir: Path) -> None:
         argv[argv.index("--out") + 1] = str(outdir / argv[argv.index("--out") + 1])
         proc = subprocess.run(
             [sys.executable, "-m", "hhx.cli", *argv],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CHILD_ENV,
         )
         assert proc.returncode == 0, (argv, proc.stderr)
 

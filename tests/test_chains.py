@@ -20,7 +20,7 @@ from hhx.chains import (
     transpose_double,
 )
 from hhx.bar import circle_bar, suspension_bar
-from hhx.catalog import dual_numbers, exterior_line
+from hhx.catalog import dual_numbers, exterior_line, gf4
 from hhx.cobar import CobarComplex
 from hhx.fields import GF, QQ
 from hhx.matrix import SMat
@@ -495,13 +495,18 @@ def test_double_tensor_total_matches_tensor_complex(p1, p2):
     table = T1.homology()
     for n in range(T1.top + 1):
         assert page.total(n) == table.total(n)
+    assert_pages_match_ranks(dc_from_tensor(C, D))
 
 
 # ------------------------------------------- pinned page differentials
 #
 # The CLI reports page dimensions only, and the rank-based tests above do
-# not see the basis, so these fix every d_r entry on representative bases:
-# {(r, p, q, t): (nrows, ncols, {(i, j): value})}, zero matrices included.
+# not see the basis, so these fix every d_r block.  PINNED_D_* hold the
+# blocks on the subquotient representatives pages used to be built on,
+# {(r, p, q, t): (nrows, ncols, {(i, j): value})}, zero matrices included;
+# a change of basis keeps their shapes and ranks.  MATCHING_D_* hold the
+# same blocks on the pair basis of the column reduction, where d_r is a
+# 0/1 matching: {(r, p, q, t): (nrows, ncols, [(i, j) with entry one])}.
 
 PINNED_D_DUAL_Q = {
     (0, 0, 0, 0): (0, 4, {}),
@@ -590,20 +595,147 @@ PINNED_D_EXTERIOR_SPHERE2 = {
 }
 
 
-@pytest.mark.parametrize(
-    "build, pinned",
-    [
-        (lambda: circle_bar(dual_numbers(), 3), PINNED_D_DUAL_Q),
-        (lambda: circle_bar(dual_numbers(GF(3)), 3), PINNED_D_DUAL_F3),
-        (lambda: suspension_bar(exterior_line(), 2, 3), PINNED_D_EXTERIOR_SPHERE2),
-    ],
-    ids=["dual-Q", "dual-F3", "exterior-sphere2"],
-)
-def test_page_differentials_pinned(build, pinned):
+MATCHING_D_DUAL_Q = {
+    (0, 0, 0, 0): (0, 4, []),
+    (0, 1, 0, 0): (0, 16, []),
+    (0, 2, 0, 0): (0, 64, []),
+    (1, 1, 0, 0): (4, 16, [(2, 2), (3, 3)]),
+    (1, 2, 0, 0): (16, 64, [
+        (0, 0), (1, 1), (5, 20), (6, 18), (7, 19), (8, 8), (9, 9), (10, 10),
+        (11, 11), (12, 12), (13, 13), (14, 14), (15, 15),
+    ]),
+    (2, 2, 0, 0): (0, 1, []),
+}
+MATCHING_D_DUAL_F3 = MATCHING_D_DUAL_Q
+MATCHING_D_EXTERIOR_SPHERE2 = {
+    (0, 0, 0, 0): (0, 1, []),
+    (0, 0, 0, 1): (0, 2, []),
+    (0, 0, 0, 2): (0, 1, []),
+    (0, 1, 0, 0): (0, 1, []),
+    (0, 1, 0, 1): (0, 3, []),
+    (0, 1, 0, 2): (0, 3, []),
+    (0, 1, 0, 3): (0, 1, []),
+    (0, 1, 1, 1): (3, 1, []),
+    (0, 1, 1, 2): (3, 3, []),
+    (0, 1, 1, 3): (1, 3, []),
+    (0, 1, 1, 4): (0, 1, []),
+    (0, 2, 0, 0): (0, 1, []),
+    (0, 2, 0, 1): (0, 4, []),
+    (0, 2, 0, 2): (0, 6, []),
+    (0, 2, 0, 3): (0, 4, []),
+    (0, 2, 0, 4): (0, 1, []),
+    (1, 1, 0, 0): (1, 1, []),
+    (1, 1, 0, 1): (2, 3, [(1, 1)]),
+    (1, 1, 0, 2): (1, 3, [(0, 0)]),
+    (1, 1, 0, 3): (0, 1, []),
+    (1, 1, 1, 1): (0, 1, []),
+    (1, 1, 1, 2): (0, 3, []),
+    (1, 1, 1, 3): (0, 3, []),
+    (1, 1, 1, 4): (0, 1, []),
+    (1, 2, 0, 0): (1, 1, [(0, 0)]),
+    (1, 2, 0, 1): (3, 4, [(0, 0), (2, 2)]),
+    (1, 2, 0, 2): (3, 6, [(1, 1), (2, 2)]),
+    (1, 2, 0, 3): (1, 4, [(0, 0)]),
+    (1, 2, 0, 4): (0, 1, []),
+}
+
+PINNED_BUILDS = [
+    (lambda: circle_bar(dual_numbers(), 3), PINNED_D_DUAL_Q, MATCHING_D_DUAL_Q),
+    (lambda: circle_bar(dual_numbers(GF(3)), 3), PINNED_D_DUAL_F3, MATCHING_D_DUAL_F3),
+    (
+        lambda: suspension_bar(exterior_line(), 2, 3),
+        PINNED_D_EXTERIOR_SPHERE2,
+        MATCHING_D_EXTERIOR_SPHERE2,
+    ),
+]
+PINNED_IDS = ["dual-Q", "dual-F3", "exterior-sphere2"]
+
+
+@pytest.mark.parametrize("build, pinned, matching", PINNED_BUILDS, ids=PINNED_IDS)
+def test_page_differentials_pinned(build, pinned, matching):
     D = build()
+    pages = sseq_pages(D, r_stable(D))
     got = {}
-    for page in sseq_pages(D, r_stable(D)):
+    for page in pages:
         for (p, q, t), m in page.d.items():
-            entries = {(i, j): v for j, c in enumerate(m.cols) for i, v in c.items()}
-            got[(page.r, p, q, t)] = (m.nrows, m.ncols, entries)
-    assert got == pinned
+            assert all(v == D.field.one for c in m.cols for v in c.values())
+            ones = sorted((i, j) for j, c in enumerate(m.cols) for i in c)
+            got[(page.r, p, q, t)] = (m.nrows, m.ncols, ones)
+    assert got == matching
+    assert set(got) == set(pinned)
+    for key, (nrows, ncols, entries) in pinned.items():
+        old = SMat.from_entries(
+            nrows, ncols, D.field, [(i, j, v) for (i, j), v in entries.items()]
+        )
+        new = pages[key[0]].d[key[1:]]
+        assert (new.nrows, new.ncols, new.rank()) == (nrows, ncols, old.rank()), key
+    for page in pages:
+        r = page.r
+        for (p, q, t), m in page.d.items():
+            after = page.d.get((p - r, q + r - 1, t))
+            if after is not None and after.ncols == m.nrows:
+                assert (after @ m).is_zero(), (r, p, q, t)
+
+
+# -------------------------------------------- page dimensions from ranks
+#
+# Independent of the column reduction: the number of pairs of D_n from
+# filtration b down to a is r(a, b) - r(a+1, b) - r(a, b-1) + r(a+1, b-1),
+# where r(a, b) is the rank of the t-block of D_n with rows of filtration
+# >= a and columns of filtration <= b.  A generator at (p, n) survives to
+# E^r unless it is paired with gap < r, as a column of D_n or a row of
+# D_{n+1}.
+
+
+def rank_pages(D, r_max):
+    T = total_complex(D)
+    n_valid, exact = D.s_bound()
+    if exact:
+        n_valid = T.top
+    by_block = [{} for _ in T.levels]  # (t, p) -> level indices
+    for n, level in enumerate(T.levels):
+        for k, ((p, _, _), t) in enumerate(level):
+            by_block[n].setdefault((t, p), []).append(k)
+
+    def pairs(n, t, a, b):
+        """Pairs of D_n from filtration b (columns) down to a (rows)."""
+        if not 1 <= n <= T.top:
+            return 0
+
+        def rank(lo, hi):
+            rows = [k for (tt, p), ks in by_block[n - 1].items()
+                    if tt == t and p >= lo for k in ks]
+            cols = [k for (tt, p), ks in by_block[n].items()
+                    if tt == t and p <= hi for k in ks]
+            return T.diffs[n].restrict(sorted(rows), sorted(cols)).rank()
+
+        return rank(a, b) - rank(a + 1, b) - rank(a, b - 1) + rank(a + 1, b - 1)
+
+    pages = []
+    for r in range(r_max + 1):
+        entries = {}
+        for n in range(min(n_valid, T.top) + 1):
+            for (t, p), ks in by_block[n].items():
+                dim = len(ks)
+                dim -= sum(pairs(n, t, a, p) for a in range(p - r + 1, p + 1))
+                dim -= sum(pairs(n + 1, t, p, b) for b in range(p, p + r))
+                if dim:
+                    entries[(p, n - p, t)] = dim
+        pages.append(entries)
+    return pages
+
+
+def assert_pages_match_ranks(D):
+    r_max = r_stable(D)
+    pages = sseq_pages(D, r_max)
+    assert [page.entries for page in pages] == rank_pages(D, r_max)
+
+
+@pytest.mark.parametrize(
+    "build",
+    # a reduction that picks the sparsest row as pivot gets E^2 of gf4 wrong
+    [b for b, _, _ in PINNED_BUILDS] + [lambda: circle_bar(gf4(), 3)],
+    ids=PINNED_IDS + ["gf4-circle"],
+)
+def test_pages_match_rank_counts(build):
+    assert_pages_match_ranks(build())

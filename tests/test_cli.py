@@ -1,11 +1,14 @@
 """Command-line surface: exit codes, determinism, artifact round trips."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hhx
 from hhx.chains import BettiTable
 from hhx.cli import ComparisonReport, RunSpec, UsageError, main
 
@@ -16,10 +19,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# child processes import hhx from the same source tree, installed or not
+SRC = str(Path(hhx.__file__).resolve().parents[1])
+CHILD_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+)
+
+
 def run_proc(*argv):
     return subprocess.run(
         [sys.executable, "-m", "hhx.cli", *argv],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
 
 
