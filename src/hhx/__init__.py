@@ -2,7 +2,7 @@
 
 The package computes homology of algebra-valued constructions on spaces
 (circles, spheres, subdivided models), bar and cobar resolutions, and
-nerve spectral sequences over finite posets, all with exact arithmetic over
+nerves of finite posets, all with exact arithmetic over
 Q or F_p.  Several independent computation paths exist for the same
 invariants and are cross-checked in the test suite.
 """

@@ -84,6 +84,8 @@ class RunSpec:
     n_max: int | None = None
     p_max: int | None = None
     m: int | None = None
+    sphere: int | None = None
+    r_max: int | None = None
     out: str | None = None
     field: str | None = None
 
@@ -93,6 +95,8 @@ class RunSpec:
             ("--nmax", self.n_max),
             ("--pmax", self.p_max),
             ("--marks", self.m),
+            ("--sphere", self.sphere),
+            ("--rmax", self.r_max),
         )
         for flag, value in bounds:
             if value is not None and value < 1:
@@ -240,11 +244,9 @@ def _cmd_hh(args) -> int:
 def _cmd_hh_bar(args) -> int:
     spec = RunSpec(
         "hh-bar", {"algebra": args.algebra}, s_max=args.smax,
-        out=args.out, field=args.field,
+        sphere=args.sphere, out=args.out, field=args.field,
     )
     override, resolved = spec.validate()
-    if args.sphere < 1:
-        raise UsageError(f"--sphere must be positive, got {args.sphere}")
     A = _load_algebra(resolved, override)
     table = hh_via_suspension(A, args.sphere, spec.s_max)
     _emit(args, table.to_json(), _table_human(table))
@@ -304,7 +306,7 @@ def _cmd_poset_hh(args) -> int:
     if "poset" in resolved:
         P = poset_from_json(_read_json(resolved["poset"]))
     else:
-        P = cyclic_cech_poset(spec.m if spec.m is not None else 2)
+        P = cyclic_cech_poset(spec.m)
     if "algebra" in resolved:
         A = _load_algebra(resolved, override)
         F = arc_functor(A, P)
@@ -329,13 +331,9 @@ def _cmd_poset_hh(args) -> int:
 def _cmd_sseq(args) -> int:
     spec = RunSpec(
         "sseq", {"algebra": args.algebra}, p_max=args.pmax,
-        out=args.out, field=args.field,
+        sphere=args.sphere, r_max=args.rmax, out=args.out, field=args.field,
     )
     override, resolved = spec.validate()
-    if args.sphere < 1:
-        raise UsageError(f"--sphere must be positive, got {args.sphere}")
-    if args.rmax is not None and args.rmax < 1:
-        raise UsageError(f"--rmax must be positive, got {args.rmax}")
     A = _load_algebra(resolved, override)
     D = suspension_bar(A, args.sphere, spec.p_max)
     r_stab = r_stable(D)
@@ -369,11 +367,9 @@ def _cmd_sseq(args) -> int:
 def _cmd_etale_check(args) -> int:
     spec = RunSpec(
         "etale-check", {"algebra": args.algebra}, s_max=args.smax,
-        out=args.out, field=args.field,
+        sphere=args.sphere, out=args.out, field=args.field,
     )
     override, resolved = spec.validate()
-    if args.sphere < 1:
-        raise UsageError(f"--sphere must be positive, got {args.sphere}")
     A = _load_algebra(resolved, override)
     et = is_etale(A)
     table = hh(A, sphere_min(args.sphere), spec.s_max)
@@ -429,12 +425,10 @@ def _cmd_compare(args) -> int:
     spec = RunSpec(
         "compare",
         {"algebra": args.algebra} if args.algebra is not None else {},
-        space=args.space, s_max=args.smax, m=args.marks,
+        space=args.space, s_max=args.smax, m=args.marks, sphere=args.sphere,
         out=args.out, field=args.field,
     )
     override, _ = spec.validate()
-    if args.sphere < 1:
-        raise UsageError(f"--sphere must be positive, got {args.sphere}")
     left = _compare_side("left", args.left, args, override)
     right = _compare_side("right", args.right, args, override)
     report = ComparisonReport.build(left, right, args.smax)

@@ -311,36 +311,13 @@ def cobar(M: AModule, A: GradedAlgebra, N: AModule, n_max: int) -> BettiTable:
 
 
 def _coefficients(A: GradedAlgebra, module: AModule, f) -> AModule:
-    """The coefficients as a bimodule over f.source, acting through f.
+    """The A-bimodule ``module`` as a bimodule over f.source, acting through f.
 
-    f is an algebra map onto A.  A module without a right action is read
-    as a left module over A (x) A-op: a.m = (a (x) 1).m and
-    m.b = (-1)^(|b||m|) (1 (x) b).m.
+    f is an algebra map onto A.
     """
-    field = A.field
-    add = field.add_into
-    dA = A.dim
-    if module.right is not None:
-        if module.algebra != A:
-            raise ChainError("coefficients must be a bimodule over the given algebra")
-        act, right = module.act, module.right
-    else:
-        if module.algebra != envelope_bimodule(A)[0]:
-            raise ChainError(
-                "coefficients must be a module over the enveloping algebra"
-            )
-        unit = [(j, cu) for j, cu in enumerate(A.unit) if cu != field.zero]
-        act, right = {}, {}
-        for a in range(dA):
-            for m in range(module.dim):
-                odd = (A.degrees[a] * module.gens[m][1]) % 2
-                lv = act.setdefault((a, m), {})
-                rv = right.setdefault((m, a), {})
-                for j, cu in unit:
-                    for k, c in module.act.get((a * dA + j, m), {}).items():
-                        add(lv, k, cu * c)
-                    for k, c in module.act.get((j * dA + a, m), {}).items():
-                        add(rv, k, -cu * c if odd else cu * c)
+    add = A.field.add_into
+    if module.right is None or module.algebra != A:
+        raise ChainError("coefficients must be a bimodule over the given algebra")
     pulled: dict = {}
     pulled_right: dict = {}
     for i, col in enumerate(f.matrix.cols):
@@ -348,9 +325,9 @@ def _coefficients(A: GradedAlgebra, module: AModule, f) -> AModule:
             lv: dict = {}
             rv: dict = {}
             for a, ca in col.items():
-                for k, c in act.get((a, m), {}).items():
+                for k, c in module.act.get((a, m), {}).items():
                     add(lv, k, ca * c)
-                for k, c in right.get((m, a), {}).items():
+                for k, c in module.right.get((m, a), {}).items():
                     add(rv, k, ca * c)
             if lv:
                 pulled[(i, m)] = lv
@@ -366,8 +343,7 @@ def hochschild_cohomology(
 
     Computed on the normalized cochains Hom(Ā^n, M) that ``cobar_complex``
     builds in the unit-adapted basis of A.  The coefficients M are A
-    itself by default; ``module`` gives others, as an A-bimodule or as a
-    left module over the enveloping algebra (see ``envelope_bimodule``).
+    itself by default; ``module`` gives others, as an A-bimodule.
     With the default coefficients the zeroth level is the graded center,
     and that identity is asserted before the table is returned.
     """

@@ -128,9 +128,6 @@ class SMat:
     def __neg__(self) -> "SMat":
         return self.scale(-1)
 
-    def __sub__(self, other: "SMat") -> "SMat":
-        return self + (-other)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SMat)

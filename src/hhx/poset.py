@@ -17,29 +17,18 @@ from __future__ import annotations
 import itertools
 
 from .algebra import GradedAlgebra
-from .chains import (
-    BettiTable,
-    ChainComplex,
-    ChainError,
-    DoubleComplex,
-    _check_degrees,
-    _t_blocks,
-)
-from .loday import _Push, _rank_tuple, _weights, unnormalized_complex
+from .chains import BettiTable, ChainComplex, _check_degrees, _t_blocks
+from .loday import _Push, _rank_tuple, _weights
 from .matrix import SMat, echelon_quotient
-from .simplicial import disjoint_union, point
 
 __all__ = [
     "PosetError",
     "Poset",
     "PosetFunctor",
-    "PosetChainFunctor",
     "cyclic_cech_poset",
     "constant_functor",
     "arc_functor",
-    "arc_chain_functor",
     "nerve_complex",
-    "nerve_double_complex",
     "poset_homology",
     "EdgeMap",
     "edge_map",
@@ -53,7 +42,7 @@ class PosetError(ValueError):
 
 
 class Poset:
-    """Finite poset with cached covering relation and component labels.
+    """Finite poset with cached successor lists and component labels.
 
     ``le`` holds all related pairs (a, b) with a <= b, reflexive and
     transitively closed; ``components`` counts the pieces of each object;
@@ -63,9 +52,7 @@ class Poset:
     trusted to reproduce the space the poset stands in for.
     """
 
-    __slots__ = (
-        "objects", "le", "components", "comp_maps", "window", "_covers", "_succ",
-    )
+    __slots__ = ("objects", "le", "components", "comp_maps", "window", "_succ")
 
     def __init__(self, objects, le, components, comp_maps=None, window=None):
         self.objects = tuple(objects)
@@ -73,7 +60,6 @@ class Poset:
         self.components = dict(components)
         self.comp_maps = None if comp_maps is None else dict(comp_maps)
         self.window = window
-        self._covers = None
         self._succ = None
         self._check()
 
@@ -101,20 +87,6 @@ class Poset:
 
     def less(self, a, b) -> bool:
         return a != b and (a, b) in self.le
-
-    @property
-    def covers(self):
-        """Pairs (a, b) with a < b and nothing strictly between."""
-        if self._covers is None:
-            out = []
-            for a, b in sorted(self.le):
-                if a == b:
-                    continue
-                if any(self.less(a, c) and self.less(c, b) for c in self.objects):
-                    continue
-                out.append((a, b))
-            self._covers = tuple(out)
-        return self._covers
 
     def _successors(self):
         """Indices of the objects above each object, in object order."""
@@ -574,138 +546,6 @@ def edge_map(I: Poset, F: PosetFunctor, x0, morse: ChainComplex | None = None) -
         table = M.homology(w, provenance="poset")
         iso = all(s == 0 for s, _t in table.entries)
     return EdgeMap(mat, iso, src_dims, h0_dims)
-
-
-class PosetChainFunctor:
-    """Chain complexes on objects, chain maps on related pairs."""
-
-    __slots__ = ("poset", "field", "complexes", "maps")
-
-    def __init__(self, poset: Poset, field, complexes: dict, maps: dict):
-        self.poset = poset
-        self.field = field
-        self.complexes = dict(complexes)
-        self.maps = dict(maps)
-
-    def validate(self) -> "PosetChainFunctor":
-        P = self.poset
-        for x in P.objects:
-            if x not in self.complexes:
-                raise PosetError(f"no complex assigned to {x}")
-        for a, b in P.le:
-            if a == b:
-                continue
-            mats = self.maps.get((a, b))
-            if mats is None:
-                raise PosetError(f"no chain map assigned to ({a}, {b})")
-            ca, cb = self.complexes[a], self.complexes[b]
-            for q, m in enumerate(mats):
-                if (m.nrows, m.ncols) != (cb.level_dim(q), ca.level_dim(q)):
-                    raise PosetError(f"chain map at ({a}, {b}) level {q} wrong shape")
-                if q >= 1:
-                    left = cb.diffs[q] @ m
-                    right = mats[q - 1] @ ca.diffs[q]
-                    if left != right:
-                        raise PosetError(
-                            f"chain map at ({a}, {b}) does not commute at level {q}"
-                        )
-        for a, b, c in P.chains(2):
-            for q in range(len(self.maps[(a, c)])):
-                left = self.maps[(a, c)][q]
-                right = self.maps[(b, c)][q] @ self.maps[(a, b)][q]
-                if left != right:
-                    raise PosetError(
-                        f"functoriality fails on ({a}, {b}, {c}) at level {q}"
-                    )
-        return self
-
-
-def arc_chain_functor(A: GradedAlgebra, P: Poset, q_top: int) -> PosetChainFunctor:
-    """Tensor-power chain columns over each object's components.
-
-    Each object carries the chain model of its components as a discrete
-    space, truncated at q_top; related pairs push along the component
-    maps level by level.  A discrete space repeats level 0 at every level,
-    so each level's push is the map of arc_functor.
-    """
-    F = arc_functor(A, P)
-    complexes = {}
-    for x in P.objects:
-        space = disjoint_union(*[point() for _ in range(P.components[x])])
-        complexes[x] = unnormalized_complex(A, space, q_top)
-    maps = {ab: [m] * (q_top + 1) for ab, m in F.maps.items()}
-    return PosetChainFunctor(P, A.field, complexes, maps).validate()
-
-
-def nerve_double_complex(I: Poset, Fc: PosetChainFunctor) -> DoubleComplex:
-    """Nerve faces across, internal differentials down.
-
-    Columns are complete (chains stop at the longest one), rows stop at
-    the truncation of the assigned complexes, so the trusted window is
-    one short of that truncation.
-    """
-    Fc.validate()
-    field = Fc.field
-    ell = I.longest_chain()
-    names = I.objects
-    chains = [
-        [tuple(names[i] for i in ch) for ch in lv] for lv in I._chain_levels(ell)
-    ]
-    gens: dict = {}
-    offsets: dict = {}
-    q_tops = []
-    for p in range(ell + 1):
-        for ch in chains[p]:
-            C0 = Fc.complexes[ch[0]]
-            q_tops.append(C0.top)
-            for q in range(C0.top + 1):
-                lv = gens.setdefault((p, q), [])
-                offsets[(p, q, ch)] = len(lv)
-                lv.extend(((ch, nm), t) for nm, t in C0.levels[q])
-    d_h: dict = {}
-    d_v: dict = {}
-    for (p, q), lv in sorted(gens.items()):
-        if q >= 1:
-            m = SMat(len(gens.get((p, q - 1), ())), len(lv), field)
-            for ch in chains[p]:
-                C0 = Fc.complexes[ch[0]]
-                if q > C0.top:
-                    continue
-                base = offsets[(p, q, ch)]
-                tbase = offsets[(p, q - 1, ch)]
-                for j, col in enumerate(C0.diffs[q].cols):
-                    for i, v in col.items():
-                        m.add_at(tbase + i, base + j, v)
-            d_v[(p, q)] = m
-        if p >= 1:
-            m = SMat(len(gens.get((p - 1, q), ())), len(lv), field)
-            for ch in chains[p]:
-                C0 = Fc.complexes[ch[0]]
-                if q > C0.top:
-                    continue
-                base = offsets[(p, q, ch)]
-                tail = ch[1:]
-                if (p - 1, q, tail) in offsets:
-                    tbase = offsets[(p - 1, q, tail)]
-                    mq = Fc.maps[(ch[0], ch[1])][q]
-                    for j, col in enumerate(mq.cols):
-                        for i, v in col.items():
-                            m.add_at(tbase + i, base + j, v)
-                for drop in range(1, p + 1):
-                    sub = ch[:drop] + ch[drop + 1 :]
-                    if (p - 1, q, sub) not in offsets:
-                        continue
-                    tbase = offsets[(p - 1, q, sub)]
-                    sign = field.one if drop % 2 == 0 else -field.one
-                    for j in range(C0.level_dim(q)):
-                        m.add_at(tbase + j, base + j, sign)
-            d_h[(p, q)] = m
-    q_valid = {p: min(q_tops) - 1 for p in range(ell + 1)}
-    D = DoubleComplex.from_commuting(
-        field, gens, d_h, d_v, p_exact=True, q_valid=q_valid
-    )
-    D.validate()
-    return D
 
 
 def poset_to_json(P: Poset) -> dict:

@@ -333,6 +333,25 @@ def test_compare_unknown_side(capsys):
     assert "neither a pipeline" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["hh-bar", "--algebra", "dual", "--smax", "2", "--sphere", "0"], "--sphere"),
+        (["sseq", "--algebra", "dual", "--pmax", "2", "--sphere", "0"], "--sphere"),
+        (["etale-check", "--algebra", "qxq", "--smax", "1", "--sphere", "0"], "--sphere"),
+        (["compare", "--left", "loday", "--right", "bar", "--algebra", "dual",
+          "--smax", "1", "--sphere", "0"], "--sphere"),
+        (["sseq", "--algebra", "dual", "--pmax", "2", "--rmax", "0"], "--rmax"),
+    ],
+    ids=["hh-bar", "sseq", "etale-check", "compare", "sseq-rmax"],
+)
+def test_nonpositive_sphere_and_rmax_are_usage_errors(capsys, argv, flag):
+    code, text, err = run(capsys, *argv)
+    assert code == 1
+    assert text == ""
+    assert f"usage error: {flag} must be positive, got 0" in err
+
+
 # validate
 
 

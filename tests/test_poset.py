@@ -17,7 +17,7 @@ from hhx.catalog import (
     split_pair,
     split_triple,
 )
-from hhx.chains import ChainError, _check_degrees, e_infinity, total_complex
+from hhx.chains import ChainError, _check_degrees
 from hhx.fields import GF, QQ
 from hhx.loday import hh
 from hhx.matrix import SMat
@@ -25,13 +25,11 @@ from hhx.poset import (
     Poset,
     PosetError,
     PosetFunctor,
-    arc_chain_functor,
     arc_functor,
     constant_functor,
     cyclic_cech_poset,
     edge_map,
     nerve_complex,
-    nerve_double_complex,
     poset_from_json,
     poset_homology,
     poset_to_json,
@@ -89,7 +87,6 @@ def test_chains_and_covers():
     P = chain_poset(["a", "b", "c"])
     assert P.longest_chain() == 2
     assert P.chains(1) == [("a", "b"), ("a", "c"), ("b", "c")]
-    assert P.covers == (("a", "b"), ("b", "c"))
 
 
 def test_functoriality_violation_names_triple():
@@ -317,36 +314,6 @@ def test_char_two_coefficients():
     P = cyclic_cech_poset(2)
     table = poset_homology(P, constant_functor(P, GF(2)), 1)
     assert table.entries == {(0, 0): 1}
-
-
-# ---------------------------------------------------- chain functors
-
-
-def test_chain_valued_pipeline():
-    A = dual_numbers()
-    P = cyclic_cech_poset(2)
-    Fc = arc_chain_functor(A, P, 2)
-    Fc.validate()
-    D = nerve_double_complex(P, Fc)
-    T = total_complex(D)
-    got = T.homology(P.window, provenance="poset").entries
-    assert got == hh(A, circle_min(), 1).entries
-
-
-def test_chain_valued_converges():
-    A = split_pair()
-    P = cyclic_cech_poset(2)
-    D = nerve_double_complex(P, arc_chain_functor(A, P, 2))
-    T = total_complex(D)
-    page, _r = e_infinity(D)
-    sums = {}
-    for (p, q, t), d in page.entries.items():
-        sums[p + q] = sums.get(p + q, 0) + d
-    tot = {}
-    for (s, t), d in T.homology(T.s_valid, provenance="poset").entries.items():
-        tot[s] = tot.get(s, 0) + d
-    for n in range(min(page.n_valid, T.s_valid) + 1):
-        assert sums.get(n, 0) == tot.get(n, 0)
 
 
 # ------------------------------------------------------------- JSON
