@@ -13,8 +13,6 @@ coefficients on both sides.
 
 from __future__ import annotations
 
-import itertools
-
 from .algebra import GradedAlgebra, tensor_algebras, unit_adapted
 from .chains import (
     BettiTable,
@@ -270,10 +268,10 @@ def two_sided_bar(
 ) -> DoubleComplex:
     """Double complex M (x) B^p (x) N: bar faces across, inner differential down.
 
-    Columns stop at p_max and the inner grading stops at the stored top of
-    the model, so the trustworthy total window is min(p_max - 1, window of
-    B).  Module actions get their unit, associativity, and boundary checks
-    here before anything is built.
+    Only blocks with p + q <= p_max inside the stored top of the model are
+    built, as totals read no level above p_max; the trustworthy total
+    window is min(p_max - 1, window of B).  Module actions get their unit,
+    associativity, and boundary checks here before anything is built.
     """
     if p_max < 1:
         raise ChainError(f"column bound must be at least 1, got {p_max}")
@@ -288,15 +286,25 @@ def two_sided_bar(
     q_top = C.top
     flat = [(q, j) for q in range(q_top + 1) for j in range(C.level_dim(q))]
     tB = {(q, j): C.levels[q][j][1] for (q, j) in flat}
+
+    def words(p, budget):
+        # words of p entries of flat with levels summing to at most budget,
+        # in product order; flat is sorted by level, so a slot stops early
+        if p == 0:
+            yield ()
+            return
+        for w in flat:
+            if w[0] > budget:
+                break
+            yield from ((w, *rest) for rest in words(p - 1, budget - w[0]))
+
     gens: dict = {}
     index: dict = {}
     for p in range(p_max + 1):
         for i_m in range(len(M.gens)):
             t_m = M.gens[i_m][1]
-            for word in itertools.product(flat, repeat=p):
+            for word in words(p, min(q_top, p_max - p)):
                 q = sum(w[0] for w in word)
-                if q > q_top:
-                    continue
                 for k_n in range(len(N.gens)):
                     t = t_m + sum(tB[w] for w in word) + N.gens[k_n][1]
                     name = (i_m, word, k_n)
@@ -387,7 +395,8 @@ def suspension_bar(A: GradedAlgebra, d: int, p_max: int) -> DoubleComplex:
     """The bar double complex whose total homology is A over the d-sphere.
 
     For d = 1 it is circle_bar; for d >= 2 the two-sided bar of A over the
-    normalized model of the (d-1)-sphere, stored up to level p_max.
+    normalized model of the (d-1)-sphere, stored up to level p_max.  Blocks
+    stop at p + q <= p_max, the levels any trusted total reads.
     """
     if d < 1:
         raise ChainError(f"sphere dimension must be at least 1, got {d}")
@@ -404,8 +413,8 @@ def hh_via_suspension(A: GradedAlgebra, d: int, s_max: int) -> BettiTable:
 
     The total complex of suspension_bar with columns to s_max + 1: the base
     model is A (x) A when d = 1; for d >= 2 it is the normalized model of
-    the (d-1)-sphere with the shuffle product, truncated to the window the
-    requested range needs.
+    the (d-1)-sphere with the shuffle product.  Blocks stop at
+    p + q <= s_max + 1, the window the requested range needs.
     """
     if s_max < 0:
         raise ChainError(f"window bound must be nonnegative, got {s_max}")

@@ -34,7 +34,6 @@ __all__ = [
     "sseq_pages",
     "r_stable",
     "e_infinity",
-    "transpose_double",
 ]
 
 
@@ -630,14 +629,6 @@ def sseq_pages(D: DoubleComplex, r_max: int) -> list:
         entries = {key: len(ks) for key, ks in basis.items()}
         pages.append(SpectralSequencePage(r, entries, d, n_valid))
     return pages
-
-
-def transpose_double(D: DoubleComplex, p_exact=True, q_valid=None) -> DoubleComplex:
-    """Swap the two directions; anticommutation is preserved verbatim."""
-    gens = {(q, p): v for (p, q), v in D.gens.items()}
-    d_h = {(q, p): m for (p, q), m in D.d_v.items()}
-    d_v = {(q, p): m for (p, q), m in D.d_h.items()}
-    return DoubleComplex(D.field, gens, d_h, d_v, p_exact=p_exact, q_valid=q_valid)
 
 
 def r_stable(D: DoubleComplex) -> int:

@@ -10,11 +10,13 @@ from hhx.bar import (
     circle_bar,
     hh_via_suspension,
     loday_model,
+    suspension_bar,
     two_sided_bar,
 )
 from hhx.algebra import tensor_algebras
 from hhx.catalog import (
     dual_numbers,
+    dual_square,
     exterior_line,
     gf4,
     ground,
@@ -22,7 +24,7 @@ from hhx.catalog import (
     split_pair,
     split_triple,
 )
-from hhx.chains import ChainError, e_infinity, total_complex
+from hhx.chains import ChainError, e_infinity, r_stable, sseq_pages, total_complex
 from hhx.loday import hh
 from hhx.matrix import SMat
 from hhx.simplicial import circle_min, sphere_min
@@ -187,6 +189,36 @@ def test_suspension_dim2_graded():
     want = hh(A, sphere_min(2), 2).entries
     got = hh_via_suspension(A, 2, 2).entries
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "make, s_max",
+    [
+        (ground, 3),
+        (dual_numbers, 3),
+        (split_pair, 3),
+        (exterior_line, 3),
+        (gf4, 3),
+        (split_triple, 2),
+        # at s = 3 validating the S^2 model of dual_square alone takes a minute
+        (dual_square, 2),
+    ],
+    ids=["Q", "dual", "QxQ", "exterior", "F4", "Q3", "dual-square"],
+)
+def test_suspension_dim3_matches_sphere(make, s_max):
+    A = make()
+    got = hh_via_suspension(A, 3, s_max)
+    assert got.window_equal(hh(A, sphere_min(3), s_max), s_max)
+
+
+@pytest.mark.parametrize("make", [dual_numbers, exterior_line], ids=["dual", "ext"])
+def test_suspension_bar_stops_at_window(make):
+    # blocks past p + q = p_max are never read; the page count stays put
+    D = suspension_bar(make(), 2, 4)
+    assert all(p + q <= 4 for (p, q) in D.gens)
+    assert sum(len(v) for v in D.gens.values()) == 324
+    assert r_stable(D) == 6
+    assert sseq_pages(D, 6)[6].n_valid == 3
 
 
 def test_suspension_provenance():

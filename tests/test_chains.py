@@ -17,7 +17,6 @@ from hhx.chains import (
     sseq_pages,
     tensor_complexes,
     total_complex,
-    transpose_double,
 )
 from hhx.bar import circle_bar, suspension_bar
 from hhx.catalog import dual_numbers, exterior_line, gf4
@@ -370,6 +369,14 @@ def test_double_complex_unit_square_acyclic():
     assert T.homology().entries == {}
     page, _ = e_infinity(D)
     assert not page.entries
+
+
+def transpose_double(D):
+    """Swap the two directions; anticommutation is preserved verbatim."""
+    gens = {(q, p): v for (p, q), v in D.gens.items()}
+    d_h = {(q, p): m for (p, q), m in D.d_v.items()}
+    d_v = {(q, p): m for (p, q), m in D.d_h.items()}
+    return DoubleComplex(D.field, gens, d_h, d_v)
 
 
 def test_exact_rows_kill_positive_columns_after_transpose():

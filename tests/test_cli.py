@@ -135,6 +135,22 @@ def test_hh_bar_sphere(capsys):
     assert table.entries == {(0, 0): 2}
 
 
+def test_hh_bar_sphere3_matches_loday(capsys):
+    code, text, _ = run(
+        capsys, "hh-bar", "--algebra", "dual", "--sphere", "3",
+        "--smax", "3", "--json",
+    )
+    assert code == 0
+    code, want, _ = run(
+        capsys, "hh", "--algebra", "dual", "--space", "sphere:3",
+        "--smax", "3", "--json",
+    )
+    assert code == 0
+    got = json.loads(text)["entries"]
+    assert got == json.loads(want)["entries"]
+    assert got == [{"s": 0, "t": 0, "dim": 2}, {"s": 3, "t": 0, "dim": 1}]
+
+
 def test_oracle_hh_table(capsys):
     code, text, _ = run(
         capsys, "oracle-hh", "--algebra", "exterior.json", "--smax", "2",
@@ -247,6 +263,17 @@ def test_sseq_totals_match_circle_homology(capsys, sphere, expected):
         totals[n] = totals.get(n, 0) + e["dim"]
     assert einf["n_valid"] == 2
     assert totals == expected
+
+
+def test_sseq_q3_sphere2_window(capsys):
+    # the bar stops at p + q <= 4; r_stab is still p_max + 2
+    code, text, _ = run(
+        capsys, "sseq", "--algebra", "q3", "--sphere", "2", "--pmax", "4", "--json",
+    )
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["r_stab"] == 6
+    assert doc["e_infinity"]["n_valid"] == 3
 
 
 def test_etale_check_report_wording(capsys):
