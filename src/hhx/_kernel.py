@@ -6,12 +6,18 @@ F_p with values in [1, p), and integer rows standing in for rational ones
 pivot columns, and the reduced echelon form is recovered by dividing each
 final row by its pivot).
 
-Rational elimination works by cross-multiplication followed by content
-reduction, so every intermediate value is an integer and no gcd churn from
-fraction normalization occurs.  Columns are processed left to right, which
-pins the canonical staircase pivot set; inside a column the sparsest
-candidate row wins (Markowitz-style).  The reduced echelon form returned is
-the unique primitive one.
+Both regimes share one pivot order and one back-substitution.  Columns are
+processed left to right, which pins the canonical staircase pivot set;
+inside a column the sparsest candidate row wins, ties to the lower index
+(Markowitz-style, after Dumas & Villard).  The regimes differ only in how a
+pivot row clears its column from another row:
+
+- over the integers, by fraction-free cross-multiplication (Bareiss)
+  followed by content reduction, so every intermediate value is an integer
+  and no gcd churn from fraction normalization occurs; the reduced echelon
+  form returned is the unique primitive one;
+- over F_p, by subtracting rc times the pivot row mod p, after the pivot
+  row has been scaled to pivot 1.
 """
 
 from __future__ import annotations
@@ -23,103 +29,47 @@ from math import gcd
 KERNEL_TAG = "py"
 
 
-def _row_content(row) -> int:
+def _reduce_content(row) -> None:
     g = 0
     for v in row.values():
         g = gcd(g, v)
         if g == 1:
-            break
-    return g
-
-
-def _reduce_content(row) -> None:
-    content = _row_content(row)
-    if content > 1:
+            return
+    if g > 1:
         for ci in row:
-            row[ci] //= content
+            row[ci] //= g
 
 
-def _forward_int(rows):
-    """Forward elimination over the integers.
-
-    Returns (rows, pivots) with pivots a list of (col, row_index) in
-    ascending column order; pivot rows are content-reduced and live in
-    ``rows`` untouched afterwards.
-    """
-    rows = [dict(r) for r in rows if r]
-    buckets: dict[int, list[int]] = {}
-    heap: list[int] = []
-    for i, r in enumerate(rows):
-        c = min(r)
-        if c not in buckets:
-            buckets[c] = []
-            heapq.heappush(heap, c)
-        buckets[c].append(i)
-    pivots = []
-    while heap:
-        c = heapq.heappop(heap)
-        cand = buckets.pop(c, None)
-        if not cand:
-            continue
-        ri = min(cand, key=lambda i: (len(rows[i]), i))
-        row = rows[ri]
-        pv = row[c]
-        for j in cand:
-            if j == ri:
+def _clear_int(row, c, others) -> None:
+    """Clear column c of each of others with the pivot row, over Z."""
+    pv = row[c]
+    for other in others:
+        rc = other.pop(c)
+        g = gcd(pv, rc)
+        mult_self = pv // g
+        mult_piv = rc // g
+        if mult_self != 1:
+            for ci in other:
+                other[ci] *= mult_self
+        for ci, v in row.items():
+            if ci == c:
                 continue
-            other = rows[j]
-            rc = other.pop(c)
-            g = gcd(pv, rc)
-            mult_self = pv // g
-            mult_piv = rc // g
-            if mult_self != 1:
-                for ci in other:
-                    other[ci] *= mult_self
-            for ci, v in row.items():
-                if ci == c:
-                    continue
-                nv = other.get(ci, 0) - mult_piv * v
-                if nv:
-                    other[ci] = nv
-                else:
-                    other.pop(ci, None)
-            if other:
-                _reduce_content(other)
-                c2 = min(other)
-                if c2 not in buckets:
-                    buckets[c2] = []
-                    heapq.heappush(heap, c2)
-                buckets[c2].append(j)
-        pivots.append((c, ri))
-    return rows, pivots
+            nv = other.get(ci, 0) - mult_piv * v
+            if nv:
+                other[ci] = nv
+            else:
+                other.pop(ci, None)
+        _reduce_content(other)
 
 
-def _forward_fp(rows, p):
-    """Forward elimination mod p; retired pivot rows are scaled to pivot 1."""
-    rows = [dict(r) for r in rows if r]
-    buckets: dict[int, list[int]] = {}
-    heap: list[int] = []
-    for i, r in enumerate(rows):
-        c = min(r)
-        if c not in buckets:
-            buckets[c] = []
-            heapq.heappush(heap, c)
-        buckets[c].append(i)
-    pivots = []
-    while heap:
-        c = heapq.heappop(heap)
-        cand = buckets.pop(c, None)
-        if not cand:
-            continue
-        ri = min(cand, key=lambda i: (len(rows[i]), i))
-        row = rows[ri]
+def _clear_fp(p: int):
+    """The clearing step mod p; it first scales the pivot row to pivot 1."""
+
+    def clear(row, c, others) -> None:
         inv = pow(row[c], p - 2, p)
         for ci in row:
             row[ci] = row[ci] * inv % p
-        for j in cand:
-            if j == ri:
-                continue
-            other = rows[j]
+        for other in others:
             rc = other.pop(c)
             for ci, v in row.items():
                 if ci == c:
@@ -129,6 +79,30 @@ def _forward_fp(rows, p):
                     other[ci] = nv
                 else:
                     other.pop(ci, None)
+
+    return clear
+
+
+def _forward(rows, clear):
+    """Forward elimination: (rows, pivots), (col, row_index) by column."""
+    rows = [dict(r) for r in rows if r]
+    buckets: dict[int, list[int]] = {}
+    heap: list[int] = []
+    for i, r in enumerate(rows):
+        c = min(r)
+        if c not in buckets:
+            buckets[c] = []
+            heapq.heappush(heap, c)
+        buckets[c].append(i)
+    pivots = []
+    while heap:
+        c = heapq.heappop(heap)
+        cand = buckets.pop(c)
+        ri = min(cand, key=lambda i: (len(rows[i]), i))
+        rest = [j for j in cand if j != ri]
+        clear(rows[ri], c, [rows[j] for j in rest])
+        for j in rest:
+            other = rows[j]
             if other:
                 c2 = min(other)
                 if c2 not in buckets:
@@ -139,25 +113,28 @@ def _forward_fp(rows, p):
     return rows, pivots
 
 
+def _reduced(rows, clear):
+    """Forward elimination, then back-substitution: (pivot_cols, rows)."""
+    rows, pivots = _forward(rows, clear)
+    pivot_cols = {c for c, _ in pivots}
+    # for each pivot column, the pivot rows holding a stray entry there
+    fix: dict[int, list[dict]] = {}
+    for c, ri in pivots:
+        for ci in rows[ri]:
+            if ci != c and ci in pivot_cols:
+                fix.setdefault(ci, []).append(rows[ri])
+    for c, ri in reversed(pivots):
+        if c in fix:
+            clear(rows[ri], c, fix[c])
+    return [c for c, _ in pivots], [rows[ri] for _, ri in pivots]
+
+
 def rank_int(rows) -> int:
-    _, pivots = _forward_int(rows)
-    return len(pivots)
+    return len(_forward(rows, _clear_int)[1])
 
 
 def rank_fp(rows, p: int) -> int:
-    _, pivots = _forward_fp(rows, p)
-    return len(pivots)
-
-
-def _fix_lists(rows, pivots):
-    """For each pivot column, the pivot rows holding a stray entry there."""
-    pivot_cols = {c for c, _ in pivots}
-    fix: dict[int, list[int]] = {}
-    for k, (c, ri) in enumerate(pivots):
-        for ci in rows[ri]:
-            if ci != c and ci in pivot_cols:
-                fix.setdefault(ci, []).append(k)
-    return fix
+    return len(_forward(rows, _clear_fp(p))[1])
 
 
 def rref_int(rows):
@@ -168,57 +145,16 @@ def rref_int(rows):
     with positive pivot entry; dividing by the pivot recovers the canonical
     rational form.
     """
-    rows, pivots = _forward_int(rows)
-    fix = _fix_lists(rows, pivots)
-    for k in range(len(pivots) - 1, -1, -1):
-        c, ri = pivots[k]
-        prow = rows[ri]
-        pv = prow[c]
-        for k2 in fix.get(c, ()):
-            other = rows[pivots[k2][1]]
-            rc = other.pop(c)
-            g = gcd(pv, rc)
-            mult_self = pv // g
-            mult_piv = rc // g
-            if mult_self != 1:
-                for ci in other:
-                    other[ci] *= mult_self
-            for ci, v in prow.items():
-                if ci == c:
-                    continue
-                nv = other.get(ci, 0) - mult_piv * v
-                if nv:
-                    other[ci] = nv
-                else:
-                    other.pop(ci, None)
-            _reduce_content(other)
-    out_cols, out_rows = [], []
-    for c, ri in pivots:
-        prow = rows[ri]
+    cols, out = _reduced(rows, _clear_int)
+    for c, prow in zip(cols, out):
+        # a pivot row never cleared keeps the content it came in with
+        _reduce_content(prow)
         if prow[c] < 0:
             for ci in prow:
                 prow[ci] = -prow[ci]
-        out_cols.append(c)
-        out_rows.append(prow)
-    return out_cols, out_rows
+    return cols, out
 
 
 def rref_fp(rows, p: int):
     """Reduced echelon form mod p: (pivot_cols, rows), pivot entries 1."""
-    rows, pivots = _forward_fp(rows, p)
-    fix = _fix_lists(rows, pivots)
-    for k in range(len(pivots) - 1, -1, -1):
-        c, ri = pivots[k]
-        prow = rows[ri]
-        for k2 in fix.get(c, ()):
-            other = rows[pivots[k2][1]]
-            rc = other.pop(c)
-            for ci, v in prow.items():
-                if ci == c:
-                    continue
-                nv = (other.get(ci, 0) - rc * v) % p
-                if nv:
-                    other[ci] = nv
-                else:
-                    other.pop(ci, None)
-    return [c for c, _ in pivots], [rows[ri] for _, ri in pivots]
+    return _reduced(rows, _clear_fp(p))

@@ -52,18 +52,6 @@ __all__ = [
 ]
 
 
-def _weights(d: int, m: int) -> list[int]:
-    # big-endian: first factor is the most significant digit
-    return [d ** (m - 1 - k) for k in range(m)]
-
-
-def _rank_tuple(phi, wt) -> int:
-    g = 0
-    for i, w in zip(phi, wt):
-        g += i * w
-    return g
-
-
 def _add_level(acc: dict, vec: dict, c0, index: dict, add) -> None:
     """acc += c0 * vec, with the monomials of vec rewritten as coordinates.
 

@@ -51,10 +51,6 @@ class SMat:
     def identity(cls, n, field) -> "SMat":
         return cls(n, n, field, [{i: field.one} for i in range(n)])
 
-    @classmethod
-    def zero(cls, nrows, ncols, field) -> "SMat":
-        return cls(nrows, ncols, field)
-
     def add_at(self, i: int, j: int, v) -> None:
         """Accumulate v into entry (i, j)."""
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
@@ -124,9 +120,6 @@ class SMat:
         # a product of two nonzero field elements is nonzero
         cols = [{i: field(v * a) for i, v in col.items()} for col in self.cols]
         return SMat(self.nrows, self.ncols, field, cols)
-
-    def __neg__(self) -> "SMat":
-        return self.scale(-1)
 
     def __eq__(self, other) -> bool:
         return (

@@ -18,7 +18,7 @@ import itertools
 
 from .algebra import GradedAlgebra
 from .chains import BettiTable, ChainComplex, _check_degrees, _t_blocks
-from .loday import _Push, _rank_tuple, _weights
+from .loday import _Push, _positions
 from .matrix import SMat, echelon_quotient
 
 __all__ = [
@@ -289,17 +289,18 @@ def arc_functor(A: GradedAlgebra, P: Poset) -> PosetFunctor:
             (phi, sum(A.degrees[i] for i in phi))
             for phi in itertools.product(range(dA), repeat=c)
         ]
+    index = {x: _positions(phi for phi, _ in sp) for x, sp in spaces.items()}
     maps = {}
     for a, b in P.le:
         if a == b:
             continue
         tp = P.comp_maps[(a, b)]
         push = _Push(A, list(tp), P.components[b])
-        wt = _weights(dA, P.components[b])
+        where = index[b]
         mat = SMat(len(spaces[b]), len(spaces[a]), field)
         for j, (phi, _t) in enumerate(spaces[a]):
             for tup, c in push.column(phi).items():
-                mat.add_at(_rank_tuple(tup, wt), j, c)
+                mat.add_at(where[tup], j, c)
         maps[(a, b)] = mat
     return PosetFunctor(P, field, spaces, maps).validate()
 

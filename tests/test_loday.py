@@ -148,7 +148,7 @@ def test_dual_numbers_profile_against_periodic_resolution():
     # gives dims (2, 1, 1, 1, 1); over F_2 nothing cancels.
     A = dual_numbers()
     two_x = dense([[0, 0], [2, 0]], QQ)
-    zero = SMat.zero(2, 2, QQ)
+    zero = SMat(2, 2, QQ)
     levels = [[("1", 0), ("x", 0)]] * 6
     diffs = [None, zero, two_x, zero, two_x, zero]
     resolution = ChainComplex(QQ, levels, diffs).validate()
@@ -376,7 +376,7 @@ def test_unit_adapted_is_an_isomorphism(A):
 
 
 def test_normalize_plain_complex_is_identity():
-    zero = SMat.zero(1, 1, QQ)
+    zero = SMat(1, 1, QQ)
     C = ChainComplex(QQ, [[("a", 0)], [("b", 0)]], [None, zero])
     assert normalize(C) is C
 
@@ -427,7 +427,7 @@ def test_relative_base_dual_square_periodic():
     assert absolute.window_equal(one_factor.convolve(one_factor), 2)
 
     two_y = SMat.from_entries(4, 4, QQ, [(2, 0, QQ(2)), (3, 1, QQ(2))])
-    zero = SMat.zero(4, 4, QQ)
+    zero = SMat(4, 4, QQ)
     names = [("1", 0), ("x", 0), ("y", 0), ("xy", 0)]
     resolution = ChainComplex(
         QQ, [names] * 4, [None, zero, two_y, zero]

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hhx import _kernel
 from hhx.fields import GF, QQ
 from hhx.matrix import SMat
 
@@ -60,7 +63,7 @@ def test_basic_shape_ops():
     m = SMat.from_dense([[1, 2], [3, 4]], QQ)
     assert m.entry(0, 1) == 2
     assert m.transpose().entry(1, 0) == 2
-    assert (m + (-m)).is_zero()
+    assert (m + m.scale(-1)).is_zero()
     assert m.matmul(SMat.identity(2, QQ)) == m
     with pytest.raises(ValueError):
         m.matmul(SMat.identity(3, QQ))
@@ -79,7 +82,7 @@ def test_rank_examples():
     assert SMat.from_dense([[2, 0], [0, 3]], QQ).rank() == 2
     # rank drops mod 2
     assert SMat.from_dense([[2, 0], [0, 3]], GF(2)).rank() == 1
-    assert SMat.zero(4, 5, QQ).rank() == 0
+    assert SMat(4, 5, QQ).rank() == 0
     assert SMat(0, 3, QQ).rank() == 0
     assert SMat(3, 0, QQ).rank() == 0
 
@@ -248,3 +251,103 @@ def test_rref_matches_dense_oracle(rows):
     # the reduced echelon form is unique, so it must agree entry for entry
     for field in (QQ, GF(2), GF(3), GF(7)):
         assert SMat.from_dense(rows, field).rref() == dense_rref(rows, field)
+
+
+KERNEL_COLS = 7
+int_rows = st.lists(
+    st.dictionaries(
+        st.integers(0, KERNEL_COLS - 1),
+        st.integers(-30, 30).filter(bool),
+        max_size=KERNEL_COLS,
+    ),
+    max_size=7,
+)
+
+
+def _assert_echelon(cols, rows):
+    # sorted by pivot, each pivot the row's first entry and alone in its column
+    assert cols == sorted(set(cols))
+    assert len(rows) == len(cols)
+    for c, row in zip(cols, rows):
+        assert min(row) == c
+        assert set(row) & set(cols) == {c}
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_rows)
+@example([{0: 2, 1: 4}, {0: 3, 1: 1, 2: 6}])
+@example([{0: 6}])
+def test_kernel_rref_int_contract(rows):
+    cols, out = _kernel.rref_int(rows)
+    _assert_echelon(cols, out)
+    for c, row in zip(cols, out):
+        assert row[c] > 0
+        assert gcd(*row.values()) == 1
+    assert _kernel.rank_int(rows) == len(cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_rows)
+def test_kernel_rref_fp_contract(rows):
+    for p in (2, 3, 7):
+        reduced = [{j: v % p for j, v in r.items() if v % p} for r in rows]
+        cols, out = _kernel.rref_fp(reduced, p)
+        _assert_echelon(cols, out)
+        for c, row in zip(cols, out):
+            assert row[c] == 1
+            assert all(type(v) is int and 1 <= v < p for v in row.values())
+        assert _kernel.rank_fp(reduced, p) == len(cols)
+
+
+@pytest.mark.parametrize(
+    "rows, want",
+    [
+        ([{0: 2, 1: 4}, {0: 3, 1: 1, 2: 6}], ([0, 1], [{0: 5, 2: 12}, {1: 5, 2: -6}])),
+        (
+            [{1: 6, 3: -4}, {0: 2, 1: 3}, {0: -4, 3: 8, 4: 2}, {1: 9, 3: -6}],
+            ([0, 1, 3], [{0: 6, 4: -1}, {1: 9, 4: 1}, {3: 6, 4: 1}]),
+        ),
+        # the first row wins column 0 and is never cleared: it still leaves
+        # with content 1
+        ([{2: -3, 0: 6}, {0: 4, 1: 10, 2: 5}], ([0, 1], [{2: -1, 0: 2}, {1: 10, 2: 7}])),
+    ],
+)
+def test_kernel_rref_int_fixed(rows, want):
+    assert _kernel.rref_int(rows) == want
+    assert _kernel.rank_int(rows) == len(want[0])
+
+
+@pytest.mark.parametrize(
+    "rows, p, want",
+    [
+        ([{0: 1, 2: 1}, {0: 1, 1: 1}, {1: 1, 2: 1}], 2, ([0, 1], [{0: 1, 2: 1}, {1: 1, 2: 1}])),
+        ([{0: 2, 1: 1}, {0: 1, 2: 2}, {1: 2, 2: 1}], 3, ([0, 1], [{0: 1, 2: 2}, {1: 1, 2: 2}])),
+        (
+            [{0: 3, 1: 5, 3: 6}, {1: 4, 2: 2}, {0: 6, 2: 1, 3: 5}],
+            7,
+            ([0, 1, 2], [{0: 1, 3: 2}, {1: 1}, {2: 1}]),
+        ),
+    ],
+)
+def test_kernel_rref_fp_fixed(rows, p, want):
+    assert _kernel.rref_fp(rows, p) == want
+    assert _kernel.rank_fp(rows, p) == len(want[0])
+
+
+def test_kernel_has_one_elimination_loop():
+    """Both scalar regimes share one forward loop: one heappop in the kernel.
+
+    A regime differs only in its row-clearing step; a second copy of the
+    column heap and the sparsest-row choice would show up as a second pop.
+    """
+    path = Path(_kernel.__file__)
+    pops = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "heappop"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "heapq"
+    ]
+    assert len(pops) == 1, pops
