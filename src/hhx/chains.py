@@ -26,8 +26,6 @@ __all__ = [
     "ChainComplex",
     "ChainMap",
     "cone",
-    "is_quasi_iso",
-    "tensor_complexes",
     "DoubleComplex",
     "total_complex",
     "SpectralSequencePage",
@@ -133,6 +131,31 @@ def _t_blocks(gens) -> dict:
     return out
 
 
+def _betti(levels, n_max: int, block_rank) -> dict:
+    """{(n, t): dimension of (co)homology} at each level n <= n_max.
+
+    The maps join consecutive levels, in either direction, and preserve t.
+    block_rank(n, idx, up) is the rank of the t block between levels n and
+    n + 1, given its generator indices idx at level n and up at level n + 1
+    (up nonempty); a t missing at either end has a block of rank 0.  Each
+    block is ranked once and its rank is taken off both of its levels: at
+    one it is the rank of the image, at the other that of the coimage.
+    """
+    blocks = [_t_blocks(lv) for lv in levels[: n_max + 2]]
+    out = {}
+    r_prev: dict = {}
+    for n in range(n_max + 1):
+        r_here = {}
+        for t, idx in blocks[n].items():
+            up = blocks[n + 1].get(t) if n + 1 < len(blocks) else None
+            r_here[t] = r = block_rank(n, idx, up) if up else 0
+            h = len(idx) - r_prev.get(t, 0) - r
+            if h:
+                out[(n, t)] = h
+        r_prev = r_here
+    return out
+
+
 def _check_degrees(m: SMat, src, tgt, what: str, error=ChainError) -> None:
     """Raise error unless every entry of m joins generators of the same t.
 
@@ -216,26 +239,10 @@ class ChainComplex:
             raise ChainError(
                 f"homology requested to s={s_max} but trusted only to {self.s_valid}"
             )
-        if s_max < 0:
-            return BettiTable({}, s_max, provenance)
-        blocks = [_t_blocks(lv) for lv in self.levels]
-        out = {}
-        # rank of each t block of d_s, found as r_in at level s - 1; a t
-        # missing there has no rows, so its block has rank 0
-        r_below: dict = {}
-        for s in range(0, s_max + 1):
-            r_here = {}
-            for t, idx in blocks[s].items():
-                r_in = 0
-                if s + 1 <= self.top:
-                    cols_up = blocks[s + 1].get(t, [])
-                    if cols_up:
-                        r_in = self.diffs[s + 1].restrict(idx, cols_up).rank()
-                r_here[t] = r_in
-                h = len(idx) - r_below.get(t, 0) - r_in
-                if h:
-                    out[(s, t)] = h
-            r_below = r_here
+        out = _betti(
+            self.levels, s_max,
+            lambda s, idx, up: self.diffs[s + 1].restrict(idx, up).rank(),
+        )
         return BettiTable(out, s_max, provenance)
 
     def __repr__(self):
@@ -305,76 +312,6 @@ def cone(f: ChainMap) -> ChainComplex:
     exact = src.exact_top and tgt.exact_top
     s_valid = top if exact else min(src.s_valid + 1, tgt.s_valid)
     return ChainComplex(field, levels, diffs, s_valid=s_valid, exact_top=exact)
-
-
-def is_quasi_iso(f: ChainMap, s_max: int) -> bool:
-    """True when the mapping cone is exact through degree s_max."""
-    C = cone(f)
-    if s_max > C.s_valid:
-        raise ChainError(
-            f"quasi-isomorphism check to s={s_max} exceeds trusted range {C.s_valid}"
-        )
-    table = C.homology(s_max)
-    return not table.entries
-
-
-def tensor_complexes(C: ChainComplex, D: ChainComplex) -> ChainComplex:
-    """Graded tensor product with d(x@y) = dx@y + (-1)^a x@dy."""
-    if C.field != D.field:
-        raise ChainError("tensor factors must share a field")
-    field = C.field
-    top = C.top + D.top
-    levels = []
-    offsets: list[dict] = []
-    for s in range(top + 1):
-        gens = []
-        offs = {}
-        for a in range(max(0, s - D.top), min(s, C.top) + 1):
-            b = s - a
-            offs[a] = len(gens)
-            for cn, ct in C.levels[a]:
-                for dn, dt in D.levels[b]:
-                    gens.append(((a, b, cn, dn), ct + dt))
-        levels.append(gens)
-        offsets.append(offs)
-    diffs: list = [None]
-    for s in range(1, top + 1):
-        d = SMat(len(levels[s - 1]), len(levels[s]), field)
-        for a in range(max(0, s - D.top), min(s, C.top) + 1):
-            b = s - a
-            base = offsets[s][a]
-            nD = D.level_dim(b)
-            # dC @ id
-            if a >= 1:
-                tgt_base = offsets[s - 1][a - 1]
-                for jc, col in enumerate(C.diffs[a].cols):
-                    for ic, v in col.items():
-                        for jd in range(nD):
-                            d.add_at(
-                                tgt_base + ic * nD + jd, base + jc * nD + jd, v
-                            )
-            # (-1)^a id @ dD
-            if b >= 1:
-                tgt_base = offsets[s - 1][a]
-                nDm = D.level_dim(b - 1)
-                sign = field(-1) if a % 2 else field.one
-                for jd, col in enumerate(D.diffs[b].cols):
-                    for idd, v in col.items():
-                        sv = sign * v
-                        for jc in range(C.level_dim(a)):
-                            d.add_at(
-                                tgt_base + jc * nDm + idd, base + jc * nD + jd, sv
-                            )
-        diffs.append(d)
-    exact = C.exact_top and D.exact_top
-    if exact:
-        return ChainComplex(field, levels, diffs, exact_top=True)
-    bounds = []
-    if not C.exact_top:
-        bounds.append(C.s_valid)
-    if not D.exact_top:
-        bounds.append(D.s_valid)
-    return ChainComplex(field, levels, diffs, s_valid=min(bounds))
 
 
 # ------------------------------------------------------------- double side

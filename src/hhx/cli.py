@@ -14,7 +14,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .algebra import (
@@ -41,10 +41,12 @@ from .poset import (
 )
 from .simplicial import SimplicialError, parse_space, sphere_min
 
-__all__ = ["RunSpec", "ComparisonReport", "UsageError", "main"]
+__all__ = ["ComparisonReport", "UsageError", "main"]
 
 _CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
 _PIPELINES = ("loday", "oracle", "bar", "poset")
+# every type=int option of every subcommand; main refuses values below 1
+_BOUNDS = ("smax", "nmax", "pmax", "marks", "sphere", "rmax")
 
 
 class UsageError(Exception):
@@ -67,55 +69,29 @@ def _resolve_input(path: str):
     return None
 
 
-@dataclass
-class RunSpec:
-    """One parsed invocation: pipeline, inputs, bounds, and output routing.
+def _input(label, path):
+    """The resolved path of an optional input; a usage error when missing."""
+    if path is None:
+        return None
+    got = _resolve_input(path)
+    if got is None:
+        where = f"--{label}: " if label else ""
+        raise UsageError(f"{where}no file {path!r} and no corpus entry of that name")
+    return got
 
-    validate() enforces that every stated bound is positive and that every
-    referenced file exists (falling back to the shipped corpus for bare
-    names), and returns the parsed field override together with the
-    resolved paths.
-    """
 
-    command: str
-    inputs: dict = dataclass_field(default_factory=dict)
-    space: str | None = None
-    s_max: int | None = None
-    n_max: int | None = None
-    p_max: int | None = None
-    m: int | None = None
-    sphere: int | None = None
-    r_max: int | None = None
-    out: str | None = None
-    field: str | None = None
-
-    def validate(self):
-        bounds = (
-            ("--smax", self.s_max),
-            ("--nmax", self.n_max),
-            ("--pmax", self.p_max),
-            ("--marks", self.m),
-            ("--sphere", self.sphere),
-            ("--rmax", self.r_max),
-        )
-        for flag, value in bounds:
-            if value is not None and value < 1:
-                raise UsageError(f"{flag} must be positive, got {value}")
-        override = None
-        if self.field is not None:
-            try:
-                override = parse_field(self.field)
-            except FieldError as exc:
-                raise UsageError(str(exc)) from exc
-        resolved = {}
-        for label, path in self.inputs.items():
-            got = _resolve_input(path)
-            if got is None:
-                raise UsageError(
-                    f"--{label}: no file {path!r} and no corpus entry of that name"
-                )
-            resolved[label] = got
-        return override, resolved
+def _check_shared(args):
+    """Check the flags every command shares; return the --field override."""
+    for flag in _BOUNDS:
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise UsageError(f"--{flag} must be positive, got {value}")
+    if args.field is None:
+        return None
+    try:
+        return parse_field(args.field)
+    except FieldError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 @dataclass
@@ -200,8 +176,8 @@ def _table_human(table: BettiTable) -> list:
     return [head, table.render()]
 
 
-def _load_algebra(resolved: dict, override):
-    return algebra_from_json(_read_json(resolved["algebra"]), override)
+def _load_algebra(path: str, field):
+    return algebra_from_json(_read_json(path), field)
 
 
 def _degree_profile(A) -> dict:
@@ -211,111 +187,71 @@ def _degree_profile(A) -> dict:
     return prof
 
 
-def _cmd_hh(args) -> int:
-    inputs = {}
-    if args.algebra is not None:
-        inputs["algebra"] = args.algebra
-    if args.base is not None:
-        inputs["base"] = args.base
-    if not inputs:
+def _cmd_hh(args, field) -> int:
+    if args.algebra is None and args.base is None:
         raise UsageError("hh needs --algebra or --base")
-    spec = RunSpec(
-        "hh", inputs, space=args.space, s_max=args.smax,
-        out=args.out, field=args.field,
-    )
-    override, resolved = spec.validate()
-    X = parse_space(spec.space)
+    alg_path = _input("algebra", args.algebra)
+    base_path = _input("base", args.base)
+    X = parse_space(args.space)
     base = None
-    if "base" in resolved:
-        base = map_from_json(_read_json(resolved["base"]), override)
+    if base_path is not None:
+        base = map_from_json(_read_json(base_path), field)
         A = base.target
-        if "algebra" in resolved:
-            given = _load_algebra(resolved, override)
+        if alg_path is not None:
+            given = _load_algebra(alg_path, field)
             if algebra_to_json(given) != algebra_to_json(A):
                 raise InputError("base map target does not match --algebra")
             A = given
     else:
-        A = _load_algebra(resolved, override)
-    table = hh(A, X, spec.s_max, base=base)
+        A = _load_algebra(alg_path, field)
+    table = hh(A, X, args.smax, base=base)
     _emit(args, table.to_json(), _table_human(table))
     return 0
 
 
-def _cmd_hh_bar(args) -> int:
-    spec = RunSpec(
-        "hh-bar", {"algebra": args.algebra}, s_max=args.smax,
-        sphere=args.sphere, out=args.out, field=args.field,
-    )
-    override, resolved = spec.validate()
-    A = _load_algebra(resolved, override)
-    table = hh_via_suspension(A, args.sphere, spec.s_max)
+def _cmd_hh_bar(args, field) -> int:
+    A = _load_algebra(_input("algebra", args.algebra), field)
+    table = hh_via_suspension(A, args.sphere, args.smax)
     _emit(args, table.to_json(), _table_human(table))
     return 0
 
 
-def _cmd_oracle_hh(args) -> int:
-    spec = RunSpec(
-        "oracle-hh", {"algebra": args.algebra}, s_max=args.smax,
-        out=args.out, field=args.field,
-    )
-    override, resolved = spec.validate()
-    A = _load_algebra(resolved, override)
-    table = oracle_hh(A, spec.s_max)
+def _cmd_oracle_hh(args, field) -> int:
+    A = _load_algebra(_input("algebra", args.algebra), field)
+    table = oracle_hh(A, args.smax)
     _emit(args, table.to_json(), _table_human(table))
     return 0
 
 
-def _cmd_cohomology(args) -> int:
-    spec = RunSpec(
-        "cohomology", {"algebra": args.algebra}, n_max=args.nmax,
-        out=args.out, field=args.field,
-    )
-    override, resolved = spec.validate()
-    A = _load_algebra(resolved, override)
+def _cmd_cohomology(args, field) -> int:
+    A = _load_algebra(_input("algebra", args.algebra), field)
     # the complex is built one level past the report so every level shown
     # is trusted
-    table = hochschild_cohomology(A, spec.n_max + 1)
+    table = hochschild_cohomology(A, args.nmax + 1)
     _emit(args, table.to_json(), _table_human(table))
     return 0
 
 
-def _cmd_rhom(args) -> int:
-    spec = RunSpec(
-        "rhom", {"algebra": args.algebra}, n_max=args.nmax,
-        out=args.out, field=args.field,
-    )
-    override, resolved = spec.validate()
-    A = _load_algebra(resolved, override)
+def _cmd_rhom(args, field) -> int:
+    A = _load_algebra(_input("algebra", args.algebra), field)
     M = regular_module(A)
-    table = cobar(M, A, M, spec.n_max + 1)
+    table = cobar(M, A, M, args.nmax + 1)
     _emit(args, table.to_json(), _table_human(table))
     return 0
 
 
-def _cmd_poset_hh(args) -> int:
-    inputs = {}
-    if args.algebra is not None:
-        inputs["algebra"] = args.algebra
-    if args.poset is not None:
-        inputs["poset"] = args.poset
-    spec = RunSpec(
-        "poset-hh", inputs, s_max=args.smax, m=args.marks,
-        out=args.out, field=args.field,
-    )
-    override, resolved = spec.validate()
-    if "poset" in resolved:
-        P = poset_from_json(_read_json(resolved["poset"]))
+def _cmd_poset_hh(args, field) -> int:
+    alg_path = _input("algebra", args.algebra)
+    poset_path = _input("poset", args.poset)
+    if poset_path is not None:
+        P = poset_from_json(_read_json(poset_path))
     else:
-        P = cyclic_cech_poset(spec.m)
-    if "algebra" in resolved:
-        A = _load_algebra(resolved, override)
-        F = arc_functor(A, P)
+        P = cyclic_cech_poset(args.marks)
+    if alg_path is not None:
+        F = arc_functor(_load_algebra(alg_path, field), P)
     else:
-        F = constant_functor(P, override if override is not None else QQ)
-    if spec.s_max is not None:
-        window = spec.s_max
-    else:
-        window = P.window
+        F = constant_functor(P, field if field is not None else QQ)
+    window = args.smax if args.smax is not None else P.window
     M = nerve_complex(P, F)
     table = M.homology(window, provenance="poset")
     doc = table.to_json()
@@ -328,14 +264,9 @@ def _cmd_poset_hh(args) -> int:
     return 0
 
 
-def _cmd_sseq(args) -> int:
-    spec = RunSpec(
-        "sseq", {"algebra": args.algebra}, p_max=args.pmax,
-        sphere=args.sphere, r_max=args.rmax, out=args.out, field=args.field,
-    )
-    override, resolved = spec.validate()
-    A = _load_algebra(resolved, override)
-    D = suspension_bar(A, args.sphere, spec.p_max)
+def _cmd_sseq(args, field) -> int:
+    A = _load_algebra(_input("algebra", args.algebra), field)
+    D = suspension_bar(A, args.sphere, args.pmax)
     r_stab = r_stable(D)
     r_show = args.rmax if args.rmax is not None else r_stab
     pages = sseq_pages(D, max(r_stab, r_show))
@@ -364,20 +295,15 @@ def _cmd_sseq(args) -> int:
     return 0
 
 
-def _cmd_etale_check(args) -> int:
-    spec = RunSpec(
-        "etale-check", {"algebra": args.algebra}, s_max=args.smax,
-        sphere=args.sphere, out=args.out, field=args.field,
-    )
-    override, resolved = spec.validate()
-    A = _load_algebra(resolved, override)
+def _cmd_etale_check(args, field) -> int:
+    A = _load_algebra(_input("algebra", args.algebra), field)
     et = is_etale(A)
-    table = hh(A, sphere_min(args.sphere), spec.s_max)
+    table = hh(A, sphere_min(args.sphere), args.smax)
     descent = table.entries == _degree_profile(A)
     doc = {
         "etale": et,
         "sphere": args.sphere,
-        "s_max": spec.s_max,
+        "s_max": args.smax,
         "descent": descent,
         "table": table.to_json(),
     }
@@ -389,18 +315,14 @@ def _cmd_etale_check(args) -> int:
     return 0
 
 
-def _compare_side(which: str, name: str, args, override):
+def _compare_side(which: str, name: str, args, algebra):
+    """One side's table; algebra() loads --algebra for a pipeline side."""
     if name in _PIPELINES:
         if args.algebra is None:
             raise UsageError(f"--{which} {name} needs --algebra")
         if args.smax is None:
             raise UsageError(f"--{which} {name} needs --smax")
-        path = _resolve_input(args.algebra)
-        if path is None:
-            raise UsageError(
-                f"--algebra: no file {args.algebra!r} and no corpus entry"
-            )
-        A = algebra_from_json(_read_json(path), override)
+        A = algebra()
         if name == "loday":
             return hh(A, parse_space(args.space), args.smax)
         if name == "oracle":
@@ -421,16 +343,11 @@ def _compare_side(which: str, name: str, args, override):
     return BettiTable.from_json(obj)
 
 
-def _cmd_compare(args) -> int:
-    spec = RunSpec(
-        "compare",
-        {"algebra": args.algebra} if args.algebra is not None else {},
-        space=args.space, s_max=args.smax, m=args.marks, sphere=args.sphere,
-        out=args.out, field=args.field,
-    )
-    override, _ = spec.validate()
-    left = _compare_side("left", args.left, args, override)
-    right = _compare_side("right", args.right, args, override)
+def _cmd_compare(args, field) -> int:
+    path = _input("algebra", args.algebra)
+    algebra = functools.cache(lambda: _load_algebra(path, field))
+    left = _compare_side("left", args.left, args, algebra)
+    right = _compare_side("right", args.right, args, algebra)
     report = ComparisonReport.build(left, right, args.smax)
     _emit(args, report.to_json(), report.render())
     return 0 if report.verdict == "agree" else 3
@@ -444,14 +361,14 @@ _KIND_KEYS = (
 )
 
 
-def _validate_one(path: str, override) -> str:
+def _validate_one(path: str, field) -> str:
     obj = _read_json(path)
     if not isinstance(obj, dict):
         raise InputError("file must hold a JSON object")
     for kind, keys, loader in _KIND_KEYS:
         if keys <= set(obj):
             if loader is not None:
-                loader(obj, override)
+                loader(obj, field)
             elif kind == "poset":
                 poset_from_json(obj)
             else:
@@ -462,20 +379,14 @@ def _validate_one(path: str, override) -> str:
     )
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args, field) -> int:
     if not args.paths and args.space is None:
         raise UsageError("nothing to validate: give file paths or --space")
-    spec = RunSpec("validate", {}, space=args.space, field=args.field)
-    override, _ = spec.validate()
     bad = False
     for raw in args.paths:
-        path = _resolve_input(raw)
-        if path is None:
-            raise UsageError(
-                f"no file {raw!r} and no corpus entry of that name"
-            )
+        path = _input(None, raw)
         try:
-            kind = _validate_one(path, override)
+            kind = _validate_one(path, field)
         except (
             AlgebraError, ChainError, PosetError, FieldError,
             SimplicialError, InputError,
@@ -606,14 +517,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    if getattr(args, "command", None) is None:
-        parser.print_help()
-        return 1
-    try:
-        return args.func(args)
+        if getattr(args, "command", None) is None:
+            parser.print_help()
+            return 1
+        return args.func(args, _check_shared(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

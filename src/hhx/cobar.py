@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import GradedAlgebra, center, opposite, tensor_algebras, unit_adapted
-from .chains import BettiTable, ChainError, _check_degrees, _t_blocks
+from .chains import BettiTable, ChainError, _betti, _check_degrees
 from .matrix import SMat
 
 __all__ = [
@@ -192,21 +192,10 @@ class CobarComplex:
             raise ChainError(
                 f"cohomology requested to n={n_max} but trusted only to {bound}"
             )
-        out = {}
-        blocks = [_t_blocks(lv) for lv in self.levels]
-        # rank of each t block of delta_{n-1}, found as r_out at level n - 1;
-        # a t missing there has no columns, so its block has rank 0
-        r_prev: dict = {}
-        for n in range(0, n_max + 1):
-            r_here = {}
-            for t, idx in blocks[n].items():
-                rows = blocks[n + 1].get(t)
-                r_out = self.deltas[n].restrict(rows, idx).rank() if rows else 0
-                r_here[t] = r_out
-                h = len(idx) - r_out - r_prev.get(t, 0)
-                if h:
-                    out[(n, t)] = h
-            r_prev = r_here
+        out = _betti(
+            self.levels, n_max,
+            lambda n, idx, up: self.deltas[n].restrict(up, idx).rank(),
+        )
         return BettiTable(out, n_max, provenance)
 
 

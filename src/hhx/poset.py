@@ -219,6 +219,7 @@ def cyclic_cech_poset(m: int) -> Poset:
         raise PosetError(f"need at least two marked points, got {m}")
     total = 2 * (m + 1)
     sets = {}
+    geometry = {}
     for size in range(1, total):
         for sub in itertools.combinations(range(total), size):
             runs = _runs(sub, total)
@@ -229,13 +230,13 @@ def cyclic_cech_poset(m: int) -> Poset:
                 f"{r[0]}-{r[-1]}" if len(r) > 1 else str(r[0]) for r in runs
             )
             sets[name] = frozenset(sub)
-    names = sorted(sets, key=lambda nm: (len(_runs(sets[nm], total)), nm))
+            geometry[name] = runs
+    names = sorted(sets, key=lambda nm: (len(geometry[nm]), nm))
     le = set()
     for a in names:
         for b in names:
             if sets[a] <= sets[b]:
                 le.add((a, b))
-    geometry = {nm: _runs(sets[nm], total) for nm in names}
     components = {nm: len(geometry[nm]) for nm in names}
     comp_maps = {}
     for a, b in le:

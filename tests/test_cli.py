@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, determinism, artifact round trips."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import hhx
 from hhx.chains import BettiTable
-from hhx.cli import ComparisonReport, RunSpec, UsageError, main
+from hhx.cli import _BOUNDS, ComparisonReport, build_parser, main
 
 
 def run(capsys, *argv):
@@ -34,30 +35,7 @@ def run_proc(*argv):
     )
 
 
-# run description types
-
-
-def test_runspec_rejects_nonpositive_bounds():
-    with pytest.raises(UsageError, match="positive"):
-        RunSpec("hh", {}, s_max=0).validate()
-    with pytest.raises(UsageError, match="positive"):
-        RunSpec("hh", {}, m=-1).validate()
-
-
-def test_runspec_rejects_missing_file():
-    with pytest.raises(UsageError, match="no file"):
-        RunSpec("hh", {"algebra": "no_such_file.json"}).validate()
-
-
-def test_runspec_resolves_corpus_names():
-    override, resolved = RunSpec("hh", {"algebra": "dual"}).validate()
-    assert override is None
-    assert resolved["algebra"].endswith("dual.json")
-
-
-def test_runspec_bad_field_is_usage():
-    with pytest.raises(UsageError):
-        RunSpec("hh", {}, field="Fp:4").validate()
+# comparison report
 
 
 def test_comparison_report_agree():
@@ -485,7 +463,7 @@ def test_usage_missing_file(capsys):
         "--smax", "1",
     )
     assert code == 1
-    assert "no file" in err
+    assert "--algebra: no file 'nope.json' and no corpus entry" in err
 
 
 def test_usage_nonpositive_bound(capsys):
@@ -495,6 +473,42 @@ def test_usage_nonpositive_bound(capsys):
     )
     assert code == 1
     assert "positive" in err
+    code, text, err = run(capsys, "poset-hh", "--marks", "-1")
+    assert code == 1
+    assert text == ""
+    assert "usage error: --marks must be positive, got -1" in err
+
+
+def test_usage_bad_field(capsys):
+    code, text, err = run(
+        capsys, "hh", "--algebra", "dual", "--space", "point",
+        "--smax", "1", "--field", "Fp:4",
+    )
+    assert code == 1
+    assert text == ""
+    assert "usage error: bad field spec 'Fp:4'" in err
+
+
+def test_bare_corpus_name_resolves(capsys):
+    code, text, _ = run(
+        capsys, "hh", "--algebra", "dual", "--space", "point", "--smax", "1",
+        "--json",
+    )
+    assert code == 0
+    assert BettiTable.from_json(json.loads(text)).entries == {(0, 0): 2}
+
+
+def test_every_int_option_is_bound_checked():
+    # main refuses a nonpositive value of exactly the options in _BOUNDS
+    subs = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    for command, sub in subs.choices.items():
+        for action in sub._actions:
+            if action.type is int:
+                assert action.dest in _BOUNDS, (command, action.dest)
+                assert action.option_strings == [f"--{action.dest}"]
 
 
 def test_usage_unknown_subcommand(capsys):

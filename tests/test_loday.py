@@ -31,7 +31,7 @@ from hhx.catalog import (
     split_pair,
     split_triple,
 )
-from hhx.chains import ChainComplex, is_quasi_iso
+from hhx.chains import ChainComplex, cone
 from hhx.fields import GF, QQ
 from hhx.loday import (
     _shuffle_chain,
@@ -233,7 +233,7 @@ def test_collapse_map_is_quasi_iso():
     }
     f = SimplicialMap(sub, circle_min(), assign)
     cm = induced_map(f, dual_numbers(), 4)
-    assert is_quasi_iso(cm, 3)
+    assert cone(cm).homology(3).entries == {}
 
 
 def test_induced_map_unnormalized_commutes():
