@@ -273,15 +273,9 @@ def test_kunneth_convolution(p1, p2):
     C, bc = build_from_pieces(p1)
     D, bd = build_from_pieces(p2)
     assert C.homology() == bc
-    dd = dc_from_tensor(C, D)
-    T = total_complex(dd).validate()
+    T = total_complex(dc_from_tensor(C, D)).validate()
     conv = bc.convolve(bd)
     assert T.homology(conv.s_valid) == conv
-    page, _ = e_infinity(dd)
-    table = T.homology()
-    for n in range(T.top + 1):
-        assert page.total(n) == table.total(n)
-    assert_pages_match_ranks(dd)
 
 
 # ----------------------------------------------------------- double side
@@ -472,6 +466,61 @@ def test_total_complex_block_signs_anticommute():
     dd = dc_from_tensor(C, D)
     T = total_complex(dd)
     T.validate()
+
+
+def koszul_tensor(C, D):
+    """Tensor complex built directly: d(x@y) = dx@y + (-1)^a x@dy."""
+    field = C.field
+    top = C.top + D.top
+    offsets = [{} for _ in range(top + 1)]
+    levels = []
+    for s in range(top + 1):
+        gens = []
+        for a in range(max(0, s - D.top), min(s, C.top) + 1):
+            offsets[s][a] = len(gens)
+            gens += [((a, cn, dn), ct + dt)
+                     for cn, ct in C.levels[a] for dn, dt in D.levels[s - a]]
+        levels.append(gens)
+    diffs = [None]
+    for s in range(1, top + 1):
+        d = SMat(len(levels[s - 1]), len(levels[s]), field)
+        for a, base in offsets[s].items():
+            b = s - a
+            nD = D.level_dim(b)
+            if a >= 1:
+                for jc, col in enumerate(C.diffs[a].cols):
+                    for ic, v in col.items():
+                        for jd in range(nD):
+                            d.add_at(offsets[s - 1][a - 1] + ic * nD + jd,
+                                     base + jc * nD + jd, v)
+            if b >= 1:
+                nDm = D.level_dim(b - 1)
+                sign = field(-1) if a % 2 else field.one
+                for jd, col in enumerate(D.diffs[b].cols):
+                    for idd, v in col.items():
+                        for jc in range(C.level_dim(a)):
+                            d.add_at(offsets[s - 1][a] + jc * nDm + idd,
+                                     base + jc * nD + jd, sign * v)
+        diffs.append(d)
+    return ChainComplex(field, levels, diffs, exact_top=True).validate()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(piece, min_size=1, max_size=4),
+    st.lists(piece, min_size=1, max_size=4),
+)
+def test_double_tensor_total_matches_tensor_complex(p1, p2):
+    C, _ = build_from_pieces(p1)
+    D, _ = build_from_pieces(p2)
+    T1 = total_complex(dc_from_tensor(C, D))
+    T2 = koszul_tensor(C, D)
+    assert T1.homology() == T2.homology()
+    page, _ = e_infinity(dc_from_tensor(C, D))
+    table = T1.homology()
+    for n in range(T1.top + 1):
+        assert page.total(n) == table.total(n)
+    assert_pages_match_ranks(dc_from_tensor(C, D))
 
 
 # ------------------------------------------- pinned page differentials

@@ -473,10 +473,28 @@ def test_usage_nonpositive_bound(capsys):
     )
     assert code == 1
     assert "positive" in err
+
+
+def test_runspec_rejects_nonpositive_bounds(capsys):
+    code, text, err = run(
+        capsys, "oracle-hh", "--algebra", "dual", "--smax", "0",
+    )
+    assert code == 1
+    assert text == ""
+    assert "usage error: --smax must be positive, got 0" in err
     code, text, err = run(capsys, "poset-hh", "--marks", "-1")
     assert code == 1
     assert text == ""
     assert "usage error: --marks must be positive, got -1" in err
+
+
+def test_runspec_rejects_missing_file(capsys):
+    code, text, err = run(
+        capsys, "oracle-hh", "--algebra", "no_such_file.json", "--smax", "1",
+    )
+    assert code == 1
+    assert text == ""
+    assert "no file" in err
 
 
 def test_usage_bad_field(capsys):
