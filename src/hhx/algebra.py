@@ -22,6 +22,7 @@ __all__ = [
     "make_algebra",
     "tensor_algebras",
     "opposite",
+    "change_basis",
     "unit_adapted",
     "is_etale",
     "center",
@@ -304,6 +305,35 @@ def opposite(A: GradedAlgebra) -> GradedAlgebra:
     )
 
 
+def change_basis(A: GradedAlgebra, basis, names) -> "AlgebraMap":
+    """Isomorphism onto A from the copy of A with the given basis.
+
+    basis lists dense homogeneous vectors of A that form a basis, names
+    their names in the copy.  The unit and every product of the copy are
+    read off one solve against the basis.
+    """
+    field = A.field
+    zero = field.zero
+    d = A.dim
+    M = SMat.from_dense(basis, field).transpose()
+    coords = M.solve_many(
+        [dict(enumerate(A.unit))]
+        + [dict(enumerate(A.multiply(x, y))) for x in basis for y in basis]
+    )
+
+    def dense(k):
+        return [coords[k].get(i, zero) for i in range(d)]
+
+    B = make_algebra(
+        field,
+        [(n, A.element_degree(b)) for n, b in zip(names, basis)],
+        dense(0),
+        [[dense(1 + i * d + j) for j in range(d)] for i in range(d)],
+        A.commutative,
+    )
+    return AlgebraMap(B, A, M)
+
+
 def unit_adapted(A: GradedAlgebra) -> "AlgebraMap":
     """Isomorphism onto A from a copy of A whose unit is a basis vector.
 
@@ -314,31 +344,15 @@ def unit_adapted(A: GradedAlgebra) -> "AlgebraMap":
     stays.
     """
     field = A.field
-    zero, one = field.zero, field.one
     d = A.dim
-    support = [k for k, c in enumerate(A.unit) if c != zero]
-    if len(support) == 1 and A.unit[support[0]] == one:
+    support = [k for k, c in enumerate(A.unit) if c != field.zero]
+    if len(support) == 1 and A.unit[support[0]] == field.one:
         return AlgebraMap(A, A, SMat.identity(d, field))
     u = support[0]
-    inv = field.inv(A.unit[u])
-
-    def coords(v):
-        # v in the new basis: e_u = (1 - sum_{k != u} c_k e_k) / c_u
-        a = v[u] * inv
-        return [a if k == u else v[k] - A.unit[k] * a for k in range(d)]
-
     basis = [A.unit if k == u else A.basis_vector(k) for k in range(d)]
     names = list(A.names)
     names[u] = A.show_element(A.unit)
-    B = make_algebra(
-        field,
-        list(zip(names, A.degrees)),
-        [one if k == u else zero for k in range(d)],
-        [[coords(A.multiply(x, y)) for y in basis] for x in basis],
-        A.commutative,
-    )
-    cols = [{k: c for k, c in enumerate(b) if c != zero} for b in basis]
-    return AlgebraMap(B, A, SMat(d, d, field, cols))
+    return change_basis(A, basis, names)
 
 
 def is_etale(A: GradedAlgebra) -> bool:

@@ -315,39 +315,47 @@ def _cmd_etale_check(args, field) -> int:
     return 0
 
 
-def _compare_side(which: str, name: str, args, algebra):
-    """One side's table; algebra() loads --algebra for a pipeline side."""
+def _side_path(which: str, name: str, args):
+    """Check one side before either runs: None for a pipeline, else a table path."""
     if name in _PIPELINES:
-        if args.algebra is None:
-            raise UsageError(f"--{which} {name} needs --algebra")
-        if args.smax is None:
-            raise UsageError(f"--{which} {name} needs --smax")
-        A = algebra()
-        if name == "loday":
-            return hh(A, parse_space(args.space), args.smax)
-        if name == "oracle":
-            return oracle_hh(A, args.smax)
-        if name == "bar":
-            return hh_via_suspension(A, args.sphere, args.smax)
-        P = cyclic_cech_poset(args.marks)
-        window = min(args.smax, P.window)
-        return poset_homology(P, arc_functor(A, P), window)
+        for flag in ("algebra", "smax"):
+            if getattr(args, flag) is None:
+                raise UsageError(f"--{which} {name} needs --{flag}")
+        return None
     path = _resolve_input(name)
     if path is None:
         raise UsageError(
             f"--{which}: {name!r} is neither a pipeline {_PIPELINES} nor a file"
         )
-    obj = _read_json(path)
-    if not isinstance(obj, dict):
-        raise InputError(f"{path}: betti table file must hold a JSON object")
-    return BettiTable.from_json(obj)
+    return path
+
+
+def _side_table(name: str, path, args, algebra):
+    """One side's table; algebra() loads --algebra for a pipeline side."""
+    if path is not None:
+        obj = _read_json(path)
+        if not isinstance(obj, dict):
+            raise InputError(f"{path}: betti table file must hold a JSON object")
+        return BettiTable.from_json(obj)
+    A = algebra()
+    if name == "loday":
+        return hh(A, parse_space(args.space), args.smax)
+    if name == "oracle":
+        return oracle_hh(A, args.smax)
+    if name == "bar":
+        return hh_via_suspension(A, args.sphere, args.smax)
+    P = cyclic_cech_poset(args.marks)
+    window = min(args.smax, P.window)
+    return poset_homology(P, arc_functor(A, P), window)
 
 
 def _cmd_compare(args, field) -> int:
     path = _input("algebra", args.algebra)
     algebra = functools.cache(lambda: _load_algebra(path, field))
-    left = _compare_side("left", args.left, args, algebra)
-    right = _compare_side("right", args.right, args, algebra)
+    left_path = _side_path("left", args.left, args)
+    right_path = _side_path("right", args.right, args)
+    left = _side_table(args.left, left_path, args, algebra)
+    right = _side_table(args.right, right_path, args, algebra)
     report = ComparisonReport.build(left, right, args.smax)
     _emit(args, report.to_json(), report.render())
     return 0 if report.verdict == "agree" else 3

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import AlgebraError, AlgebraMap, GradedAlgebra, make_algebra, unit_adapted
+from .algebra import AlgebraError, AlgebraMap, GradedAlgebra, change_basis, unit_adapted
 from .chains import BettiTable, ChainComplex, ChainMap
 from .matrix import SMat
 from .simplicial import SimplicialMap, SimplicialSet
@@ -46,7 +46,6 @@ __all__ = [
     "normalize",
     "hh",
     "induced_map",
-    "shuffle_product",
     "cyclic_bar_oracle",
     "oracle_hh",
 ]
@@ -248,29 +247,12 @@ def _base_adapted(A: GradedAlgebra, base: AlgebraMap):
     Index k * dim T + s of B is base(t_s) * g_k, so A = T (x) V with V the
     span of the g_k, and the unit of B is the index u of g_0.
     """
-    field = A.field
-    zero = field.zero
     Tu = unit_adapted(base.source)
     T = Tu.source
     basis = _module_basis(
         A, [base.apply(Tu.apply(T.basis_vector(s))) for s in range(T.dim)]
     )
-    # coordinates of every product in the new basis, from one echelon form
-    M = SMat.from_dense(basis, field).transpose()
-    coords = M.solve_many([dict(enumerate(A.multiply(x, y))) for x in basis for y in basis])
-    d = A.dim
-    table = [
-        [[coords[i * d + j].get(k, zero) for k in range(d)] for j in range(d)]
-        for i in range(d)
-    ]
-    u = T.unit.index(field.one)
-    B = make_algebra(
-        field,
-        [(A.show_element(b), A.element_degree(b)) for b in basis],
-        [field.one if k == u else zero for k in range(d)],
-        table,
-        A.commutative,
-    )
+    B = change_basis(A, basis, [A.show_element(b) for b in basis]).source
     return B, T
 
 
@@ -462,22 +444,15 @@ def hh(
     return normalize(L).homology(s_max, provenance="loday")
 
 
-def induced_map(
-    f: SimplicialMap, A: GradedAlgebra, N: int, normalized: bool = True
-) -> ChainMap:
-    """Chain map of tensor-power models along a map of spaces.
+def induced_map(f: SimplicialMap, A: GradedAlgebra, N: int) -> ChainMap:
+    """Chain map of normalized tensor-power models along a map of spaces.
 
-    The normalized models are written in the unit-adapted basis of A (see
-    loday_complex), the unnormalized ones in the basis A comes with.
+    Both models are written in the unit-adapted basis of A (see
+    loday_complex).
     """
-    if normalized:
-        LX = loday_complex(A, f.source, N)
-        LY = loday_complex(A, f.target, N)
-        A, CX, CY, index = LX.algebra, LX.complex, LY.complex, LY.index
-    else:
-        CX = unnormalized_complex(A, f.source, N)
-        CY = unnormalized_complex(A, f.target, N)
-        index = [_positions(phi for phi, _ in lv) for lv in CY.levels]
+    LX = loday_complex(A, f.source, N)
+    LY = loday_complex(A, f.target, N)
+    A, CX, CY, index = LX.algebra, LX.complex, LY.complex, LY.index
     field = A.field
     add = field.add_into
     mats = []
@@ -558,26 +533,6 @@ def _shuffle_chain(L: LodayComplex, z1, z2) -> dict:
             for psi, cb in right.items():
                 _add_level(out, fold.column(phi + psi), ca * cb * eps, index, add)
     return out
-
-
-def shuffle_product(A: GradedAlgebra, X: SimplicialSet, z1, z2):
-    """Product of two cycles in the normalized model, as (level, vector).
-
-    Each argument is (s, vector) with the vector a sparse dict over the
-    normalized basis at level s, which is written in the unit-adapted basis
-    of A (see loday_complex).  Rejects chains that are not cycles.
-    """
-    s1, v1 = z1
-    s2, v2 = z2
-    L = loday_complex(A, X, s1 + s2 + 1)
-    C = normalize(L)
-    for s, v, which in [(s1, v1, "first"), (s2, v2, "second")]:
-        for c in v:
-            if not 0 <= c < len(C.levels[s]):
-                raise ValueError(f"{which} argument has a coordinate out of range")
-        if s >= 1 and C.diffs[s].mul_vec(dict(v)):
-            raise ValueError(f"{which} argument is not a cycle at level {s}")
-    return s1 + s2, _shuffle_chain(L, (s1, dict(v1)), (s2, dict(v2)))
 
 
 def cyclic_bar_oracle(A: GradedAlgebra, N: int) -> ChainComplex:

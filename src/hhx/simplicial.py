@@ -22,8 +22,6 @@ __all__ = [
     "SimplicialSet",
     "SimplicialMap",
     "make_space",
-    "space_from_json",
-    "space_to_json",
     "parse_space",
     "point",
     "interval",
@@ -33,8 +31,6 @@ __all__ = [
     "simplex_space",
     "boundary_space",
     "disjoint_union",
-    "fold_map",
-    "simplicial_chains",
 ]
 
 
@@ -419,49 +415,7 @@ class SimplicialMap:
         return Simp(word, base)
 
 
-def fold_map(X: SimplicialSet, copies: int) -> SimplicialMap:
-    """The fold from a disjoint union of copies of X back onto X."""
-    U = disjoint_union(*([X] * copies))
-    assignment = {}
-    for name in U.cells:
-        k, base = name.split(".", 1)
-        del k
-        assignment[name] = Simp((), base)
-    return SimplicialMap(U, X, assignment)
-
-
 # ------------------------------------------------------------------ parsing
-
-
-def space_to_json(X: SimplicialSet) -> dict:
-    cells = []
-    for c in sorted(X.cells.values(), key=lambda c: (c.dim, c.name)):
-        cells.append(
-            {
-                "dim": c.dim,
-                "name": c.name,
-                "faces": [
-                    {"base": f.base, "word": list(f.word)} for f in c.faces
-                ],
-            }
-        )
-    return {"cells": cells}
-
-
-def space_from_json(obj: dict) -> SimplicialSet:
-    if not isinstance(obj, dict) or "cells" not in obj:
-        raise SimplicialError("space file must hold an object with a cells list")
-    cells = []
-    for entry in obj["cells"]:
-        if not isinstance(entry, dict) or {"dim", "name", "faces"} - set(entry):
-            raise SimplicialError(f"bad cell entry {entry!r}")
-        faces = []
-        for f in entry["faces"]:
-            if not isinstance(f, dict) or {"base", "word"} - set(f):
-                raise SimplicialError(f"bad face entry {f!r} in cell {entry['name']!r}")
-            faces.append((tuple(f["word"]), f["base"]))
-        cells.append((entry["name"], entry["dim"], faces))
-    return make_space(cells)
 
 
 _BUILTIN_SPACES = {
@@ -473,27 +427,9 @@ _BUILTIN_SPACES = {
 
 def parse_space(text: str) -> SimplicialSet:
     """Descriptor syntax: point, interval, circle, circle:min, circle:m,
-    sphere:d, simplex:n, boundary:n, union:a+b, or union(a,b,...)."""
+    sphere:d, simplex:n, boundary:n, or union:a+b+... for the disjoint union
+    of two or more descriptors that are not unions themselves."""
     text = text.strip()
-    if text.startswith("union(") and text.endswith(")"):
-        inner = text[len("union(") : -1]
-        parts = []
-        depth = 0
-        cur = []
-        for ch in inner:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            if ch == "," and depth == 0:
-                parts.append("".join(cur))
-                cur = []
-            else:
-                cur.append(ch)
-        parts.append("".join(cur))
-        if any(not p.strip() for p in parts):
-            raise SimplicialError(f"bad union descriptor {text!r}")
-        return disjoint_union(*[parse_space(p) for p in parts])
     if ":" in text:
         head, _, arg = text.partition(":")
         head = head.strip()
@@ -522,31 +458,3 @@ def parse_space(text: str) -> SimplicialSet:
         raise SimplicialError(f"unknown space descriptor {text!r}")
     return fn()
 
-
-def simplicial_chains(X: SimplicialSet, field):
-    """Ordinary normalized chains on the cell basis, as level data.
-
-    Returns (levels, diffs): levels[n] lists cell names of dimension n and
-    diffs[n] maps level n to level n - 1 with alternating signs, degenerate
-    faces dropped.
-    """
-    from .matrix import SMat
-
-    top = X.max_dim
-    levels = []
-    for n in range(top + 1):
-        levels.append(
-            [c.name for c in sorted(X.cells.values(), key=lambda c: (c.dim, c.name)) if c.dim == n]
-        )
-    index = [{name: i for i, name in enumerate(lv)} for lv in levels]
-    diffs = [None]
-    for n in range(1, top + 1):
-        m = SMat(len(levels[n - 1]), len(levels[n]), field)
-        for j, name in enumerate(levels[n]):
-            for i in range(n + 1):
-                f = X.face(Simp((), name), i)
-                if f.degenerate:
-                    continue
-                m.add_at(index[n - 1][f.base], j, field(-1) if i % 2 else field.one)
-        diffs.append(m)
-    return levels, diffs

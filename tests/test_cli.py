@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import hhx
+from hhx import cli
 from hhx.chains import BettiTable
 from hhx.cli import _BOUNDS, ComparisonReport, build_parser, main
 
@@ -336,6 +337,28 @@ def test_compare_unknown_side(capsys):
     )
     assert code == 1
     assert "neither a pipeline" in err
+
+
+def test_compare_checks_right_before_left_runs(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the left pipeline ran")
+
+    monkeypatch.setattr(cli, "oracle_hh", fail)
+    code, text, err = run(
+        capsys, "compare", "--left", "oracle", "--right", "nope",
+        "--algebra", "mat2", "--smax", "5",
+    )
+    assert code == 1
+    assert text == ""
+    assert "--right: 'nope' is neither a pipeline" in err
+
+
+def test_compare_checks_right_flags_before_left_reads(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    code, _, err = run(capsys, "compare", "--left", str(bad), "--right", "bar")
+    assert code == 1
+    assert "--right bar needs --algebra" in err
 
 
 @pytest.mark.parametrize(

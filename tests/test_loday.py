@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import fold_map
 from hhx.algebra import (
     AlgebraError,
     AlgebraMap,
@@ -41,7 +42,6 @@ from hhx.loday import (
     loday_complex,
     normalize,
     oracle_hh,
-    shuffle_product,
     unnormalized_complex,
 )
 from hhx.matrix import SMat
@@ -51,7 +51,6 @@ from hhx.simplicial import (
     circle_min,
     circle_subdiv,
     disjoint_union,
-    fold_map,
     interval,
     point,
     sphere_min,
@@ -238,19 +237,23 @@ def test_collapse_map_is_quasi_iso():
 
 def test_induced_map_unnormalized_commutes():
     f = fold_map(circle_min(), 2)
-    cm = induced_map(f, dual_numbers(), 2, normalized=False)
-    # ChainMap construction already checked the squares; spot the shapes
+    cm = induced_map(f, dual_numbers(), 2)
+    # ChainMap construction already checked the squares; spot the shapes:
+    # a level-1 monomial is degenerate when both edge positions hold the unit
     assert cm.mats[0].ncols == 4 and cm.mats[0].nrows == 2
-    assert cm.mats[1].ncols == 16 and cm.mats[1].nrows == 4
+    assert cm.mats[1].ncols == 12 and cm.mats[1].nrows == 2
 
 
 def test_fold_map_level_zero_is_multiplication():
     for A in [dual_numbers(), split_pair()]:
         f = fold_map(point(), 2)
-        cm = induced_map(f, A, 1, normalized=False)
+        cm = induced_map(f, A, 1)
+        # level 0 of the normalized model is every monomial, in the
+        # unit-adapted copy of A the model is written in
+        B = loday_complex(A, point(), 1).algebra
         m = cm.mats[0]
-        for j, (i1, i2) in enumerate(itertools.product(range(A.dim), repeat=2)):
-            assert m.cols[j] == A.mul_basis(i1, i2)
+        for j, (i1, i2) in enumerate(itertools.product(range(B.dim), repeat=2)):
+            assert m.cols[j] == B.mul_basis(i1, i2)
 
 
 # ---------------------------------------------------------------- kunneth
@@ -593,10 +596,8 @@ def test_shuffle_unit_both_sides():
     u = _unit_class(A, C)
     for s in [1, 2]:
         for z in C.diffs[s].nullspace():
-            left = shuffle_product(A, X, u, (s, z))
-            right = shuffle_product(A, X, (s, z), u)
-            assert left == (s, z)
-            assert right == (s, z)
+            assert _shuffle_chain(L, u, (s, z)) == z
+            assert _shuffle_chain(L, (s, z), u) == z
 
 
 def test_shuffle_square_of_odd_class_vanishes():
@@ -605,21 +606,7 @@ def test_shuffle_square_of_odd_class_vanishes():
     L = loday_complex(A, X, 3)
     C = normalize(L)
     z = (1, C.diffs[1].nullspace()[0])
-    s, v = shuffle_product(A, X, z, z)
-    assert s == 2 and v == {}
-
-
-def test_shuffle_rejects_non_cycles():
-    A = dual_numbers()
-    X = circle_min()
-    L = loday_complex(A, X, 4)
-    C = normalize(L)
-    # level-2 coordinate 0 has d = 2 * (level-1 coordinate 1)
-    assert C.diffs[2].cols[0]
-    with pytest.raises(ValueError, match="not a cycle"):
-        shuffle_product(A, X, (2, {0: Fraction(1)}), (1, {0: Fraction(1)}))
-    with pytest.raises(ValueError, match="out of range"):
-        shuffle_product(A, X, (1, {99: Fraction(1)}), (1, {0: Fraction(1)}))
+    assert _shuffle_chain(L, z, z) == {}
 
 
 def test_shuffle_graded_commutative_total_degree():
@@ -700,9 +687,9 @@ def test_shuffle_of_cycles_is_a_cycle():
     for s1, s2 in [(1, 1), (1, 2)]:
         for z1 in C.diffs[s1].nullspace():
             for z2 in C.diffs[s2].nullspace():
-                s, v = shuffle_product(A, X, (s1, z1), (s2, z2))
+                v = _shuffle_chain(L, (s1, z1), (s2, z2))
                 if v:
-                    assert not C.diffs[s].mul_vec(v)
+                    assert not C.diffs[s1 + s2].mul_vec(v)
 
 
 # ---------------------------------------------------------------- misc
@@ -727,4 +714,4 @@ def test_graded_algebra_over_f2_shuffle_consistency():
     C = normalize(L)
     u = _unit_class(A, C)
     for z in C.diffs[1].nullspace():
-        assert shuffle_product(A, X, u, (1, z)) == (1, z)
+        assert _shuffle_chain(L, u, (1, z)) == z

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import fold_map, simplicial_chains
 from hhx.fields import QQ
 from hhx.simplicial import (
     Simp,
@@ -24,15 +25,11 @@ from hhx.simplicial import (
     circle_min,
     circle_subdiv,
     disjoint_union,
-    fold_map,
     interval,
     make_space,
     parse_space,
     point,
     simplex_space,
-    simplicial_chains,
-    space_from_json,
-    space_to_json,
     sphere_min,
 )
 
@@ -390,32 +387,7 @@ def test_map_commutes_with_degeneracies():
                 assert f.apply(X.degenerate(s, j)) == Y.degenerate(f.apply(s), j)
 
 
-# ------------------------------------------------------------------- json
-
-
-def test_space_json_round_trip():
-    for name, X in SPACES.items():
-        obj = space_to_json(X)
-        Y = space_from_json(obj)
-        assert set(Y.cells) == set(X.cells), name
-        for n in range(4):
-            assert Y.level(n) == X.level(n)
-
-
-def test_space_json_rejects_garbage():
-    with pytest.raises(SimplicialError, match="cells"):
-        space_from_json({"simplices": []})
-    with pytest.raises(SimplicialError, match="bad cell"):
-        space_from_json({"cells": [{"name": "v"}]})
-    with pytest.raises(SimplicialError, match="bad face"):
-        space_from_json(
-            {
-                "cells": [
-                    {"dim": 0, "name": "v", "faces": []},
-                    {"dim": 1, "name": "e", "faces": [{"base": "v"}, {"base": "v"}]},
-                ]
-            }
-        )
+# ---------------------------------------------------------------- parsing
 
 
 def test_parse_space_descriptors():
@@ -426,14 +398,17 @@ def test_parse_space_descriptors():
     assert parse_space("boundary:2").max_dim == 1
     assert len(parse_space("point").level(5)) == 1
     assert len(parse_space("interval").level(0)) == 2
-    U = parse_space("union(point,circle)")
+    U = parse_space("union:point+circle")
     assert set(U.cells) == {"0.pt", "1.v", "1.e"}
-    W = parse_space("union(union(point,point),circle:2)")
-    assert "0.0.pt" in W.cells and "0.1.pt" in W.cells
+    W = parse_space("union:point+point+circle:2")
+    assert "0.pt" in W.cells and "1.pt" in W.cells
 
 
 def test_parse_space_rejects_garbage():
-    for bad in ["torus", "circle:x", "sphere:", "union()", "union(point,)"]:
+    for bad in [
+        "torus", "circle:x", "sphere:", "union()", "union(point,)",
+        "union(point,circle)", "union:point", "union:point+",
+    ]:
         with pytest.raises(SimplicialError):
             parse_space(bad)
 
