@@ -251,27 +251,3 @@ class SMat:
             for x, b in zip(xs, rhs)
         ]
 
-
-def echelon_quotient(rows, dim: int, field: Field):
-    """Quotient of the coordinate space field^dim by the span of rows.
-
-    rows are sparse {coordinate: value} dicts with normalized nonzero
-    values.  Returns (free, pi): free lists the non-pivot coordinates of
-    the canonical echelon form of rows, pi rewrites every coordinate as
-    {position in free: coeff}.
-    """
-    pivots, rrows = SMat(dim, len(rows), field, list(rows)).transpose().rref()
-    pivot_set = set(pivots)
-    free = [c for c in range(dim) if c not in pivot_set]
-    pos = {c: k for k, c in enumerate(free)}
-    pi: list[dict] = [None] * dim
-    for c in free:
-        pi[c] = {pos[c]: field.one}
-    add = field.add_into
-    for c, row in zip(pivots, rrows):
-        out: dict = {}
-        for f, v in row.items():
-            if f != c:
-                add(out, pos[f], -v)
-        pi[c] = out
-    return free, pi

@@ -8,8 +8,9 @@ the whole nerve: an acyclic matching of its chains (sequential element
 matchings, Jonsson 2008) cancels all but a few critical chains, and the
 Morse complex on those (Sköldberg 2006) has the same homology.  The whole
 nerve stays as ``_full_nerve``, the oracle the tests hold the Morse
-complex to and the level-one complex behind ``edge_map``'s H_0 basis.
-Everything here is finite and exact.
+complex to and the level-one complex whose H_0 ``edge_map`` reads, from
+its homology and from that of a cone into it.  Everything here is finite
+and exact.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from __future__ import annotations
 import itertools
 
 from .algebra import GradedAlgebra
-from .chains import BettiTable, ChainComplex, _check_degrees, _t_blocks
+from .chains import BettiTable, ChainComplex, ChainMap, _check_degrees, cone
 from .loday import _Push, _positions
-from .matrix import SMat, echelon_quotient
+from .matrix import SMat
 
 __all__ = [
     "PosetError",
@@ -255,18 +256,11 @@ def cyclic_cech_poset(m: int) -> Poset:
     return Poset(names, le, components, comp_maps, window=m - 1)
 
 
-def constant_functor(P: Poset, field, dims_t=((0, 1),)) -> PosetFunctor:
-    """The same graded space everywhere, with identity maps."""
-    gens = []
-    for t, d in dims_t:
-        gens.extend((f"c{t}.{k}", t) for k in range(d))
-    n = len(gens)
-    spaces = {x: list(gens) for x in P.objects}
-    maps = {}
-    ident = SMat.from_entries(n, n, field, [(i, i, field.one) for i in range(n)])
-    for a, b in P.le:
-        if a != b:
-            maps[(a, b)] = ident
+def constant_functor(P: Poset, field) -> PosetFunctor:
+    """One generator in degree 0 everywhere, with identity maps."""
+    spaces = {x: [("c0.0", 0)] for x in P.objects}
+    ident = SMat.identity(1, field)
+    maps = {(a, b): ident for a, b in P.le if a != b}
     return PosetFunctor(P, field, spaces, maps).validate()
 
 
@@ -485,30 +479,32 @@ def poset_homology(I: Poset, F: PosetFunctor, s_max: int | None = None) -> Betti
 
 
 class EdgeMap:
-    """The class map from coefficients at a minimal object into H_0.
+    """Whether the coefficients at a minimal object map onto the whole edge.
 
-    ``matrix`` sends F(x0) coordinates to coordinates on the canonical
-    H_0 basis; ``iso`` is set when the map is bijective in every internal
-    degree and nothing survives above level zero inside the poset's
-    trusted window, i.e. when the whole nerve collapses onto its edge.
+    ``iso`` is set when F(x0) -> H_0 is bijective in every internal degree
+    and nothing survives above level zero inside the poset's trusted
+    window, i.e. when the whole nerve collapses onto its edge.
+    ``src_dims`` and ``h0_dims`` count F(x0) and H_0 by internal degree.
     """
 
-    __slots__ = ("matrix", "iso", "src_dims", "h0_dims")
+    __slots__ = ("iso", "src_dims", "h0_dims")
 
-    def __init__(self, matrix, iso, src_dims, h0_dims):
-        self.matrix = matrix
+    def __init__(self, iso, src_dims, h0_dims):
         self.iso = bool(iso)
         self.src_dims = dict(src_dims)
         self.h0_dims = dict(h0_dims)
 
 
 def edge_map(I: Poset, F: PosetFunctor, x0, morse: ChainComplex | None = None) -> EdgeMap:
-    """Place a coefficient at the one-object chain (x0) and read its class.
+    """Place F(x0) at the one-object chain (x0) and ask whether it fills H_0.
 
-    The class lives in the canonical H_0 basis, the quotient of the full
-    nerve's level 0 by the image of d_1; whether anything survives above
-    level zero is read from the Morse table of ``nerve_complex``, or of
-    ``morse`` when the caller has built that complex already.
+    H_0 is read off the level-one full nerve C.  When F(x0) and H_0 have the
+    same dimension in every internal degree, the map is an isomorphism
+    exactly when it is onto, that is when H_0 of the cone of F(x0) -> C
+    (F(x0) sitting in level 0 on the chain (x0)) vanishes.  Whether
+    anything survives above level zero is read from the Morse table of
+    ``nerve_complex``, or of ``morse`` when the caller has built that
+    complex already.
     """
     if x0 not in I.objects:
         raise PosetError(f"object {x0!r} is not in the poset")
@@ -516,38 +512,31 @@ def edge_map(I: Poset, F: PosetFunctor, x0, morse: ChainComplex | None = None) -
         raise PosetError(f"object {x0!r} is not a single component")
     field = F.field
     C = _full_nerve(I, F, top=1)
-    # quotient of level 0 by the image of d_1, in echelon coordinates
-    rel_cols = C.diffs[1].cols if C.top >= 1 else []
-    free, pi = echelon_quotient(rel_cols, C.level_dim(0), field)
-    # locate the block of the chain (x0,)
-    offset = next(
-        p for p, ((chain, _nm), _t) in enumerate(C.levels[0]) if chain == (x0,)
-    )
-    mat = SMat(len(free), F.dim(x0), field)
-    for j in range(F.dim(x0)):
-        for k, v in pi[offset + j].items():
-            mat.add_at(k, j, v)
+    gens = F.spaces[x0]
     src_dims: dict = {}
-    for _nm, t in F.spaces[x0]:
+    for _nm, t in gens:
         src_dims[t] = src_dims.get(t, 0) + 1
-    h0_dims: dict = {}
-    for i in free:
-        t = C.levels[0][i][1]
-        h0_dims[t] = h0_dims.get(t, 0) + 1
+    h0_dims = {t: v for (_s, t), v in C.homology(0).entries.items()}
     iso = src_dims == h0_dims
     if iso:
-        blocks_src = _t_blocks(list(F.spaces[x0]))
-        blocks_tgt = _t_blocks([C.levels[0][i] for i in free])
-        for t, js in blocks_src.items():
-            if mat.restrict(blocks_tgt.get(t, []), js).rank() != len(js):
-                iso = False
-                break
+        # F(x0) alone in level 0 (C has a level 1 unless nothing is related)
+        n = len(gens)
+        S = ChainComplex(
+            field, [gens] + [()] * C.top, [None] + [SMat(n, 0, field)] * C.top,
+            exact_top=True,
+        )
+        # with no generators at x0 the chain (x0) has no block, and incl no column
+        chain_x0 = (k for k, ((ch, _nm), _t) in enumerate(C.levels[0]) if ch == (x0,))
+        at = next(chain_x0, 0)
+        incl = SMat(C.level_dim(0), n, field, [{at + j: field.one} for j in range(n)])
+        mats = [incl] + [SMat(C.level_dim(1), 0, field)] * C.top
+        iso = not cone(ChainMap(S, C, mats)).homology(0).entries
     if iso:
         M = nerve_complex(I, F) if morse is None else morse
         w = M.s_valid if I.window is None else min(I.window, M.s_valid)
         table = M.homology(w, provenance="poset")
         iso = all(s == 0 for s, _t in table.entries)
-    return EdgeMap(mat, iso, src_dims, h0_dims)
+    return EdgeMap(iso, src_dims, h0_dims)
 
 
 def poset_to_json(P: Poset) -> dict:

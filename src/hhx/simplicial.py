@@ -107,12 +107,6 @@ class SimplicialSet:
         self.max_dim = max((c.dim for c in cells), default=-1)
         self._levels: dict[int, list[Simp]] = {}
 
-    def cell(self, name: str) -> Cell:
-        try:
-            return self.cells[name]
-        except KeyError:
-            raise SimplicialError(f"no cell named {name!r}") from None
-
     def dim_of(self, s: Simp) -> int:
         return self.cells[s.base].dim + len(s.word)
 
@@ -439,6 +433,8 @@ def parse_space(text: str) -> SimplicialSet:
             parts = arg.split("+")
             if any(not p.strip() for p in parts) or len(parts) < 2:
                 raise SimplicialError(f"bad union descriptor {text!r}")
+            if any(p.partition(":")[0].strip() == "union" for p in parts):
+                raise SimplicialError(f"union parts cannot be unions in {text!r}")
             return disjoint_union(*[parse_space(p) for p in parts])
         try:
             k = int(arg)

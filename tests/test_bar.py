@@ -72,6 +72,22 @@ def test_loday_model_unit_and_product():
     B.validate()
 
 
+def test_loday_model_refuses_scaled_product():
+    # one level-0 x level-3 product scaled by 2 breaks Leibniz one level up,
+    # where x * d(y) for a level-4 y reads it
+    B = loday_model(dual_numbers(), sphere_min(2), 5)
+
+    def mul(p, i, q, j):
+        out = B.mul(p, i, q, j)
+        if (p, i, q, j) == (0, 1, 3, 0):
+            return {k: 2 * v for k, v in out.items()}
+        return out
+
+    bad = DGAlgebraModel(B.complex, mul, B.unit, B.commutative)
+    with pytest.raises(ChainError, match=r"Leibniz fails at levels \(0, 4\)"):
+        bad.validate()
+
+
 def test_loday_model_discrete_space_exact():
     from hhx.simplicial import point
 

@@ -402,6 +402,13 @@ def test_validate_space_descriptor(capsys):
     assert "ok" in text
 
 
+def test_validate_space_refuses_nested_union(capsys):
+    desc = "union:point+union:point+circle"
+    code, _, err = run(capsys, "validate", "--space", desc)
+    assert code == 2
+    assert f"space {desc}: invalid: union parts cannot be unions in '{desc}'" in err
+
+
 def test_validate_bad_algebra(capsys, tmp_path):
     doc = {
         "field": "Q",

@@ -40,6 +40,14 @@ from hhx.simplicial import circle_min
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "hhx" / "corpus"
 
 
+def graded_constant(P, field, dims_t):
+    """The same graded space everywhere, (t, dim) pairs, with identity maps."""
+    gens = [(f"c{t}.{k}", t) for t, d in dims_t for k in range(d)]
+    ident = SMat.identity(len(gens), field)
+    maps = {(a, b): ident for a, b in P.le if a != b}
+    return PosetFunctor(P, field, {x: gens for x in P.objects}, maps).validate()
+
+
 def chain_poset(names):
     le = set()
     for i, a in enumerate(names):
@@ -184,7 +192,7 @@ def test_deterministic_object_order():
 
 def test_single_object_poset():
     P = Poset(["x"], {("x", "x")}, {"x": 1})
-    F = constant_functor(P, QQ, dims_t=((0, 2),))
+    F = graded_constant(P, QQ, ((0, 2),))
     assert poset_homology(P, F).entries == {(0, 0): 2}
 
 
@@ -293,6 +301,24 @@ def test_edge_map_shape():
     A = dual_numbers()
     em = edge_map(P, arc_functor(A, P), "0")
     assert em.src_dims == {0: 2} and em.h0_dims == {0: 2}
+
+
+def test_edge_map_not_onto_with_equal_dims():
+    # x0 < y with F = k on both and the zero map: H_0 is F(y), so the
+    # dimensions agree, but the class of F(x0) in H_0 is zero
+    P = chain_poset(["x0", "y"])
+    spaces = {"x0": [("e", 0)], "y": [("e", 0)]}
+    F = PosetFunctor(P, QQ, spaces, {("x0", "y"): SMat(1, 1, QQ)}).validate()
+    em = edge_map(P, F, "x0")
+    assert em.src_dims == em.h0_dims == {0: 1}
+    assert em.iso is False
+
+
+def test_edge_map_empty_coefficients():
+    # nothing at x0 and nothing in H_0: the zero map is an isomorphism
+    P = Poset(["x"], {("x", "x")}, {"x": 1})
+    em = edge_map(P, PosetFunctor(P, QQ, {"x": []}, {}), "x")
+    assert em.iso is True and em.src_dims == em.h0_dims == {}
 
 
 # ------------------------------------------------------ functor gates
@@ -428,7 +454,7 @@ def test_morse_matches_full_nerve_m3(field):
 )
 def test_morse_matches_full_nerve_face_posets(facets, want, field):
     P = face_poset(facets)
-    table = assert_morse_matches_full(P, constant_functor(P, field, ((0, 1), (2, 2))))
+    table = assert_morse_matches_full(P, graded_constant(P, field, ((0, 1), (2, 2))))
     if want is not None:
         assert table.entries == want
 
@@ -438,7 +464,7 @@ def test_morse_matches_full_nerve_out_of_order(field):
     P = shuffled_random_poset()
     pos = {x: i for i, x in enumerate(P.objects)}
     assert any(pos[a] > pos[b] for a, b in P.le)
-    assert_morse_matches_full(P, constant_functor(P, field, ((0, 1), (2, 2))))
+    assert_morse_matches_full(P, graded_constant(P, field, ((0, 1), (2, 2))))
 
 
 def matching_of(P):

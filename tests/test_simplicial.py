@@ -413,6 +413,11 @@ def test_parse_space_rejects_garbage():
             parse_space(bad)
 
 
+def test_parse_space_refuses_nested_union():
+    with pytest.raises(SimplicialError, match="union parts cannot be unions"):
+        parse_space("union:point+union:point+circle")
+
+
 # ------------------------------------------------------------ cell chains
 
 
