@@ -64,27 +64,6 @@ class BettiTable:
     def t_range(self):
         return sorted({t for (_, t) in self.entries})
 
-    def window_equal(self, other: "BettiTable", s_max: int | None = None) -> bool:
-        """Entrywise equality for s <= s_max (default: the joint valid range)."""
-        if s_max is None:
-            s_max = min(self.s_valid, other.s_valid)
-        if s_max > min(self.s_valid, other.s_valid):
-            raise ChainError("comparison window exceeds a validity bound")
-        a = {k: v for k, v in self.entries.items() if k[0] <= s_max}
-        b = {k: v for k, v in other.entries.items() if k[0] <= s_max}
-        return a == b
-
-    def convolve(self, other: "BettiTable") -> "BettiTable":
-        """Kunneth product: graded convolution over both gradings."""
-        out: dict = {}
-        bound = min(self.s_valid, other.s_valid)
-        for (s1, t1), v1 in self.entries.items():
-            for (s2, t2), v2 in other.entries.items():
-                if s1 + s2 <= bound:
-                    key = (s1 + s2, t1 + t2)
-                    out[key] = out.get(key, 0) + v1 * v2
-        return BettiTable(out, bound, "convolution")
-
     def to_json(self) -> dict:
         return {
             "provenance": self.provenance,
@@ -154,6 +133,14 @@ def _betti(levels, n_max: int, block_rank) -> dict:
                 out[(n, t)] = h
         r_prev = r_here
     return out
+
+
+def _block_rank(d: SMat, rows, cols) -> int:
+    """Rank of d on the given ascending row and column indices.  A block
+    that spans all of d ranks d itself: no copy, and the rank is cached."""
+    if len(rows) == d.nrows and len(cols) == d.ncols:
+        return d.rank()
+    return d.restrict(rows, cols).rank()
 
 
 def _check_degrees(m: SMat, src, tgt, what: str, error=ChainError) -> None:
@@ -241,7 +228,7 @@ class ChainComplex:
             )
         out = _betti(
             self.levels, s_max,
-            lambda s, idx, up: self.diffs[s + 1].restrict(idx, up).rank(),
+            lambda s, idx, up: _block_rank(self.diffs[s + 1], idx, up),
         )
         return BettiTable(out, s_max, provenance)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import GradedAlgebra, center, opposite, tensor_algebras, unit_adapted
-from .chains import BettiTable, ChainError, _betti, _check_degrees
+from .chains import BettiTable, ChainError, _betti, _block_rank, _check_degrees
 from .matrix import SMat
 
 __all__ = [
@@ -194,7 +194,7 @@ class CobarComplex:
             )
         out = _betti(
             self.levels, n_max,
-            lambda n, idx, up: self.deltas[n].restrict(up, idx).rank(),
+            lambda n, idx, up: _block_rank(self.deltas[n], up, idx),
         )
         return BettiTable(out, n_max, provenance)
 

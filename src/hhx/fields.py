@@ -1,10 +1,13 @@
 """Exact coefficient fields.
 
 Two kinds of scalars are supported: arbitrary-precision rationals and prime
-fields F_p with p < 2**31.  Field elements are plain Python objects (Fraction
-for the rationals, int in [0, p) for F_p) so that downstream sparse linear
-algebra can stay close to the machine representation.  Every operation is
-exact; floats are rejected everywhere.
+fields F_p with p < 2**31.  Field elements are plain Python objects so that
+downstream sparse linear algebra can stay close to the machine
+representation: an element of F_p is an int in [0, p), and a rational is in
+canonical form, an int when its value is an integer and otherwise a Fraction
+with denominator > 1, so each value has one representation and integer
+arithmetic never builds a Fraction.  Every operation is exact; floats are
+rejected everywhere.
 
 The rule "reduce mod p, drop zeros" lives here and nowhere else: sparse
 vectors accumulate through ``Field.add_into``, and a single value is
@@ -92,16 +95,16 @@ class Field:
 
 class _Rationals(Field):
     char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def __call__(self, value):
         if isinstance(value, float):
             raise FieldError("floats are not exact; use Fraction or a string")
-        if isinstance(value, Fraction):
-            return value
         if isinstance(value, int):
-            return Fraction(value)
+            return int(value)
+        if isinstance(value, Fraction):
+            return value.numerator if value.denominator == 1 else value
         if isinstance(value, str):
             return self.parse(value)
         raise FieldError(f"cannot coerce {value!r} into Q")
@@ -109,32 +112,31 @@ class _Rationals(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / Fraction(a)
+        return self(1 / Fraction(a))
 
     def add_into(self, acc: dict, key, c) -> None:
-        # a missing key takes c as it is: c is a Fraction, and skipping the
-        # sum with zero saves a Fraction addition
+        # a missing key takes c without a sum with zero; either way the kept
+        # value is brought to canonical form (a sum or a product of field
+        # elements, such as Fraction(1, 2) * 2, may carry denominator 1)
         if key in acc:
-            nv = acc[key] + c
-            if nv:
-                acc[key] = nv
-            else:
+            c = acc[key] + c
+            if not c:
                 del acc[key]
-        elif c:
-            acc[key] = c
+                return
+        elif not c:
+            return
+        acc[key] = c if type(c) is int or c.denominator != 1 else c.numerator
 
     def parse(self, text: str):
         text = text.strip()
         try:
-            return Fraction(text)
+            return self(Fraction(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"bad rational literal {text!r}") from exc
 
     def show(self, a) -> str:
-        a = Fraction(a)
-        if a.denominator == 1:
-            return str(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
+        # "n" for an int, "n/d" for a Fraction
+        return str(self(a))
 
     def __repr__(self):
         return "QQ"

@@ -1,10 +1,11 @@
 """Sparse exact matrices.
 
-Columns are dicts {row: value} holding field elements (Fraction over Q,
-int over F_p); zero entries are never stored.  Rank, echelon form,
-nullspace and solving go through the elimination kernel ``hhx._kernel``;
-everything here is plumbing and stays deterministic: echelon forms are
-canonical, nullspace bases are enumerated by ascending free column.
+Columns are dicts {row: value} holding field elements (over Q an int, or
+a Fraction when the value is not an integer; over F_p an int); zero entries
+are never stored.  Rank, echelon form, nullspace and solving go through the
+elimination kernel ``hhx._kernel``; everything here is plumbing and stays
+deterministic: echelon forms are canonical, nullspace bases are enumerated
+by ascending free column.
 """
 
 from __future__ import annotations
@@ -157,19 +158,16 @@ class SMat:
     # -- elimination-backed queries ------------------------------------
 
     def _kernel_rows(self) -> list[dict]:
-        """Rows in kernel form: integer dicts (rationals get scaled per row)."""
+        """Rows in kernel form: integer dicts (a row holding a Fraction gets
+        scaled by its common denominator; a row of ints is kept as it is)."""
         rows = self.to_rows()
         if self.field.char == 0:
-            out = []
-            for r in rows:
-                if not r:
-                    out.append({})
-                    continue
-                mult = lcm(*(v.denominator for v in r.values()))
-                # the denominator divides mult, so this is v * mult without
-                # building a Fraction per entry
-                out.append({c: v.numerator * (mult // v.denominator) for c, v in r.items()})
-            return out
+            for k, r in enumerate(rows):
+                if any(type(v) is not int for v in r.values()):
+                    mult = lcm(*(v.denominator for v in r.values()))
+                    # the denominator divides mult, so this is v * mult
+                    # without building a Fraction per entry
+                    rows[k] = {c: v.numerator * (mult // v.denominator) for c, v in r.items()}
         return rows
 
     def rank(self) -> int:
@@ -192,8 +190,10 @@ class SMat:
             pivots, raw = _kernel.rref_int(rows)
             out = []
             for c, r in zip(pivots, raw):
-                pv = Fraction(r[c])
-                out.append({j: Fraction(v) / pv for j, v in r.items()})
+                pv = r[c]
+                out.append(
+                    {j: v // pv if v % pv == 0 else Fraction(v, pv) for j, v in r.items()}
+                )
             self._rank = len(pivots)
             return pivots, out
         pivots, raw = _kernel.rref_fp(rows, self.field.char)

@@ -86,9 +86,6 @@ class Poset:
                         f"relation is not transitive through ({a}, {b}, {c})"
                     )
 
-    def less(self, a, b) -> bool:
-        return a != b and (a, b) in self.le
-
     def _successors(self):
         """Indices of the objects above each object, in object order."""
         if self._succ is None:

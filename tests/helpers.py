@@ -1,5 +1,10 @@
-"""Fixtures shared by the simplicial and tensor-power tests."""
+"""Fixtures and oracles shared by several test modules."""
 
+from fractions import Fraction
+
+from hhx.algebra import make_algebra
+from hhx.chains import BettiTable, ChainError
+from hhx.fields import QQ
 from hhx.matrix import SMat
 from hhx.simplicial import Simp, SimplicialMap, SimplicialSet, disjoint_union
 
@@ -31,3 +36,43 @@ def simplicial_chains(X: SimplicialSet, field):
                     m.add_at(index[n - 1][f.base], j, field(-1) if i % 2 else field.one)
         diffs.append(m)
     return levels, diffs
+
+
+def scaled_pair():
+    # k x k on f1 = 2 e1, f2 = e2: the unit 1/2 f1 + f2 has a coefficient
+    # other than 1, so the unit-adapted basis change is seen
+    h, o, z = Fraction(1, 2), 1, 0
+    return make_algebra(
+        QQ,
+        [("f1", 0), ("f2", 0)],
+        [h, o],
+        [[[2, z], [z, z]], [[z, z], [z, o]]],
+        True,
+    )
+
+
+def canonical(v) -> bool:
+    """The one form of a rational: an int for an integer value, else a
+    Fraction with denominator > 1 (never a float)."""
+    return type(v) is int or type(v) is Fraction and v.denominator > 1
+
+
+def window_equal(a: BettiTable, b: BettiTable, s_max: int) -> bool:
+    """Entrywise equality of two tables for s <= s_max, a window both trust."""
+    if s_max > min(a.s_valid, b.s_valid):
+        raise ChainError("comparison window exceeds a validity bound")
+    return {k: v for k, v in a.entries.items() if k[0] <= s_max} == {
+        k: v for k, v in b.entries.items() if k[0] <= s_max
+    }
+
+
+def convolve(a: BettiTable, b: BettiTable) -> BettiTable:
+    """Kunneth product: graded convolution over both gradings."""
+    out: dict = {}
+    bound = min(a.s_valid, b.s_valid)
+    for (s1, t1), v1 in a.entries.items():
+        for (s2, t2), v2 in b.entries.items():
+            if s1 + s2 <= bound:
+                key = (s1 + s2, t1 + t2)
+                out[key] = out.get(key, 0) + v1 * v2
+    return BettiTable(out, bound, "convolution")

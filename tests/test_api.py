@@ -17,8 +17,9 @@ MODULES = sorted(
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "pipebench" / "tracer.py"
 
-# Exported names that no other hhx module and no pipebench file uses, each
-# with the reason it stays exported.  A whole module may be listed.
+# Exported names that no other hhx module and no pipebench file uses, and
+# public methods of exported classes that nothing there calls, each with the
+# reason it stays.  A whole module may be listed.
 UNUSED_EXPORTS = {
     "hhx.__version__": "the package version",
     "hhx.catalog": "the algebra battery the tests and the README run",
@@ -76,7 +77,8 @@ def test_traced_entry_point_resolves(modname, qualname):
 
 def test_every_export_is_used_or_listed():
     # a name counts as used when it appears as a word in the source of
-    # another hhx module or of a pipebench file
+    # another hhx module or of a pipebench file; a public method or property
+    # of an exported class, when ".name" appears in any of those sources
     sources = {
         path: path.read_text()
         for folder in (Path(hhx.__file__).resolve().parent, ROOT / "pipebench")
@@ -91,9 +93,20 @@ def test_every_export_is_used_or_listed():
             word = re.compile(rf"\b{re.escape(name)}\b")
             if not any(word.search(t) for path, t in sources.items() if path != own):
                 unused.append(f"{modname}.{name}")
+            obj = getattr(module, name)
+            if not isinstance(obj, type) or obj.__module__ != modname:
+                continue
+            for attr in vars(obj):
+                if attr.startswith("_"):
+                    continue
+                exported.add(f"{modname}.{name}.{attr}")
+                dotted = re.compile(rf"\.{re.escape(attr)}\b")
+                if not any(dotted.search(t) for t in sources.values()):
+                    unused.append(f"{modname}.{name}.{attr}")
     unlisted = [
         n for n in unused
-        if n not in UNUSED_EXPORTS and n.rpartition(".")[0] not in UNUSED_EXPORTS
+        if n not in UNUSED_EXPORTS
+        and not any(n.startswith(f"{m}.") for m in MODULES if m in UNUSED_EXPORTS)
     ]
     assert unlisted == []
     # an entry whose name is gone from every __all__ goes too

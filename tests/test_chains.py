@@ -17,10 +17,13 @@ from hhx.chains import (
     total_complex,
 )
 from hhx.bar import circle_bar, suspension_bar
-from hhx.catalog import dual_numbers, exterior_line, gf4
+from hhx.catalog import dual_numbers, exterior_line, gf4, mat2
 from hhx.cobar import CobarComplex
 from hhx.fields import GF, QQ
+from hhx.loday import cyclic_bar_oracle
 from hhx.matrix import SMat
+
+from helpers import convolve, window_equal
 
 
 def cx(levels, dense_diffs, field=QQ, exact=True, s_valid=None):
@@ -67,11 +70,11 @@ def test_betti_rejects_bad_entries():
 def test_betti_window_and_convolve():
     a = BettiTable({(0, 0): 1, (1, 0): 2}, 2, "a")
     b = BettiTable({(0, 0): 1, (1, 0): 2, (2, 0): 5}, 5, "b")
-    assert a.window_equal(b, 1)
-    assert not a.window_equal(b, 2)
+    assert window_equal(a, b, 1)
+    assert not window_equal(a, b, 2)
     with pytest.raises(ChainError, match="window"):
-        a.window_equal(b, 3)
-    c = a.convolve(a)
+        window_equal(a, b, 3)
+    c = convolve(a, a)
     assert c.entries == {(0, 0): 1, (1, 0): 4, (2, 0): 4}
     assert c.s_valid == 2
     assert a.total(1) == 2 and a.dim(0, 0) == 1
@@ -163,6 +166,24 @@ def test_per_t_blocks_are_independent():
     d = [[1, 0], [0, 0]]
     C = cx(levels, [d])
     assert C.homology().entries == {(0, 5): 1, (1, 5): 1}
+
+
+def test_whole_level_block_is_ranked_in_place(monkeypatch):
+    # mat2 sits in degree 0, so each level of its cyclic complex is one t
+    # block: homology ranks the differentials themselves, with no restricted
+    # copy, and the ranks stay cached on them
+    C = cyclic_bar_oracle(mat2(), 4)
+
+    def refuse(*args):
+        raise AssertionError("a whole-level block was copied")
+
+    monkeypatch.setattr(SMat, "restrict", refuse)
+    assert C.homology(3).entries == {(0, 0): 1}
+    assert [d._rank for d in C.diffs[1:]] == [3, 13, 51, 205]
+    # a block that is part of a level is still cut out
+    D = cx([[("a", 0), ("x", 5)], [("b", 0), ("y", 5)]], [[[1, 0], [0, 0]]])
+    with pytest.raises(AssertionError, match="copied"):
+        D.homology()
 
 
 # ------------------------------------------------------------------ maps
@@ -274,7 +295,7 @@ def test_kunneth_convolution(p1, p2):
     D, bd = build_from_pieces(p2)
     assert C.homology() == bc
     T = total_complex(dc_from_tensor(C, D)).validate()
-    conv = bc.convolve(bd)
+    conv = convolve(bc, bd)
     assert T.homology(conv.s_valid) == conv
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hhx import cobar as cobar_mod
-from hhx.algebra import center, is_etale, make_algebra, tensor_algebras
+from hhx.algebra import center, is_etale, tensor_algebras
 from hhx.catalog import (
     dual_numbers,
     dual_pair,
@@ -25,9 +25,10 @@ from hhx.cobar import (
     hochschild_cohomology,
     regular_module,
 )
-from hhx.fields import QQ
 from hhx.loday import oracle_hh
 from hhx.matrix import SMat
+
+from helpers import scaled_pair
 
 
 def profile(A):
@@ -173,19 +174,6 @@ def exterior_pair():
     # two odd generators whose product is not zero, so that the signs of odd
     # elements acting on odd elements are seen
     return tensor_algebras(exterior_line(), exterior_line())
-
-
-def scaled_pair():
-    # k x k on f1 = 2 e1, f2 = e2: the unit 1/2 f1 + f2 has a coefficient
-    # other than 1, so the unit-adapted basis change is seen
-    h, o, z = Fraction(1, 2), 1, 0
-    return make_algebra(
-        QQ,
-        [("f1", 0), ("f2", 0)],
-        [h, o],
-        [[[2, z], [z, z]], [[z, z], [z, o]]],
-        True,
-    )
 
 
 ALGEBRAS = [

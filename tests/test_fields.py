@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from hhx.fields import GF, QQ, FieldError, field_to_json, parse_field
 
+from helpers import canonical
+
 rationals = st.fractions(
     min_value=-10**6, max_value=10**6, max_denominator=10**4
 )
@@ -20,6 +22,13 @@ def test_rational_coercion():
     assert QQ("2/4") == Fraction(1, 2)
     assert QQ("-7") == Fraction(-7)
     assert QQ(Fraction(5, 3)) == Fraction(5, 3)
+    # canonical form: integer values are ints, one representation per value
+    for got, want in [
+        (QQ(Fraction(4, 2)), 2), (QQ("6/3"), 2), (QQ("-7"), -7), (QQ(True), 1),
+        (QQ.inv(1), 1), (QQ.inv(Fraction(1, 3)), 3), (QQ.inv(-2), Fraction(-1, 2)),
+        (QQ.zero, 0), (QQ.one, 1), (QQ.parse(" 10/5 "), 2), (QQ("2/4"), Fraction(1, 2)),
+    ]:
+        assert got == want and type(got) is type(want)
 
 
 def test_rational_rejects_floats():
@@ -116,6 +125,7 @@ def test_field_json_roundtrip():
     cancel=st.sets(st.integers(0, 7)),
 )
 @example(stream=[(0, 1, 1), (0, 1, 1)], cancel=set())
+@example(stream=[(0, 4, 2), (1, 1, 2), (1, 1, 2)], cancel=set())
 @example(stream=[(1, 3, 1), (1, -3, 1), (2, 0, 1)], cancel={0})
 def test_add_into_matches_per_key_sum(field, stream, cancel):
     # callers pass a Fraction on Q and any int on F_p; the keys in cancel
@@ -135,7 +145,9 @@ def test_add_into_matches_per_key_sum(field, stream, cancel):
     assert not cancel & set(acc)
     for v in acc.values():
         if field == QQ:
-            assert type(v) is Fraction
+            # one representation per value: int when integral, else a
+            # Fraction with denominator > 1
+            assert canonical(v)
         else:
             assert type(v) is int and 0 < v < field.p
 
