@@ -154,7 +154,7 @@ def make_algebra(field: Field, basis, unit, table, commutative: bool) -> GradedA
         name, degree = entry
         if not isinstance(name, str) or not name:
             raise AlgebraError(f"basis name {name!r} must be a nonempty string")
-        if not isinstance(degree, int) or degree < 0:
+        if type(degree) is not int or degree < 0:
             raise AlgebraError(f"degree of {name!r} must be a non-negative integer")
         names.append(name)
         degrees.append(degree)

@@ -269,9 +269,9 @@ def two_sided_bar(
     """Double complex M (x) B^p (x) N: bar faces across, inner differential down.
 
     Only blocks with p + q <= p_max inside the stored top of the model are
-    built, as totals read no level above p_max; the trustworthy total
-    window is min(p_max - 1, window of B).  Module actions get their unit,
-    associativity, and boundary checks here before anything is built.
+    built, as totals read no level above p_max; s_valid is p_max - 1, or
+    min(p_max - 1, s_valid of B) when B is not exact.  The unit,
+    associativity and boundary checks of the module actions run first.
     """
     if p_max < 1:
         raise ChainError(f"column bound must be at least 1, got {p_max}")
@@ -353,13 +353,8 @@ def two_sided_bar(
                     for k2, c in N.act.get((k_n, jp), {}).items():
                         m.add_at(rows[(i_m, word[: p - 1], k2)], cpos, -c if neg else c)
             d_h[(p, q)] = m
-    qv = None if C.exact_top else C.s_valid
-    q_valid = {p: qv for p in range(p_max + 1)}
-    D = DoubleComplex.from_commuting(
-        field, gens, d_h, d_v, p_exact=False, q_valid=q_valid
-    )
-    D.validate()
-    return D
+    s_valid = p_max - 1 if C.exact_top else min(p_max - 1, C.s_valid)
+    return DoubleComplex.from_commuting(field, gens, d_h, d_v, s_valid).validate()
 
 
 def circle_bar(A: GradedAlgebra, p_max: int) -> DoubleComplex:
@@ -419,6 +414,4 @@ def hh_via_suspension(A: GradedAlgebra, d: int, s_max: int) -> BettiTable:
     if s_max < 0:
         raise ChainError(f"window bound must be nonnegative, got {s_max}")
     T = total_complex(suspension_bar(A, d, s_max + 1))
-    if not T.exact_top and s_max > T.s_valid:
-        raise ChainError(f"bar window exhausted: achievable s_valid is {T.s_valid}")
     return T.homology(s_max, provenance="bar-suspension")

@@ -11,8 +11,8 @@ Double complexes are stored with anticommuting differentials.  Their
 spectral sequence comes from one column reduction of each differential of
 the total complex, filtered by the column index p, as in persistent
 homology: a generator survives to E^r unless the reduction pairs it with
-a generator at most r - 1 columns away, and d_r matches the pairs exactly
-r columns apart.
+a generator at most r - 1 columns away, so a page is the count of the
+survivors in each (p, q, t) block.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ class BettiTable:
                 raise ChainError(f"negative dimension at ({s}, {t})")
             if s > s_valid:
                 raise ChainError(f"entry at s={s} beyond validity bound {s_valid}")
-            del t
         self.s_valid = s_valid
         self.provenance = provenance
 
@@ -78,9 +77,20 @@ class BettiTable:
     def from_json(cls, obj: dict) -> "BettiTable":
         if not isinstance(obj, dict) or {"provenance", "s_valid", "entries"} - set(obj):
             raise ChainError("betti table file lacks provenance/s_valid/entries")
+        if type(obj["s_valid"]) is not int:
+            raise ChainError(f"s_valid must be an integer, got {obj['s_valid']!r}")
+        if not isinstance(obj["entries"], list):
+            raise ChainError("betti table entries must be a list")
         entries = {}
         for e in obj["entries"]:
-            entries[(e["s"], e["t"])] = e["dim"]
+            if not isinstance(e, dict) or any(
+                type(e.get(k)) is not int for k in ("s", "t", "dim")
+            ):
+                raise ChainError(f"betti table entry {e!r} needs integer s, t and dim")
+            key = (e["s"], e["t"])
+            if key in entries:
+                raise ChainError(f"betti table entry at {key} is duplicated")
+            entries[key] = e["dim"]
         return cls(entries, obj["s_valid"], obj["provenance"])
 
     def render(self) -> str:
@@ -309,35 +319,30 @@ class DoubleComplex:
 
     gens[(p, q)] lists (name, t); d_h[(p, q)] maps to (p-1, q) and
     d_v[(p, q)] to (p, q-1), with d_h d_v + d_v d_h = 0 as stored.
-    Validity: p_exact means no column truncation on the right; q_valid[p]
-    bounds the trustworthy internal levels of column p (None = exact).
+    s_valid is the highest total degree a totalization is trusted in;
+    None means nothing was truncated.
     """
 
-    __slots__ = ("field", "gens", "d_h", "d_v", "p_exact", "q_valid")
+    __slots__ = ("field", "gens", "d_h", "d_v", "s_valid")
 
-    def __init__(self, field, gens, d_h, d_v, p_exact=True, q_valid=None):
+    def __init__(self, field, gens, d_h, d_v, s_valid=None):
         self.field = field
         self.gens = {k: tuple(v) for k, v in gens.items() if v}
         self.d_h = d_h
         self.d_v = d_v
-        self.p_exact = bool(p_exact)
-        self.q_valid = dict(q_valid or {})
+        self.s_valid = s_valid
 
     @classmethod
-    def from_commuting(cls, field, gens, d_h, d_v, p_exact=True, q_valid=None):
+    def from_commuting(cls, field, gens, d_h, d_v, s_valid=None):
         """Build from commuting squares; the vertical maps at column p get
         multiplied by (-1)^p so squares anticommute."""
         twisted = {}
         for (p, q), m in d_v.items():
             twisted[(p, q)] = m.scale(field(-1)) if p % 2 else m
-        return cls(field, gens, d_h, twisted, p_exact=p_exact, q_valid=q_valid)
+        return cls(field, gens, d_h, twisted, s_valid=s_valid)
 
     def dim(self, p: int, q: int) -> int:
         return len(self.gens.get((p, q), ()))
-
-    @property
-    def p_range(self):
-        return sorted({p for (p, _) in self.gens})
 
     def _mat(self, table, p, q, tp, tq) -> SMat:
         m = table.get((p, q))
@@ -376,22 +381,10 @@ class DoubleComplex:
                     _check_degrees(m, self.gens[(p, q)], self.gens.get(tgt, ()), what)
         return self
 
-    def s_bound(self):
-        """(s_valid, exact) for anything totalized out of this data."""
-        bounds = []
-        if not self.p_exact:
-            bounds.append(max(self.p_range, default=0) - 1)
-        for qv in self.q_valid.values():
-            if qv is not None:
-                bounds.append(qv)
-        if not bounds:
-            top = max((p + q for (p, q) in self.gens), default=0)
-            return top, True
-        return min(bounds), False
-
 
 def total_complex(D: DoubleComplex) -> ChainComplex:
-    """Levels n = sum of blocks (p, q) with p + q = n, blocks by ascending p."""
+    """Levels n = sum of blocks (p, q) with p + q = n, blocks by ascending p;
+    exact when D.s_valid is None, else trusted to min(D.s_valid, top - 1)."""
     field = D.field
     keys = sorted(D.gens)
     if not keys:
@@ -425,33 +418,24 @@ def total_complex(D: DoubleComplex) -> ChainComplex:
                     for i, v in col.items():
                         d.add_at(tb + i, base + j, v)
         diffs.append(d)
-    s_valid, exact = D.s_bound()
-    if exact:
+    if D.s_valid is None:
         return ChainComplex(field, levels, diffs, exact_top=True)
-    return ChainComplex(field, levels, diffs, s_valid=min(s_valid, top - 1))
+    return ChainComplex(field, levels, diffs, s_valid=min(D.s_valid, top - 1))
 
 
 class SpectralSequencePage:
-    """One page: dimensions and differentials per (p, q, t), plus trust data.
+    """One page: dimensions per (p, q, t), plus the trusted total range.
 
-    The basis of E^r at (p, q, t) is the pair basis of ``sseq_pages``: the
-    generators of that block that are unpaired or paired at a gap >= r, in
-    total-complex order.  d[(p, q, t)] is d_r into (p - r, q + r - 1, t) on
-    these bases, a 0/1 matrix with one entry per pair at gap exactly r (a
-    0-row matrix when that target is zero).  Entries outside the trusted
-    total range are omitted entirely.
+    entries[(p, q, t)] is the dimension of E^r there; blocks with p + q
+    beyond n_valid, the trusted range of the total complex, are omitted.
     """
 
-    __slots__ = ("r", "entries", "d", "n_valid")
+    __slots__ = ("r", "entries", "n_valid")
 
-    def __init__(self, r, entries, d, n_valid):
+    def __init__(self, r, entries, n_valid):
         self.r = r
         self.entries = {k: v for k, v in entries.items() if v}
-        self.d = d
         self.n_valid = n_valid
-
-    def dim(self, p: int, q: int) -> int:
-        return sum(v for (pp, qq, _), v in self.entries.items() if (pp, qq) == (p, q))
 
     def total(self, n: int) -> int:
         return sum(v for (p, q, _), v in self.entries.items() if p + q == n)
@@ -507,51 +491,27 @@ def sseq_pages(D: DoubleComplex, r_max: int) -> list:
     differential preserves t, so reducing a whole level reduces its t-blocks
     side by side.  A pivot pairs column j (level n) with row i (level n - 1)
     at the gap g = p_j - p_i.  A generator survives to E^r when it is
-    unpaired or its pair has gap >= r; the survivors of a block (p, q, t),
-    in total-complex order, are the basis of E^r there.  A column j stands
-    for the class of V_j (R_j = D V_j in the reduction) scaled so that R_j
-    has pivot one, a row i paired with j for the class of that R_j; on
-    these classes d_r is the 0/1 matching of the pairs at gap exactly r.
-    Entries with p + q beyond the trusted total range are refused (omitted).
+    unpaired or its pair has gap >= r; E^r at (p, q, t) has one dimension
+    per survivor of that block.  Levels past the trusted range of the total
+    complex are omitted.
     """
-    field = D.field
-    n_valid, exact = D.s_bound()
-    if not D.gens:
-        return [SpectralSequencePage(r, {}, {}, 0) for r in range(r_max + 1)]
     T = total_complex(D)
-    if exact:
-        n_valid = T.top
+    n_valid = T.s_valid
     # a generator of a trusted level is paired by D_n or D_{n+1}
     top = min(n_valid + 1, T.top)
-    pivots = [{}] + [_pivots(T.diffs[n]) for n in range(1, top + 1)]
     gaps: list = [{} for _ in range(top + 1)]
     for n in range(1, top + 1):
         lower, upper = T.levels[n - 1], T.levels[n]
-        for j, i in pivots[n].items():
+        for j, i in _pivots(T.diffs[n]).items():
             gaps[n][j] = gaps[n - 1][i] = upper[j][0][0] - lower[i][0][0]
     pages = []
     for r in range(r_max + 1):
-        basis: dict = {}
-        for n in range(min(n_valid, T.top) + 1):
+        entries: dict = {}
+        for n in range(n_valid + 1):
             for k, ((p, q, _), t) in enumerate(T.levels[n]):
                 if gaps[n].get(k, r) >= r:
-                    basis.setdefault((p, q, t), []).append(k)
-        d = {}
-        for (p, q, t), ks in basis.items():
-            tgt = basis.get((p - r, q + r - 1, t))
-            if tgt is None:
-                if p - r >= 0:
-                    # target is zero: record the zero matrix for shape fidelity
-                    d[(p, q, t)] = SMat(0, len(ks), field)
-                continue
-            row = {i: pos for pos, i in enumerate(tgt)}
-            low, gap = pivots[p + q], gaps[p + q]
-            d[(p, q, t)] = SMat(len(tgt), len(ks), field, [
-                {row[low[j]]: field.one} if j in low and gap[j] == r else {}
-                for j in ks
-            ])
-        entries = {key: len(ks) for key, ks in basis.items()}
-        pages.append(SpectralSequencePage(r, entries, d, n_valid))
+                    entries[(p, q, t)] = entries.get((p, q, t), 0) + 1
+        pages.append(SpectralSequencePage(r, entries, n_valid))
     return pages
 
 

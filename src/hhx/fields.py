@@ -101,8 +101,8 @@ class _Rationals(Field):
     def __call__(self, value):
         if isinstance(value, float):
             raise FieldError("floats are not exact; use Fraction or a string")
-        if isinstance(value, int):
-            return int(value)
+        if type(value) is int:
+            return value
         if isinstance(value, Fraction):
             return value.numerator if value.denominator == 1 else value
         if isinstance(value, str):
@@ -162,7 +162,7 @@ class _PrimeField(Field):
     def __call__(self, value):
         if isinstance(value, float):
             raise FieldError("floats are not exact; use ints or strings")
-        if isinstance(value, int):
+        if type(value) is int:
             return value % self.p
         if isinstance(value, Fraction):
             den = value.denominator % self.p

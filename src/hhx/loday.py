@@ -43,7 +43,6 @@ __all__ = [
     "LodayComplex",
     "loday_complex",
     "unnormalized_complex",
-    "normalize",
     "hh",
     "induced_map",
     "cyclic_bar_oracle",
@@ -424,13 +423,6 @@ def unnormalized_complex(A: GradedAlgebra, X: SimplicialSet, N: int) -> ChainCom
     return _assemble(A, X, simps, names, [_positions(nm) for nm in names])
 
 
-def normalize(L) -> ChainComplex:
-    """The normalized complex of a LodayComplex; a bare complex passes through."""
-    if isinstance(L, ChainComplex):
-        return L
-    return L.normalized_data()[0]
-
-
 def hh(
     A: GradedAlgebra,
     X: SimplicialSet,
@@ -441,7 +433,7 @@ def hh(
     if s_max < 0:
         raise ValueError(f"s_max must be at least 0, got {s_max}")
     L = loday_complex(A, X, s_max + 1, base)
-    return normalize(L).homology(s_max, provenance="loday")
+    return L.normalized_data()[0].homology(s_max, provenance="loday")
 
 
 def induced_map(f: SimplicialMap, A: GradedAlgebra, N: int) -> ChainMap:

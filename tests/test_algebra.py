@@ -424,6 +424,24 @@ def test_algebra_json_rejects_garbage():
         algebra_from_json(obj)
 
 
+@pytest.mark.parametrize(
+    "make, key, value, message",
+    [
+        (exterior_line, "degree", True, "degree of 'x'"),
+        (dual_numbers, "unit", [True, False], "unit vector: cannot coerce True"),
+    ],
+    ids=["degree", "unit"],
+)
+def test_algebra_json_refuses_booleans(make, key, value, message):
+    obj = algebra_to_json(make())
+    if key == "degree":
+        obj["basis"][1]["degree"] = value
+    else:
+        obj["unit"] = value
+    with pytest.raises(AlgebraError, match=message):
+        algebra_from_json(obj)
+
+
 def test_map_json_round_trip():
     f = dual_into_square()
     g = map_from_json(map_to_json(f))

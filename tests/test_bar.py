@@ -171,8 +171,7 @@ def test_circle_bar_window_raises_past_trust():
 def test_bar_double_complex_validates():
     D = circle_bar(dual_numbers(), 3)
     D.validate()
-    s_valid, exact = D.s_bound()
-    assert s_valid == 2 and not exact
+    assert D.s_valid == 2
 
 
 # ------------------------------------------------------- suspension

@@ -15,7 +15,7 @@ import pytest
 from hhx import cobar as cobar_mod
 from hhx.bar import circle_bar
 from hhx.catalog import mat2
-from hhx.chains import sseq_pages, total_complex
+from hhx.chains import total_complex
 from hhx.cobar import hochschild_cohomology
 from hhx.fields import QQ
 from hhx.loday import cyclic_bar_oracle, loday_complex
@@ -58,7 +58,6 @@ def differentials(A) -> dict:
             out[f"loday_complex {label}"] = loday_complex(A, X, 3).complex.diffs[1:]
         D = circle_bar(A, 4)
         out["total_complex(circle_bar)"] = total_complex(D).diffs[1:]
-        out["sseq_pages"] = [m for page in sseq_pages(D, 3) for m in page.d.values()]
     return out
 
 

@@ -443,6 +443,45 @@ def test_validate_unrecognized_shape(capsys, tmp_path):
     assert "unrecognized" in err
 
 
+GOOD_ENTRY = {"s": 0, "t": 0, "dim": 1}
+MALFORMED_TABLES = {
+    "no-t": {"entries": [{"s": 0, "dim": 1}]},
+    "s-string": {"entries": [{"s": "a", "t": 0, "dim": 1}]},
+    "dim-float": {"entries": [{"s": 0, "t": 0, "dim": 1.5}]},
+    "dim-bool": {"entries": [{"s": 0, "t": 0, "dim": True}]},
+    "s_valid-string": {"s_valid": "2"},
+    "duplicate": {"entries": [GOOD_ENTRY, dict(GOOD_ENTRY, dim=2)]},
+    "entries-number": {"entries": 3},
+}
+
+
+def table_file(tmp_path, name, **fields):
+    path = tmp_path / f"{name}.json"
+    doc = {"provenance": "loday", "s_valid": 2, "entries": [GOOD_ENTRY]}
+    path.write_text(json.dumps(dict(doc, **fields)))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+def test_malformed_betti_table_exits_2(capsys, tmp_path, case):
+    bad = table_file(tmp_path, "bad", **MALFORMED_TABLES[case])
+    good = table_file(tmp_path, "good")
+    code, _, err = run(capsys, "validate", bad)
+    assert code == 2
+    assert f"{bad}: invalid: " in err
+    code, _, err = run(capsys, "compare", "--left", bad, "--right", good)
+    assert code == 2
+    assert "invalid input: " in err
+
+
+def test_malformed_betti_table_prints_no_traceback(tmp_path):
+    bad = table_file(tmp_path, "bad", **MALFORMED_TABLES["no-t"])
+    for argv in (["validate", bad], ["compare", "--left", bad, "--right", bad]):
+        proc = run_proc(*argv)
+        assert proc.returncode == 2
+        assert "invalid" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_validate_nothing_given(capsys):
     code, _, err = run(capsys, "validate")
     assert code == 1

@@ -24,7 +24,7 @@ def test_rational_coercion():
     assert QQ(Fraction(5, 3)) == Fraction(5, 3)
     # canonical form: integer values are ints, one representation per value
     for got, want in [
-        (QQ(Fraction(4, 2)), 2), (QQ("6/3"), 2), (QQ("-7"), -7), (QQ(True), 1),
+        (QQ(Fraction(4, 2)), 2), (QQ("6/3"), 2), (QQ("-7"), -7),
         (QQ.inv(1), 1), (QQ.inv(Fraction(1, 3)), 3), (QQ.inv(-2), Fraction(-1, 2)),
         (QQ.zero, 0), (QQ.one, 1), (QQ.parse(" 10/5 "), 2), (QQ("2/4"), Fraction(1, 2)),
     ]:
@@ -34,6 +34,14 @@ def test_rational_coercion():
 def test_rational_rejects_floats():
     with pytest.raises(FieldError):
         QQ(0.5)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
+@pytest.mark.parametrize("value", [True, False])
+def test_fields_refuse_booleans(field, value):
+    # a JSON true or false is an int to Python, but not a scalar of a file
+    with pytest.raises(FieldError, match="cannot coerce"):
+        field(value)
 
 
 def test_rational_show_roundtrip():

@@ -40,7 +40,6 @@ from hhx.loday import (
     hh,
     induced_map,
     loday_complex,
-    normalize,
     oracle_hh,
     unnormalized_complex,
 )
@@ -299,7 +298,7 @@ def test_kunneth_fuzz_spaces(xa, xb):
 def test_normalized_circle_dims():
     for A, per in [(dual_numbers(), [2, 2, 2, 2]), (split_triple(), [3, 6, 12, 24])]:
         L = loday_complex(A, circle_min(), 3)
-        C = normalize(L)
+        C = L.complex
         assert [len(lv) for lv in C.levels] == per
         C.validate()
 
@@ -308,10 +307,10 @@ def test_normalization_preserves_homology():
     for A in [dual_numbers(), exterior_line()]:
         L = loday_complex(A, circle_min(), 4)
         raw = unnormalized_complex(A, circle_min(), 4).homology(3)
-        assert window_equal(normalize(L).homology(3), raw, 3)
+        assert window_equal(L.complex.homology(3), raw, 3)
     L = loday_complex(dual_numbers(), circle_subdiv(2), 3)
     raw = unnormalized_complex(dual_numbers(), circle_subdiv(2), 3).homology(2)
-    assert window_equal(normalize(L).homology(2), raw, 2)
+    assert window_equal(L.complex.homology(2), raw, 2)
 
 
 @pytest.mark.parametrize(
@@ -329,7 +328,7 @@ def test_direct_normalization_without_unit_basis_vector(make, X, N):
     # unit-adapted basis; the unnormalized complex in the given basis is
     # the oracle
     A = make()
-    C = normalize(loday_complex(A, X, N))
+    C = loday_complex(A, X, N).complex
     C.validate()
     raw = unnormalized_complex(A, X, N)
     assert window_equal(C.homology(N - 1), raw.homology(N - 1), N - 1)
@@ -339,7 +338,6 @@ def test_direct_normalization_without_unit_basis_vector(make, X, N):
 def test_nondegenerate_counts_dual_subdivided_circle():
     L = loday_complex(dual_numbers(), circle_subdiv(3), 3)
     assert [len(lv) for lv in L.complex.levels] == [8, 56, 392, 2744]
-    assert normalize(L) is L.complex
 
 
 def _permuted(A, perm):
@@ -378,12 +376,6 @@ def test_unit_adapted_is_an_isomorphism(A):
         assert f.source is A
 
 
-def test_normalize_plain_complex_is_identity():
-    zero = SMat(1, 1, QQ)
-    C = ChainComplex(QQ, [[("a", 0)], [("b", 0)]], [None, zero])
-    assert normalize(C) is C
-
-
 def test_normalized_data_is_cached():
     L = loday_complex(dual_numbers(), circle_min(), 2)
     assert L.normalized_data() is L.normalized_data()
@@ -405,7 +397,6 @@ def test_relative_dims_double_the_base_rank():
     # times the 2 base basis vectors
     L = loday_complex(A, circle_min(), 4, base=base)
     assert [len(lv) for lv in L.complex.levels] == [4, 4, 4, 4, 4]
-    assert normalize(L) is L.complex
     L.complex.validate()
 
 
@@ -592,7 +583,7 @@ def test_shuffle_unit_both_sides():
     A = dual_numbers()
     X = circle_min()
     L = loday_complex(A, X, 3)
-    C = normalize(L)
+    C = L.complex
     u = _unit_class(A, C)
     for s in [1, 2]:
         for z in C.diffs[s].nullspace():
@@ -604,7 +595,7 @@ def test_shuffle_square_of_odd_class_vanishes():
     A = dual_numbers()
     X = circle_min()
     L = loday_complex(A, X, 3)
-    C = normalize(L)
+    C = L.complex
     z = (1, C.diffs[1].nullspace()[0])
     assert _shuffle_chain(L, z, z) == {}
 
@@ -683,7 +674,7 @@ def test_shuffle_of_cycles_is_a_cycle():
     A = dual_numbers()
     X = circle_min()
     L = loday_complex(A, X, 4)
-    C = normalize(L)
+    C = L.complex
     for s1, s2 in [(1, 1), (1, 2)]:
         for z1 in C.diffs[s1].nullspace():
             for z2 in C.diffs[s2].nullspace():
@@ -711,7 +702,7 @@ def test_graded_algebra_over_f2_shuffle_consistency():
     A = dual_numbers(GF(2))
     X = circle_min()
     L = loday_complex(A, X, 3)
-    C = normalize(L)
+    C = L.complex
     u = _unit_class(A, C)
     for z in C.diffs[1].nullspace():
         assert _shuffle_chain(L, u, (1, z)) == z

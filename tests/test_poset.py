@@ -372,6 +372,14 @@ def test_json_closes_transitively():
     assert ("a", "c") in P.le
 
 
+@pytest.mark.parametrize("count", [2.7, True, 0, "2"])
+def test_json_refuses_bad_component_counts(count):
+    obj = poset_to_json(cyclic_cech_poset(2))
+    obj["objects"][0]["components"] = count
+    with pytest.raises(PosetError, match="components of .* integer >= 1"):
+        poset_from_json(obj)
+
+
 # ------------------------------ Morse complex against the full nerve
 
 
