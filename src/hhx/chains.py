@@ -45,12 +45,16 @@ class BettiTable:
     __slots__ = ("entries", "s_valid", "provenance")
 
     def __init__(self, entries: dict, s_valid: int, provenance: str):
+        if s_valid < 0:
+            raise ChainError(f"s_valid must be at least 0, got {s_valid}")
+        if not isinstance(provenance, str):
+            raise ChainError(f"provenance must be a string, got {provenance!r}")
         self.entries = {k: v for k, v in entries.items() if v}
         for (s, t), v in self.entries.items():
             if v < 0:
                 raise ChainError(f"negative dimension at ({s}, {t})")
-            if s > s_valid:
-                raise ChainError(f"entry at s={s} beyond validity bound {s_valid}")
+            if not 0 <= s <= s_valid:
+                raise ChainError(f"entry at s={s} beyond the validity range 0..{s_valid}")
         self.s_valid = s_valid
         self.provenance = provenance
 

@@ -176,6 +176,11 @@ def _table_human(table: BettiTable) -> list:
     return [head, table.render()]
 
 
+def _emit_table(args, table: BettiTable) -> int:
+    _emit(args, table.to_json(), _table_human(table))
+    return 0
+
+
 def _load_algebra(path: str, field):
     return algebra_from_json(_read_json(path), field)
 
@@ -204,40 +209,29 @@ def _cmd_hh(args, field) -> int:
             A = given
     else:
         A = _load_algebra(alg_path, field)
-    table = hh(A, X, args.smax, base=base)
-    _emit(args, table.to_json(), _table_human(table))
-    return 0
+    return _emit_table(args, hh(A, X, args.smax, base=base))
 
 
 def _cmd_hh_bar(args, field) -> int:
     A = _load_algebra(_input("algebra", args.algebra), field)
-    table = hh_via_suspension(A, args.sphere, args.smax)
-    _emit(args, table.to_json(), _table_human(table))
-    return 0
+    return _emit_table(args, hh_via_suspension(A, args.sphere, args.smax))
 
 
 def _cmd_oracle_hh(args, field) -> int:
     A = _load_algebra(_input("algebra", args.algebra), field)
-    table = oracle_hh(A, args.smax)
-    _emit(args, table.to_json(), _table_human(table))
-    return 0
+    return _emit_table(args, oracle_hh(A, args.smax))
 
 
 def _cmd_cohomology(args, field) -> int:
     A = _load_algebra(_input("algebra", args.algebra), field)
-    # the complex is built one level past the report so every level shown
-    # is trusted
-    table = hochschild_cohomology(A, args.nmax + 1)
-    _emit(args, table.to_json(), _table_human(table))
-    return 0
+    # built one level past the report, so every level shown is trusted
+    return _emit_table(args, hochschild_cohomology(A, args.nmax + 1))
 
 
 def _cmd_rhom(args, field) -> int:
     A = _load_algebra(_input("algebra", args.algebra), field)
     M = regular_module(A)
-    table = cobar(M, A, M, args.nmax + 1)
-    _emit(args, table.to_json(), _table_human(table))
-    return 0
+    return _emit_table(args, cobar(M, A, M, args.nmax + 1))
 
 
 def _cmd_poset_hh(args, field) -> int:

@@ -28,6 +28,10 @@ the Koszul sign for the g's they pass; an empty fibre gets g_0.  A
 degeneracy puts g_0 outside its image and leaves t_tau alone, so the
 normalized basis is the same test as above, run on the j's with g_0 as the
 unit, and tau free.
+
+cyclic_bar_oracle builds the circle's normalized model on its own, with no
+space: the Hochschild complex A (x) Abar^(x)n, Abar = A / k.1, in the
+unit-adapted basis, so level n has dim A * (dim A - 1)^n generators.
 """
 
 from __future__ import annotations
@@ -462,12 +466,7 @@ def induced_map(f: SimplicialMap, A: GradedAlgebra, N: int) -> ChainMap:
 
 
 def _shuffle_sign(mu, nu) -> int:
-    inv = 0
-    for a in mu:
-        for b in nu:
-            if a > b:
-                inv += 1
-    return -1 if inv % 2 else 1
+    return -1 if sum(a > b for a in mu for b in nu) % 2 else 1
 
 
 def _degeneracy_push(L: LodayComplex, level: int, js) -> _Push:
@@ -528,50 +527,59 @@ def _shuffle_chain(L: LodayComplex, z1, z2) -> dict:
 
 
 def cyclic_bar_oracle(A: GradedAlgebra, N: int) -> ChainComplex:
-    """Cyclic tensor-power complex on slots 0..n, built without any space.
+    """Normalized cyclic complex A (x) Abar^(x)n on slots 0..n, built without any space.
 
     Independent of the simplicial machinery on purpose; works for any
-    associative algebra.  The wrap-around face multiplies the last factor
-    onto the first and pays the sign for carrying it past the rest.
+    associative algebra.  In the unit-adapted basis, with unit e_u, level n
+    lists the dim A * (dim A - 1)^n tuples with slots 1..n not u.  Face 0 and
+    the wrap-around face, which multiplies the last factor onto the first
+    and pays the sign for carrying it past the rest, land in slot 0; the
+    inner faces drop the e_u term of their product.
     """
     if N < 1:
         raise ValueError(f"level bound must be at least 1, got {N}")
+    A = unit_adapted(A).source
     field = A.field
     add = field.add_into
     dA = A.dim
-    # prod[sign][i][j]: the expansion of e_i * e_j, negated for sign 1
+    u = A.unit.index(field.one)
+    bar = [i for i in range(dA) if i != u]
+    # prod[sign][i][j]: the expansion of e_i * e_j, negated for sign 1; cut
+    # drops its e_u term and writes index k as its digit k - (k > u) in bar
     plus = [[list(A.mul_basis(i, j).items()) for j in range(dA)] for i in range(dA)]
     prod = (plus, [[[(k, -c) for k, c in v] for v in row] for row in plus])
-    levels = []
-    for n in range(N + 1):
-        levels.append(
-            [
-                (phi, sum(A.degrees[i] for i in phi))
-                for phi in itertools.product(range(dA), repeat=n + 1)
-            ]
-        )
+    cut = [[[[(k - (k > u), c) for k, c in v if k != u] for v in r] for r in p] for p in prod]
+    levels = [
+        [(phi, sum(A.degrees[i] for i in phi))
+         for phi in itertools.product(range(dA), *[bar] * n)]
+        for n in range(N + 1)
+    ]
     diffs: list = [None]
-    # column j of level n is phi written in base dA, first slot most
-    # significant, so a face image is ranked by cutting j into digits
-    pw = [dA ** e for e in range(N + 2)]
+    # column j of level n is phi with slot 0 most significant and slots
+    # 1..n as digits in base dA - 1, so a face image is ranked by cutting j
+    m = dA - 1
+    pw = [m ** e for e in range(N + 1)]
     for n in range(1, N + 1):
+        top = pw[n - 1]
         cols = []
-        for j, (phi, _) in enumerate(levels[n]):
+        for j, (phi, t) in enumerate(levels[n]):
             acc: dict = {}
-            for i in range(n):
+            # slots 0 and 1 merge into slot 0, slots 2..n stay as digits
+            for k, c in plus[phi[0]][phi[1]]:
+                add(acc, k * top + j % top, c)
+            for i in range(1, n):
                 # slots i and i + 1 merge into k: keep the i digits above
                 # and the n - 1 - i digits below
                 step = pw[n - 1 - i]
                 rest = j // pw[n + 1 - i] * pw[n - i] + j % step
-                for k, c in prod[i % 2][phi[i]][phi[i + 1]]:
+                for k, c in cut[i % 2][phi[i]][phi[i + 1]]:
                     add(acc, rest + k * step, c)
-            wrap = n + A.degrees[phi[n]] * sum(A.degrees[phi[i]] for i in range(n))
             # slot n multiplies onto slot 0, and slots 1..n - 1 move down one
-            mid = (j // dA) % pw[n - 1]
+            wrap = n + A.degrees[phi[n]] * (t - A.degrees[phi[n]])
             for k, c in prod[wrap % 2][phi[n]][phi[0]]:
-                add(acc, k * pw[n - 1] + mid, c)
+                add(acc, k * top + j // m % top, c)
             cols.append(acc)
-        diffs.append(SMat(pw[n], pw[n + 1], field, cols))
+        diffs.append(SMat(dA * top, dA * pw[n], field, cols))
     return ChainComplex(field, levels, diffs)
 
 

@@ -236,20 +236,14 @@ def cyclic_cech_poset(m: int) -> Poset:
             if sets[a] <= sets[b]:
                 le.add((a, b))
     components = {nm: len(geometry[nm]) for nm in names}
-    comp_maps = {}
-    for a, b in le:
-        if a == b:
-            continue
-        tp = []
-        for run in geometry[a]:
-            tp.append(
-                next(
-                    k
-                    for k, big in enumerate(geometry[b])
-                    if set(run) <= set(big)
-                )
-            )
-        comp_maps[(a, b)] = tuple(tp)
+    comp_maps = {
+        (a, b): tuple(
+            next(k for k, big in enumerate(geometry[b]) if set(run) <= set(big))
+            for run in geometry[a]
+        )
+        for a, b in le
+        if a != b
+    }
     return Poset(names, le, components, comp_maps, window=m - 1)
 
 

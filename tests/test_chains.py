@@ -65,6 +65,12 @@ def test_betti_rejects_bad_entries():
         BettiTable({(0, 0): -1}, 2, "x")
     with pytest.raises(ChainError, match="beyond"):
         BettiTable({(3, 0): 1}, 2, "x")
+    with pytest.raises(ChainError, match="beyond"):
+        BettiTable({(-1, 0): 1}, 2, "x")
+    with pytest.raises(ChainError, match="s_valid"):
+        BettiTable({}, -1, "x")
+    with pytest.raises(ChainError, match="provenance"):
+        BettiTable({}, 2, 5)
 
 
 def test_betti_window_and_convolve():
@@ -179,7 +185,7 @@ def test_whole_level_block_is_ranked_in_place(monkeypatch):
 
     monkeypatch.setattr(SMat, "restrict", refuse)
     assert C.homology(3).entries == {(0, 0): 1}
-    assert [d._rank for d in C.diffs[1:]] == [3, 13, 51, 205]
+    assert [d._rank for d in C.diffs[1:]] == [3, 9, 27, 81]
     # a block that is part of a level is still cut out
     D = cx([[("a", 0), ("x", 5)], [("b", 0), ("y", 5)]], [[[1, 0], [0, 0]]])
     with pytest.raises(AssertionError, match="copied"):

@@ -452,6 +452,9 @@ MALFORMED_TABLES = {
     "s_valid-string": {"s_valid": "2"},
     "duplicate": {"entries": [GOOD_ENTRY, dict(GOOD_ENTRY, dim=2)]},
     "entries-number": {"entries": 3},
+    "s_valid-negative": {"s_valid": -3, "entries": []},
+    "s-negative": {"entries": [{"s": -4, "t": 0, "dim": 2}]},
+    "provenance-number": {"provenance": 5},
 }
 
 

@@ -15,6 +15,7 @@ from hhx.algebra import (
     AlgebraError,
     AlgebraMap,
     algebra_from_json,
+    change_basis,
     make_algebra,
     tensor_algebras,
     unit_adapted,
@@ -67,8 +68,9 @@ def dense(rows, field):
 
 
 def test_cyclic_oracle_level_dims():
+    # normalized: A (x) Abar^(x)n, and Abar of the dual numbers is the line of x
     O = cyclic_bar_oracle(dual_numbers(), 3)
-    assert [len(lv) for lv in O.levels] == [2, 4, 8, 16]
+    assert [len(lv) for lv in O.levels] == [2, 2, 2, 2]
     O.validate()
 
 
@@ -77,7 +79,8 @@ def test_circle_model_matches_cyclic_bar():
     # or the edge word missing index n - k, which lines the level up with
     # tensor slots 0..n.  Under that identification face i of the circle
     # merges the reversed slot pair, so the differentials agree up to the
-    # global sign (-1)^n.
+    # global sign (-1)^n.  Both are normalized in the unit-adapted basis,
+    # on the same generators.
     X = circle_min()
     for n in range(1, 5):
         lv = X.level(n)
@@ -85,9 +88,10 @@ def test_circle_model_matches_cyclic_bar():
         for k in range(1, n + 1):
             assert lv[k].base == "e"
             assert set(range(n)) - set(lv[k].word) == {n - k}
-    for A in [dual_numbers(), split_pair()]:
-        C = unnormalized_complex(A, X, 4)
+    for A in [dual_numbers(), split_pair(), exterior_line(), dual_square()]:
+        C = loday_complex(A, X, 4).complex
         O = cyclic_bar_oracle(A, 4)
+        assert C.levels == O.levels
         for n in range(1, 5):
             want = O.diffs[n] if n % 2 == 0 else O.diffs[n].scale(-1)
             assert C.diffs[n] == want
@@ -96,7 +100,7 @@ def test_circle_model_matches_cyclic_bar():
 def test_circle_oracle_chain_iso_scaling():
     # eps_n = (-1)^(n(n+1)/2) conjugates one differential into the other.
     A = dual_numbers()
-    C = unnormalized_complex(A, circle_min(), 4)
+    C = loday_complex(A, circle_min(), 4).complex
     O = cyclic_bar_oracle(A, 4)
     eps = [1 if (n * (n + 1) // 2) % 2 == 0 else -1 for n in range(5)]
     for n in range(1, 5):
@@ -122,12 +126,47 @@ def test_oracle_agreement_corpus():
 
 
 def test_mat2_oracle_trace_quotient():
-    # separable, so nothing above degree zero; commutators span a rank-3
-    # subspace of the four-dimensional algebra
-    t = oracle_hh(mat2(), 2)
-    assert t.entries == {(0, 0): 1}
-    O = cyclic_bar_oracle(mat2(), 2)
-    assert O.diffs[1].rank() == 3
+    # separable, so nothing above degree zero (Morita invariance); commutators
+    # span a rank-3 subspace of the four-dimensional algebra
+    for field in (QQ, GF(2), GF(3)):
+        assert oracle_hh(mat2(field), 4).entries == {(0, 0): 1}
+        assert cyclic_bar_oracle(mat2(field), 2).diffs[1].rank() == 3
+
+
+CATALOG = [
+    ground, dual_numbers, split_pair, split_triple, gf4, exterior_line,
+    mat2, dual_square, dual_pair,
+]
+
+
+@pytest.mark.parametrize("make", CATALOG, ids=lambda f: f.__name__)
+def test_oracle_is_normalized(make):
+    # a return to the full tensor power A^(x)(n+1) fails on the count
+    A = make()
+    O = cyclic_bar_oracle(A, 4)
+    assert [len(lv) for lv in O.levels] == [A.dim * (A.dim - 1) ** n for n in range(5)]
+    O.validate()
+
+
+def _unit_off_basis():
+    B = change_basis(dual_numbers(), [[1, 1], [0, 1]], ["1+x", "x"]).source
+    assert B.unit == (1, -1)
+    return B
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(f, id=f.__name__) for f in CATALOG if f is not mat2]
+    + [
+        pytest.param(lambda: dual_numbers(GF(3)), id="dual_numbers-F3"),
+        pytest.param(_unit_off_basis, id="unit_off_basis"),
+    ],
+)
+def test_oracle_matches_unnormalized_circle(make):
+    # the unnormalized model keeps the basis A comes with, so this check does
+    # not go through unit_adapted
+    A = make()
+    assert oracle_hh(A, 4) == unnormalized_complex(A, circle_min(), 5).homology(4)
 
 
 def test_oracle_rejects_bad_bound():
