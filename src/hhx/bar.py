@@ -222,16 +222,13 @@ def algebra_model(A: GradedAlgebra) -> DGAlgebraModel:
 def loday_model(A: GradedAlgebra, X, q_top: int) -> DGAlgebraModel:
     """Normalized tensor-power model of a space with the shuffle product.
 
-    Products are stored up to level q_top, so anything consuming the model
-    should stay inside that window.  A discrete space gives a model that is
-    exact on the nose: every positive normalized level vanishes.  The
-    generators are monomials in the unit-adapted basis of A (see
-    loday_complex).
+    Levels and products are stored up to level q_top, so anything consuming
+    the model should stay inside that window; every stored pair is
+    validated.  The generators are monomials in the unit-adapted basis of A
+    (see loday_complex).
     """
     L = loday_complex(A, X, q_top)
     C, _frees, _pis = L.normalized_data()
-    if all(C.level_dim(s) == 0 for s in range(1, C.top + 1)):
-        C = ChainComplex(C.field, C.levels, C.diffs, exact_top=True)
     one = A.field.one
 
     def mul(p, i, q, j, _L=L):
@@ -269,9 +266,10 @@ def two_sided_bar(
     """Double complex M (x) B^p (x) N: bar faces across, inner differential down.
 
     Only blocks with p + q <= p_max inside the stored top of the model are
-    built, as totals read no level above p_max; s_valid is p_max - 1, or
-    min(p_max - 1, s_valid of B) when B is not exact.  The unit,
-    associativity and boundary checks of the module actions run first.
+    built, as totals read no level above p_max.  Totals through degree
+    p_max read model levels <= p_max - 1 only, so s_valid is p_max - 1, or
+    min(p_max - 1, top of B) when B is not exact.  The unit, associativity
+    and boundary checks of the module actions run first.
     """
     if p_max < 1:
         raise ChainError(f"column bound must be at least 1, got {p_max}")
@@ -353,7 +351,7 @@ def two_sided_bar(
                     for k2, c in N.act.get((k_n, jp), {}).items():
                         m.add_at(rows[(i_m, word[: p - 1], k2)], cpos, -c if neg else c)
             d_h[(p, q)] = m
-    s_valid = p_max - 1 if C.exact_top else min(p_max - 1, C.s_valid)
+    s_valid = p_max - 1 if C.exact_top else min(p_max - 1, C.top)
     return DoubleComplex.from_commuting(field, gens, d_h, d_v, s_valid).validate()
 
 
@@ -390,14 +388,15 @@ def suspension_bar(A: GradedAlgebra, d: int, p_max: int) -> DoubleComplex:
     """The bar double complex whose total homology is A over the d-sphere.
 
     For d = 1 it is circle_bar; for d >= 2 the two-sided bar of A over the
-    normalized model of the (d-1)-sphere, stored up to level p_max.  Blocks
-    stop at p + q <= p_max, the levels any trusted total reads.
+    normalized model of the (d-1)-sphere, stored up to level p_max - 1 (at
+    least 1): blocks stop at p + q <= p_max, the levels any trusted total
+    reads, and those hold model levels <= p_max - 1 only.
     """
     if d < 1:
         raise ChainError(f"sphere dimension must be at least 1, got {d}")
     if d == 1:
         return circle_bar(A, p_max)
-    B = loday_model(A, sphere_min(d - 1), p_max)
+    B = loday_model(A, sphere_min(d - 1), max(p_max - 1, 1))
     M = augmentation_module(B, A, "right")
     N = augmentation_module(B, A, "left")
     return two_sided_bar(M, B, N, p_max)
@@ -408,8 +407,9 @@ def hh_via_suspension(A: GradedAlgebra, d: int, s_max: int) -> BettiTable:
 
     The total complex of suspension_bar with columns to s_max + 1: the base
     model is A (x) A when d = 1; for d >= 2 it is the normalized model of
-    the (d-1)-sphere with the shuffle product.  Blocks stop at
-    p + q <= s_max + 1, the window the requested range needs.
+    the (d-1)-sphere with the shuffle product, stored up to level s_max (at
+    least 1).  Blocks stop at p + q <= s_max + 1, the window the requested
+    range needs.
     """
     if s_max < 0:
         raise ChainError(f"window bound must be nonnegative, got {s_max}")

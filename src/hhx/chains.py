@@ -391,8 +391,6 @@ def total_complex(D: DoubleComplex) -> ChainComplex:
     exact when D.s_valid is None, else trusted to min(D.s_valid, top - 1)."""
     field = D.field
     keys = sorted(D.gens)
-    if not keys:
-        return ChainComplex(field, [()], [None], exact_top=True)
     top = max(p + q for (p, q) in keys)
     levels = []
     offsets: list[dict] = []
@@ -520,10 +518,8 @@ def sseq_pages(D: DoubleComplex, r_max: int) -> list:
 
 
 def r_stable(D: DoubleComplex) -> int:
-    """Index of the first page past every possible differential (0 if empty)."""
+    """Index of the first page past every possible differential."""
     keys = sorted(D.gens)
-    if not keys:
-        return 0
     p_span = max(p for (p, _) in keys) + 1
     q_span = max(q for (_, q) in keys) + 1
     return max(p_span, q_span) + 1

@@ -179,15 +179,13 @@ class CobarComplex:
                 raise ChainError(f"coboundary squared is nonzero at level {n}")
         return self
 
-    def cohomology(self, n_max: int | None = None, provenance: str = "cobar") -> BettiTable:
+    def cohomology(self, n_max: int, provenance: str = "cobar") -> BettiTable:
         """Betti table of ker/im per internal degree, for n <= n_max.
 
         Refuses windows that reach the top level, where the next coboundary
         is not stored.
         """
         bound = self.top - 1
-        if n_max is None:
-            n_max = bound
         if n_max > bound:
             raise ChainError(
                 f"cohomology requested to n={n_max} but trusted only to {bound}"

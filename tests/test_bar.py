@@ -74,10 +74,12 @@ def test_loday_model_unit_and_product():
     B.validate()
 
 
-def test_loday_model_refuses_scaled_product():
+@pytest.mark.parametrize("q_top", [4, 5])
+def test_loday_model_refuses_scaled_product(q_top):
     # one level-0 x level-3 product scaled by 2 breaks Leibniz one level up,
-    # where x * d(y) for a level-4 y reads it
-    B = loday_model(dual_numbers(), sphere_min(2), 5)
+    # where x * d(y) for a level-4 y reads it; q_top = 4 is the model that
+    # hh_via_suspension(dual_numbers(), 3, 4) builds
+    B = loday_model(dual_numbers(), sphere_min(2), q_top)
 
     def mul(p, i, q, j):
         out = B.mul(p, i, q, j)
@@ -88,13 +90,6 @@ def test_loday_model_refuses_scaled_product():
     bad = DGAlgebraModel(B.complex, mul, B.unit, B.commutative)
     with pytest.raises(ChainError, match=r"Leibniz fails at levels \(0, 4\)"):
         bad.validate()
-
-
-def test_loday_model_discrete_space_exact():
-    from hhx.simplicial import point
-
-    B = loday_model(dual_numbers(), point(), 2)
-    assert B.complex.exact_top
 
 
 def test_augmentation_module_needs_tuples():
@@ -216,9 +211,8 @@ def test_suspension_dim2_graded():
         (split_pair, 3),
         (exterior_line, 3),
         (gf4, 3),
-        (split_triple, 2),
-        # at s = 3 validating the S^2 model of dual_square alone takes a minute
-        (dual_square, 2),
+        (split_triple, 3),
+        (dual_square, 3),
     ],
     ids=["Q", "dual", "QxQ", "exterior", "F4", "Q3", "dual-square"],
 )
@@ -226,6 +220,36 @@ def test_suspension_dim3_matches_sphere(make, s_max):
     A = make()
     got = hh_via_suspension(A, 3, s_max)
     assert window_equal(got, hh(A, sphere_min(3), s_max), s_max)
+
+
+@pytest.mark.parametrize("p_max, q_top", [(1, 1), (2, 1), (3, 2), (4, 3)])
+def test_suspension_bar_model_height(monkeypatch, p_max, q_top):
+    # the bar reads model levels <= p_max - 1; loday_complex needs N >= 1
+    seen = []
+
+    def spy(A, X, top):
+        seen.append(top)
+        return loday_model(A, X, top)
+
+    monkeypatch.setattr("hhx.bar.loday_model", spy)
+    suspension_bar(dual_numbers(), 2, p_max)
+    assert seen == [q_top]
+
+
+@pytest.mark.parametrize("top, p_max", [(1, 4), (2, 4), (2, 5), (3, 5)])
+@pytest.mark.parametrize(
+    "make", [dual_numbers, exterior_line, gf4, split_pair], ids=["dual", "ext", "F4", "QxQ"]
+)
+def test_two_sided_bar_trusts_short_model_to_its_top(make, top, p_max):
+    # totals through degree top + 1 read model levels <= top, all stored
+    A = make()
+    B = loday_model(A, sphere_min(1), top)
+    M = augmentation_module(B, A, "right")
+    N = augmentation_module(B, A, "left")
+    D = two_sided_bar(M, B, N, p_max)
+    assert D.s_valid == top
+    got = total_complex(D).homology(top, provenance="bar")
+    assert got.entries == hh(A, sphere_min(2), top).entries
 
 
 @pytest.mark.parametrize("make", [dual_numbers, exterior_line], ids=["dual", "ext"])

@@ -479,7 +479,8 @@ def test_pages_stop_at_the_total_bound():
 @pytest.mark.parametrize("p_max", [1, 2, 3])
 def test_bar_trust_bound_is_one_number(d, p_max):
     # d = 1 builds over the exact one-level model, d = 2 over the Loday
-    # model of the circle, which is trusted to its own s_valid
+    # model of the circle stored to level max(p_max - 1, 1), which holds
+    # every level the totals through degree p_max read
     D = suspension_bar(dual_numbers(), d, p_max)
     assert D.s_valid == p_max - 1
     assert total_complex(D).s_valid == p_max - 1
