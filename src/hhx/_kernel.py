@@ -8,9 +8,14 @@ final row by its pivot).
 
 Both regimes share one pivot order and one back-substitution.  Columns are
 processed left to right, which pins the canonical staircase pivot set;
-inside a column the sparsest candidate row wins, ties to the lower index
-(Markowitz-style, after Dumas & Villard).  The regimes differ only in how a
-pivot row clears its column from another row:
+inside a column the candidate row that comes last wins.  A row is then only
+ever changed by a multiple of itself plus later rows, so the (column, row)
+pivots are those of reducing the rows from the last one up with the pivot
+at the first nonzero column: row i holds the pivot of column c exactly when
+the rank of the rows from i on, over the columns up to c, jumps there (the
+pairing of persistent cohomology, de Silva, Morozov & Vejdemo-Johansson).
+The regimes differ only in how a pivot row clears its column from another
+row:
 
 - over the integers, by fraction-free cross-multiplication (Bareiss)
   followed by content reduction, so every intermediate value is an integer
@@ -84,21 +89,26 @@ def _clear_fp(p: int):
 
 
 def _forward(rows, clear):
-    """Forward elimination: (rows, pivots), (col, row_index) by column."""
-    rows = [dict(r) for r in rows if r]
+    """Forward elimination: (rows, pivot columns, pivot rows), the pivot
+    rows given by their index in rows and listed by ascending column.
+    Empty rows are left alone."""
+    rows = [dict(r) for r in rows]
     buckets: dict[int, list[int]] = {}
     heap: list[int] = []
     for i, r in enumerate(rows):
+        if not r:
+            continue
         c = min(r)
         if c not in buckets:
             buckets[c] = []
             heapq.heappush(heap, c)
         buckets[c].append(i)
-    pivots = []
+    cols: list[int] = []
+    owners: list[int] = []
     while heap:
         c = heapq.heappop(heap)
         cand = buckets.pop(c)
-        ri = min(cand, key=lambda i: (len(rows[i]), i))
+        ri = max(cand)
         rest = [j for j in cand if j != ri]
         clear(rows[ri], c, [rows[j] for j in rest])
         for j in rest:
@@ -109,32 +119,36 @@ def _forward(rows, clear):
                     buckets[c2] = []
                     heapq.heappush(heap, c2)
                 buckets[c2].append(j)
-        pivots.append((c, ri))
-    return rows, pivots
+        cols.append(c)
+        owners.append(ri)
+    return rows, cols, owners
 
 
 def _reduced(rows, clear):
     """Forward elimination, then back-substitution: (pivot_cols, rows)."""
-    rows, pivots = _forward(rows, clear)
-    pivot_cols = {c for c, _ in pivots}
+    rows, cols, owners = _forward(rows, clear)
+    pivot_cols = set(cols)
     # for each pivot column, the pivot rows holding a stray entry there
     fix: dict[int, list[dict]] = {}
-    for c, ri in pivots:
+    for c, ri in zip(cols, owners):
         for ci in rows[ri]:
             if ci != c and ci in pivot_cols:
                 fix.setdefault(ci, []).append(rows[ri])
-    for c, ri in reversed(pivots):
+    for c, ri in zip(reversed(cols), reversed(owners)):
         if c in fix:
             clear(rows[ri], c, fix[c])
-    return [c for c, _ in pivots], [rows[ri] for _, ri in pivots]
+    return cols, [rows[ri] for ri in owners]
 
 
-def rank_int(rows) -> int:
-    return len(_forward(rows, _clear_int)[1])
+def rank_int(rows):
+    """(pivot columns, pivot rows) of the forward elimination; the rank is
+    the number of pivots, and each pivot row is an index into rows."""
+    return _forward(rows, _clear_int)[1:]
 
 
-def rank_fp(rows, p: int) -> int:
-    return len(_forward(rows, _clear_fp(p))[1])
+def rank_fp(rows, p: int):
+    """``rank_int`` mod p."""
+    return _forward(rows, _clear_fp(p))[1:]
 
 
 def rref_int(rows):

@@ -8,11 +8,11 @@ out for s <= s_valid, and every construction (cones, tensors, total
 complexes) propagates the bound.
 
 Double complexes are stored with anticommuting differentials.  Their
-spectral sequence comes from one column reduction of each differential of
-the total complex, filtered by the column index p, as in persistent
-homology: a generator survives to E^r unless the reduction pairs it with
-a generator at most r - 1 columns away, so a page is the count of the
-survivors in each (p, q, t) block.
+spectral sequence comes from one reduction of each differential of the
+total complex, filtered by the column index p, as in persistent homology:
+a generator survives to E^r unless the reduction pairs it with a generator
+at most r - 1 columns away, so a page is the count of the survivors in
+each (p, q, t) block.
 """
 
 from __future__ import annotations
@@ -124,37 +124,50 @@ def _t_blocks(gens) -> dict:
     return out
 
 
-def _betti(levels, n_max: int, block_rank) -> dict:
+def _betti(levels, n_max: int, block_pivots) -> dict:
     """{(n, t): dimension of (co)homology} at each level n <= n_max.
 
-    The maps join consecutive levels, in either direction, and preserve t.
-    block_rank(n, idx, up) is the rank of the t block between levels n and
-    n + 1, given its generator indices idx at level n and up at level n + 1
-    (up nonempty); a t missing at either end has a block of rank 0.  Each
-    block is ranked once and its rank is taken off both of its levels: at
-    one it is the rank of the image, at the other that of the coimage.
+    The maps join consecutive levels, preserve t and compose to zero
+    (d d = 0).  block_pivots(n, idx, up, cleared) gives the pivot columns
+    of the t block of the map with rows at level n (generator indices idx)
+    and columns at level n + 1 (indices up, nonempty), the rows in cleared
+    left out; a t missing at either end has a block of rank 0.  Each
+    block's rank is taken off both of its levels: at one it is the rank of
+    the image, at the other that of the coimage.
+
+    Clearing (Chen & Kerber): the levels are ranked going up, and cleared
+    holds the level-n generators that were pivot columns one level down.
+    Clearing lemma: such a column is the last entry of no kernel vector and
+    the map above lands in that kernel, so its row is a combination of the
+    rows after it, and leaving it out changes no rank.
     """
     blocks = [_t_blocks(lv) for lv in levels[: n_max + 2]]
     out = {}
     r_prev: dict = {}
+    cleared: set = set()
     for n in range(n_max + 1):
         r_here = {}
+        paired: set = set()
         for t, idx in blocks[n].items():
             up = blocks[n + 1].get(t) if n + 1 < len(blocks) else None
-            r_here[t] = r = block_rank(n, idx, up) if up else 0
+            pivots = block_pivots(n, idx, up, cleared) if up else ()
+            paired.update(pivots)
+            r_here[t] = r = len(pivots)
             h = len(idx) - r_prev.get(t, 0) - r
             if h:
                 out[(n, t)] = h
-        r_prev = r_here
+        r_prev, cleared = r_here, paired
     return out
 
 
-def _block_rank(d: SMat, rows, cols) -> int:
-    """Rank of d on the given ascending row and column indices.  A block
-    that spans all of d ranks d itself: no copy, and the rank is cached."""
+def _block_pivots(d: SMat, rows, cols, cleared) -> list:
+    """Pivot columns of d on the given ascending row and column indices,
+    the rows in cleared left out (see ``SMat.rank``).  A block that spans
+    all of d is ranked on d itself: no copy, and the rank is cached."""
     if len(rows) == d.nrows and len(cols) == d.ncols:
-        return d.rank()
-    return d.restrict(rows, cols).rank()
+        return list(d.rank(cleared, pairs=True))
+    skip = {k for k, i in enumerate(rows) if i in cleared}
+    return [cols[c] for c in d.restrict(rows, cols).rank(skip, pairs=True)]
 
 
 def _check_degrees(m: SMat, src, tgt, what: str, error=ChainError) -> None:
@@ -242,7 +255,7 @@ class ChainComplex:
             )
         out = _betti(
             self.levels, s_max,
-            lambda s, idx, up: _block_rank(self.diffs[s + 1], idx, up),
+            lambda s, idx, up, cleared: _block_pivots(self.diffs[s + 1], idx, up, cleared),
         )
         return BettiTable(out, s_max, provenance)
 
@@ -456,55 +469,45 @@ class SpectralSequencePage:
         return f"SpectralSequencePage(r={self.r}, entries={dict(sorted(self.entries.items()))})"
 
 
-def _pivots(d: SMat) -> dict:
-    """{column: pivot row} of the left-to-right column reduction of d.
+def _pairs(T: ChainComplex, top: int) -> list:
+    """[{column: row} pairs of D_n for n <= top], D_n the differentials of T
+    (entry 0 is empty).
 
-    The pivot of a column is its last nonzero row.  A column whose pivot an
-    earlier reduced column holds takes a multiple of that column away until
-    its pivot is free or it is zero, so the earliest column keeps a pivot.
-    Reduced columns are stored scaled to pivot one.
+    Each D_n has its rows reduced from the last one up, each pivot at the
+    row's first nonzero column (``SMat.rank``), and the reduction goes up
+    the levels: the level n - 1 rows that D_{n-1} paired as columns are
+    left out (see ``_betti``; they would reduce to zero).  Pair lemma: this
+    gives the pairs of the left-to-right column reduction with last-row
+    pivots, since both mark where the ranks of the lower-left submatrices
+    jump.
     """
-    field = d.field
-    add = field.add_into
-    reduced: dict = {}
-    pivots = {}
-    for j, col in enumerate(d.cols):
-        col = dict(col)
-        while col:
-            low = max(col)
-            red = reduced.get(low)
-            if red is None:
-                a = field.inv(col[low])
-                reduced[low] = {i: field(v * a) for i, v in col.items()}
-                pivots[j] = low
-                break
-            c = -col[low]
-            for i, v in red.items():
-                add(col, i, c * v)
-    return pivots
+    pairs: list = [{}]
+    for n in range(1, top + 1):
+        pairs.append(T.diffs[n].rank(pairs[n - 1].keys(), pairs=True))
+    return pairs
 
 
 def sseq_pages(D: DoubleComplex, r_max: int) -> list:
     """Pages E^0..E^{r_max} of the column filtration, split by internal t.
 
-    Each differential of the total complex goes through one column
-    reduction (``_pivots``), as in persistent homology: the coordinates of
-    a level are sorted by p, so F_p of a level is a prefix of them.  The
-    differential preserves t, so reducing a whole level reduces its t-blocks
-    side by side.  A pivot pairs column j (level n) with row i (level n - 1)
-    at the gap g = p_j - p_i.  A generator survives to E^r when it is
-    unpaired or its pair has gap >= r; E^r at (p, q, t) has one dimension
-    per survivor of that block.  Levels past the trusted range of the total
-    complex are omitted.
+    Each differential of the total complex is reduced once (``_pairs``), as
+    in persistent homology: the coordinates of a level are sorted by p, so
+    F_p of a level is a prefix of them.  The differential preserves t, so
+    reducing a whole level reduces its t-blocks side by side.  A pair joins
+    column j (level n) and row i (level n - 1) at the gap g = p_j - p_i.  A
+    generator survives to E^r when it is unpaired or its pair has gap >= r;
+    E^r at (p, q, t) has one dimension per survivor of that block.  Levels
+    past the trusted range of the total complex are omitted.
     """
     T = total_complex(D)
     n_valid = T.s_valid
     # a generator of a trusted level is paired by D_n or D_{n+1}
     top = min(n_valid + 1, T.top)
     gaps: list = [{} for _ in range(top + 1)]
+    pairs = _pairs(T, top)
     for n in range(1, top + 1):
         lower, upper = T.levels[n - 1], T.levels[n]
-        for j, i in _pivots(T.diffs[n]).items():
+        for j, i in pairs[n].items():
             gaps[n][j] = gaps[n - 1][i] = upper[j][0][0] - lower[i][0][0]
     pages = []
     for r in range(r_max + 1):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import GradedAlgebra, center, opposite, tensor_algebras, unit_adapted
-from .chains import BettiTable, ChainError, _betti, _block_rank, _check_degrees
+from .chains import BettiTable, ChainError, _betti, _block_pivots, _check_degrees
 from .matrix import SMat
 
 __all__ = [
@@ -190,9 +190,13 @@ class CobarComplex:
             raise ChainError(
                 f"cohomology requested to n={n_max} but trusted only to {bound}"
             )
+        # rank each coboundary on its columns, the images of the level-n
+        # generators: the transposes form a chain complex, so the rule of
+        # ChainComplex.homology applies to them as it stands
+        duals = [d.transpose() for d in self.deltas[: n_max + 1]]
         out = _betti(
             self.levels, n_max,
-            lambda n, idx, up: _block_rank(self.deltas[n], up, idx),
+            lambda n, idx, up, cleared: _block_pivots(duals[n], idx, up, cleared),
         )
         return BettiTable(out, n_max, provenance)
 

@@ -148,35 +148,49 @@ class SMat:
             out.cols[k] = col
         return out
 
-    def to_rows(self) -> list[dict]:
-        rows: list[dict] = [dict() for _ in range(self.nrows)]
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                rows[i][j] = v
-        return rows
-
     # -- elimination-backed queries ------------------------------------
 
-    def _kernel_rows(self) -> list[dict]:
+    def _kernel_rows(self, skip=()) -> list:
         """Rows in kernel form: integer dicts (a row holding a Fraction gets
-        scaled by its common denominator; a row of ints is kept as it is)."""
-        rows = self.to_rows()
+        scaled by its common denominator; a row of ints is kept as it is).
+        A row in skip is not built and comes back as None."""
+        rows: list = [None if i in skip else {} for i in range(self.nrows)]
+        for j, col in enumerate(self.cols):
+            for i, v in col.items():
+                r = rows[i]
+                if r is not None:
+                    r[j] = v
         if self.field.char == 0:
             for k, r in enumerate(rows):
-                if any(type(v) is not int for v in r.values()):
+                if r and any(type(v) is not int for v in r.values()):
                     mult = lcm(*(v.denominator for v in r.values()))
                     # the denominator divides mult, so this is v * mult
                     # without building a Fraction per entry
                     rows[k] = {c: v.numerator * (mult // v.denominator) for c, v in r.items()}
         return rows
 
-    def rank(self) -> int:
-        if self._rank is None:
-            rows = [r for r in self._kernel_rows() if r]
-            if self.field.char == 0:
-                self._rank = _kernel.rank_int(rows)
-            else:
-                self._rank = _kernel.rank_fp(rows, self.field.char)
+    def rank(self, skip=(), pairs=False):
+        """The rank, or with pairs the pivots {column: row}, one per unit
+        of rank.
+
+        The kernel reduces the rows as if from the last one up, each pivot
+        at the row's first nonzero column, so the pairs depend only on the
+        ranks of the lower-left submatrices.  The rows in skip are left out:
+        the caller vouches that each is a combination of the rows after it,
+        which changes neither the rank nor any pair.  The rank is cached.
+        """
+        if self._rank is not None and not pairs:
+            return self._rank
+        rows = self._kernel_rows(skip)
+        found = [i for i, r in enumerate(rows) if r]
+        rows = [rows[i] for i in found]
+        if self.field.char == 0:
+            cols, owners = _kernel.rank_int(rows)
+        else:
+            cols, owners = _kernel.rank_fp(rows, self.field.char)
+        self._rank = len(cols)
+        if pairs:
+            return {c: found[k] for c, k in zip(cols, owners)}
         return self._rank
 
     def rref(self):

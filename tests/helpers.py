@@ -38,6 +38,36 @@ def simplicial_chains(X: SimplicialSet, field):
     return levels, diffs
 
 
+def column_pairs(d: SMat) -> dict:
+    """{column: pivot row} of the left-to-right column reduction of d.
+
+    The pivot of a column is its last nonzero row.  A column whose pivot an
+    earlier reduced column holds takes a multiple of that column away until
+    its pivot is free or it is zero, so the earliest column keeps a pivot.
+    Reduced columns are stored scaled to pivot one.  The textbook reduction
+    of persistent homology, kept as the oracle for the pairs of
+    ``chains._pairs``.
+    """
+    field = d.field
+    add = field.add_into
+    reduced: dict = {}
+    pivots = {}
+    for j, col in enumerate(d.cols):
+        col = dict(col)
+        while col:
+            low = max(col)
+            red = reduced.get(low)
+            if red is None:
+                a = field.inv(col[low])
+                reduced[low] = {i: field(v * a) for i, v in col.items()}
+                pivots[j] = low
+                break
+            c = -col[low]
+            for i, v in red.items():
+                add(col, i, c * v)
+    return pivots
+
+
 def scaled_pair():
     # k x k on f1 = 2 e1, f2 = e2: the unit 1/2 f1 + f2 has a coefficient
     # other than 1, so the unit-adapted basis change is seen

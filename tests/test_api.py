@@ -23,6 +23,7 @@ TRACER = ROOT / "pipebench" / "tracer.py"
 UNUSED_EXPORTS = {
     "hhx.__version__": "the package version",
     "hhx.catalog": "the algebra battery the tests and the README run",
+    "hhx.fields.Field.inv": "the test oracles (dense rref, column-reduction pairs) divide by it",
     "hhx.algebra.map_to_json": "writes the map files that hh --base reads",
     "hhx.poset.poset_to_json": "writes the poset files that poset-hh --poset reads",
     "hhx.loday.induced_map": "chain maps along space maps, for the Hodge split (ROADMAP item 3)",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import column_pairs
 from hhx import _kernel
 from hhx.fields import GF, QQ
 from hhx.matrix import SMat
@@ -191,7 +192,7 @@ def test_kernel_rows_scale_each_row_by_its_denominators(rows):
     # scaling by Fraction products; F_p rows pass through unchanged
     m = SMat.from_dense(rows, QQ)
     want = []
-    for r in m.to_rows():
+    for r in m.transpose().cols:
         mult = lcm(*(v.denominator for v in r.values())) if r else 1
         want.append({c: int(v * mult) for c, v in r.items()})
     got = m._kernel_rows()
@@ -200,7 +201,7 @@ def test_kernel_rows_scale_each_row_by_its_denominators(rows):
     ints = [[v.numerator for v in r] for r in rows]
     for p in (2, 3, 7):
         mp = SMat.from_dense(ints, GF(p))
-        assert mp._kernel_rows() == mp.to_rows()
+        assert mp._kernel_rows() == mp.transpose().cols
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,6 +215,20 @@ def test_rank_matches_dense_oracle_q(rows):
 def test_rank_matches_dense_oracle_fp(rows):
     for p in (2, 3, 7):
         assert SMat.from_dense(rows, GF(p)).rank() == len(dense_rref(rows, GF(p))[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+@example([[1, 0], [1, 1], [1, 0]])
+def test_rank_pairs_match_column_reduction(rows):
+    # reducing the rows from the last one up, pivots at first nonzero
+    # columns, pairs what the left-to-right column reduction with last-row
+    # pivots pairs: both mark where the ranks of lower-left blocks jump
+    for field in (QQ, GF(2), GF(3)):
+        m = SMat.from_dense(rows, field)
+        pairs = m.rank(pairs=True)
+        assert pairs == column_pairs(m)
+        assert len(pairs) == m.rank()
 
 
 @settings(max_examples=40, deadline=None)
@@ -283,7 +298,7 @@ def test_kernel_rref_int_contract(rows):
     for c, row in zip(cols, out):
         assert row[c] > 0
         assert gcd(*row.values()) == 1
-    assert _kernel.rank_int(rows) == len(cols)
+    assert _kernel.rank_int(rows)[0] == cols
 
 
 @settings(max_examples=80, deadline=None)
@@ -296,7 +311,7 @@ def test_kernel_rref_fp_contract(rows):
         for c, row in zip(cols, out):
             assert row[c] == 1
             assert all(type(v) is int and 1 <= v < p for v in row.values())
-        assert _kernel.rank_fp(reduced, p) == len(cols)
+        assert _kernel.rank_fp(reduced, p)[0] == cols
 
 
 @pytest.mark.parametrize(
@@ -307,14 +322,15 @@ def test_kernel_rref_fp_contract(rows):
             [{1: 6, 3: -4}, {0: 2, 1: 3}, {0: -4, 3: 8, 4: 2}, {1: 9, 3: -6}],
             ([0, 1, 3], [{0: 6, 4: -1}, {1: 9, 4: 1}, {3: 6, 4: 1}]),
         ),
-        # the first row wins column 0 and is never cleared: it still leaves
-        # with content 1
         ([{2: -3, 0: 6}, {0: 4, 1: 10, 2: 5}], ([0, 1], [{2: -1, 0: 2}, {1: 10, 2: 7}])),
+        # the last row wins column 0 and is never cleared: it still leaves
+        # with content 1
+        ([{0: 4, 1: 10, 2: 5}, {2: -3, 0: 6}], ([0, 1], [{2: -1, 0: 2}, {1: 10, 2: 7}])),
     ],
 )
 def test_kernel_rref_int_fixed(rows, want):
     assert _kernel.rref_int(rows) == want
-    assert _kernel.rank_int(rows) == len(want[0])
+    assert _kernel.rank_int(rows)[0] == want[0]
 
 
 @pytest.mark.parametrize(
@@ -331,14 +347,14 @@ def test_kernel_rref_int_fixed(rows, want):
 )
 def test_kernel_rref_fp_fixed(rows, p, want):
     assert _kernel.rref_fp(rows, p) == want
-    assert _kernel.rank_fp(rows, p) == len(want[0])
+    assert _kernel.rank_fp(rows, p)[0] == want[0]
 
 
 def test_kernel_has_one_elimination_loop():
     """Both scalar regimes share one forward loop: one heappop in the kernel.
 
     A regime differs only in its row-clearing step; a second copy of the
-    column heap and the sparsest-row choice would show up as a second pop.
+    column heap and the last-row choice would show up as a second pop.
     """
     path = Path(_kernel.__file__)
     pops = [
