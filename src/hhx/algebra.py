@@ -486,6 +486,13 @@ def algebra_to_json(A: GradedAlgebra) -> dict:
     }
 
 
+def _nested_lists(value, depth: int) -> bool:
+    """True when value is a list whose items are nested lists depth - 1 deep."""
+    return isinstance(value, list) and (
+        depth == 1 or all(_nested_lists(v, depth - 1) for v in value)
+    )
+
+
 def algebra_from_json(obj: dict, field: Field | None = None) -> GradedAlgebra:
     """Decode and validate an algebra; field overrides the file's scalars."""
     if not isinstance(obj, dict):
@@ -494,6 +501,13 @@ def algebra_from_json(obj: dict, field: Field | None = None) -> GradedAlgebra:
     if missing:
         raise AlgebraError(f"algebra file lacks keys: {sorted(missing)}")
     fld = field if field is not None else parse_field(obj["field"])
+    for key, depth, what in (
+        ("basis", 1, "a list"),
+        ("unit", 1, "a list of scalars"),
+        ("table", 3, "a list of rows of coefficient lists"),
+    ):
+        if not _nested_lists(obj[key], depth):
+            raise AlgebraError(f"{key} must be {what}")
     basis = []
     for entry in obj["basis"]:
         if not isinstance(entry, dict) or set(entry) != {"name", "degree"}:
@@ -528,6 +542,8 @@ def map_from_json(obj: dict, field: Field | None = None) -> AlgebraMap:
     src = algebra_from_json(obj["source"], field)
     tgt = algebra_from_json(obj["target"], field)
     rows = obj["matrix"]
+    if not _nested_lists(rows, 2):
+        raise AlgebraError("map matrix must be a list of rows")
     if len(rows) != tgt.dim or any(len(r) != src.dim for r in rows):
         raise AlgebraError(
             f"map matrix must be {tgt.dim}x{src.dim} (target dim x source dim)"

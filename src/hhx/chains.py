@@ -7,6 +7,10 @@ which the validity bound s_valid makes explicit: homology is only handed
 out for s <= s_valid, and every construction (cones, tensors, total
 complexes) propagates the bound.
 
+A cochain complex is stored as the chain complex of the transposes of its
+coboundaries, so cohomology is ranked by ``ChainComplex.homology`` like
+every other homology, and only this module knows how a complex is ranked.
+
 Double complexes are stored with anticommuting differentials.  Their
 spectral sequence comes from one reduction of each differential of the
 total complex, filtered by the column index p, as in persistent homology:
@@ -124,42 +128,6 @@ def _t_blocks(gens) -> dict:
     return out
 
 
-def _betti(levels, n_max: int, block_pivots) -> dict:
-    """{(n, t): dimension of (co)homology} at each level n <= n_max.
-
-    The maps join consecutive levels, preserve t and compose to zero
-    (d d = 0).  block_pivots(n, idx, up, cleared) gives the pivot columns
-    of the t block of the map with rows at level n (generator indices idx)
-    and columns at level n + 1 (indices up, nonempty), the rows in cleared
-    left out; a t missing at either end has a block of rank 0.  Each
-    block's rank is taken off both of its levels: at one it is the rank of
-    the image, at the other that of the coimage.
-
-    Clearing (Chen & Kerber): the levels are ranked going up, and cleared
-    holds the level-n generators that were pivot columns one level down.
-    Clearing lemma: such a column is the last entry of no kernel vector and
-    the map above lands in that kernel, so its row is a combination of the
-    rows after it, and leaving it out changes no rank.
-    """
-    blocks = [_t_blocks(lv) for lv in levels[: n_max + 2]]
-    out = {}
-    r_prev: dict = {}
-    cleared: set = set()
-    for n in range(n_max + 1):
-        r_here = {}
-        paired: set = set()
-        for t, idx in blocks[n].items():
-            up = blocks[n + 1].get(t) if n + 1 < len(blocks) else None
-            pivots = block_pivots(n, idx, up, cleared) if up else ()
-            paired.update(pivots)
-            r_here[t] = r = len(pivots)
-            h = len(idx) - r_prev.get(t, 0) - r
-            if h:
-                out[(n, t)] = h
-        r_prev, cleared = r_here, paired
-    return out
-
-
 def _block_pivots(d: SMat, rows, cols, cleared) -> list:
     """Pivot columns of d on the given ascending row and column indices,
     the rows in cleared left out (see ``SMat.rank``).  A block that spans
@@ -246,17 +214,42 @@ class ChainComplex:
         return self
 
     def homology(self, s_max: int | None = None, provenance: str = "chain") -> BettiTable:
-        """Betti table for s <= s_max, refusing windows beyond s_valid."""
+        """Betti table for s <= s_max, refusing windows beyond s_valid.
+
+        Each t block of d_{s+1} (rows at level s, columns at level s + 1)
+        is ranked once, and its rank is taken off both levels: at one it is
+        the rank of the image, at the other that of the coimage.  A t
+        missing at either end has a block of rank 0.
+
+        Clearing (Chen & Kerber): the levels are ranked going up, and the
+        level-s generators that were pivot columns of d_s are left out of
+        the rows of d_{s+1}.  Clearing lemma: such a column is the last
+        entry of no kernel vector and d_{s+1} lands in that kernel, so its
+        row is a combination of the rows after it, and leaving it out
+        changes no rank.
+        """
         if s_max is None:
             s_max = self.s_valid
         if s_max > self.s_valid:
             raise ChainError(
                 f"homology requested to s={s_max} but trusted only to {self.s_valid}"
             )
-        out = _betti(
-            self.levels, s_max,
-            lambda s, idx, up, cleared: _block_pivots(self.diffs[s + 1], idx, up, cleared),
-        )
+        blocks = [_t_blocks(lv) for lv in self.levels[: s_max + 2]]
+        out = {}
+        r_prev: dict = {}
+        cleared: set = set()
+        for s in range(s_max + 1):
+            r_here = {}
+            paired: set = set()
+            for t, idx in blocks[s].items():
+                up = blocks[s + 1].get(t) if s + 1 < len(blocks) else None
+                pivots = _block_pivots(self.diffs[s + 1], idx, up, cleared) if up else ()
+                paired.update(pivots)
+                r_here[t] = r = len(pivots)
+                h = len(idx) - r_prev.get(t, 0) - r
+                if h:
+                    out[(s, t)] = h
+            r_prev, cleared = r_here, paired
         return BettiTable(out, s_max, provenance)
 
     def __repr__(self):
@@ -476,10 +469,10 @@ def _pairs(T: ChainComplex, top: int) -> list:
     Each D_n has its rows reduced from the last one up, each pivot at the
     row's first nonzero column (``SMat.rank``), and the reduction goes up
     the levels: the level n - 1 rows that D_{n-1} paired as columns are
-    left out (see ``_betti``; they would reduce to zero).  Pair lemma: this
-    gives the pairs of the left-to-right column reduction with last-row
-    pivots, since both mark where the ranks of the lower-left submatrices
-    jump.
+    left out (see ``ChainComplex.homology``; they would reduce to zero).
+    Pair lemma: this gives the pairs of the left-to-right column reduction
+    with last-row pivots, since both mark where the ranks of the lower-left
+    submatrices jump.
     """
     pairs: list = [{}]
     for n in range(1, top + 1):

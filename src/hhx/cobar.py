@@ -16,6 +16,11 @@ has (dim A - 1)^n dim N generators where the complex over E has
 dim(A)^(2n+2).  ``hochschild_cohomology`` computes on it.  Cohomology of
 the regular bimodule starts at the center and measures how far the algebra
 is from being separable.
+
+Both complexes are a ``CobarComplex``: a ``ChainComplex`` that stores the
+transpose of each coboundary as its differential, so their shapes, degrees
+and d d = 0 are checked and their cohomology is ranked by
+``ChainComplex.homology``, as for every other complex.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import GradedAlgebra, center, opposite, tensor_algebras, unit_adapted
-from .chains import BettiTable, ChainError, _betti, _block_pivots, _check_degrees
+from .chains import BettiTable, ChainComplex, ChainError
 from .matrix import SMat
 
 __all__ = [
@@ -141,64 +146,25 @@ def envelope_bimodule(A: GradedAlgebra):
     return E, AModule(E, list(zip(A.names, A.degrees)), act)
 
 
-class CobarComplex:
-    """Levels of multilinear-map generators with coboundaries going up.
+class CobarComplex(ChainComplex):
+    """Multilinear-map cochains, stored as the chain complex of transposes.
 
     ``levels[n]`` lists ((slots, source, target), t) generators, where the
     map sends the named basis element of A^n (x) M to the named target
-    basis element of N (source 0 when there is no M); ``deltas[n]`` maps
-    level n to level n + 1 and stops one short of the top, so cohomology is
-    trusted strictly below it.
+    basis element of N (source 0 when there is no M).  ``diffs[n + 1]`` is
+    the transpose of the coboundary from level n to level n + 1, so the
+    cohomology at level n is the homology of the transposes there, trusted
+    strictly below the top level.
     """
 
-    __slots__ = ("field", "levels", "deltas")
+    __slots__ = ()
 
-    def __init__(self, field, levels, deltas):
-        self.field = field
-        self.levels = [tuple(lv) for lv in levels]
-        self.deltas = list(deltas)
-        if len(self.deltas) != len(self.levels) - 1:
-            raise ChainError("need one coboundary per consecutive level pair")
-
-    @property
-    def top(self) -> int:
-        return len(self.levels) - 1
-
-    def level_dim(self, n: int) -> int:
-        return len(self.levels[n]) if 0 <= n <= self.top else 0
-
-    def validate(self) -> "CobarComplex":
-        for n, d in enumerate(self.deltas):
-            if (d.nrows, d.ncols) != (self.level_dim(n + 1), self.level_dim(n)):
-                raise ChainError(f"coboundary at level {n} has the wrong shape")
-            _check_degrees(
-                d, self.levels[n], self.levels[n + 1], f"coboundary at level {n}"
-            )
-        for n in range(len(self.deltas) - 1):
-            if not (self.deltas[n + 1] @ self.deltas[n]).is_zero():
-                raise ChainError(f"coboundary squared is nonzero at level {n}")
-        return self
+    # in the class body, so pipebench/tracer.py times the cobar checks apart
+    validate = ChainComplex.validate
 
     def cohomology(self, n_max: int, provenance: str = "cobar") -> BettiTable:
-        """Betti table of ker/im per internal degree, for n <= n_max.
-
-        Refuses windows that reach the top level, where the next coboundary
-        is not stored.
-        """
-        bound = self.top - 1
-        if n_max > bound:
-            raise ChainError(
-                f"cohomology requested to n={n_max} but trusted only to {bound}"
-            )
-        # rank each coboundary on its columns, the images of the level-n
-        # generators: the transposes form a chain complex, so the rule of
-        # ChainComplex.homology applies to them as it stands
-        duals = [d.transpose() for d in self.deltas[: n_max + 1]]
-        out = _betti(
-            self.levels, n_max,
-            lambda n, idx, up, cleared: _block_pivots(duals[n], idx, up, cleared),
-        )
-        return BettiTable(out, n_max, provenance)
+        """Betti table of ker/im per internal degree, for n <= n_max."""
+        return self.homology(n_max, provenance)
 
 
 def cobar_complex(
@@ -270,10 +236,13 @@ def cobar_complex(
             for mt, c in vec.items():
                 for k in range(N.dim):
                     tail.setdefault((mt, k), []).append((u, ms, k, c))
-    deltas = []
+    # diffs[n + 1] is the transpose of the coboundary of level n: the entry
+    # at (cpos, rows[name]) is the coefficient of that level n + 1 generator
+    # in the coboundary of generator cpos
+    diffs: list = [None]
     for n in range(n_max):
         rows = indexes[n + 1]
-        d = SMat(len(levels[n + 1]), len(levels[n]), field)
+        d = SMat(len(levels[n]), len(levels[n + 1]), field)
         for cpos, ((phi, m, k), t) in enumerate(levels[n]):
             t_odd = t % 2 == 1
             for b1 in slots:
@@ -283,17 +252,17 @@ def cobar_complex(
                 neg = t_odd and deg[b1] % 2 == 1
                 psi = (b1, *phi)
                 for k2, c in vec.items():
-                    d.add_at(rows[(psi, m, k2)], cpos, -c if neg else c)
+                    d.add_at(cpos, rows[(psi, m, k2)], -c if neg else c)
             for i in range(1, n + 1):
                 neg = i % 2 == 1
                 for u, v, c in rev_mul.get(phi[i - 1], ()):
                     psi = phi[: i - 1] + (u, v) + phi[i:]
-                    d.add_at(rows[(psi, m, k)], cpos, -c if neg else c)
+                    d.add_at(cpos, rows[(psi, m, k)], -c if neg else c)
             neg = (n + 1) % 2 == 1
             for u, m2, k2, c in tail.get((m, k), ()):
-                d.add_at(rows[((*phi, u), m2, k2)], cpos, -c if neg else c)
-        deltas.append(d)
-    return CobarComplex(field, levels, deltas).validate()
+                d.add_at(cpos, rows[((*phi, u), m2, k2)], -c if neg else c)
+        diffs.append(d)
+    return CobarComplex(field, levels, diffs).validate()
 
 
 def cobar(M: AModule, A: GradedAlgebra, N: AModule, n_max: int) -> BettiTable:

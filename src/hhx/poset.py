@@ -545,12 +545,12 @@ def poset_from_json(obj: dict) -> Poset:
         objects = [o["name"] for o in obj["objects"]]
         components = {o["name"]: o["components"] for o in obj["objects"]}
         rels = [(a, b) for a, b in obj["relations"]]
+        le = set((x, x) for x in objects) | set(rels)
     except (KeyError, TypeError, ValueError) as e:
         raise PosetError(f"malformed poset file: {e}")
     for x, c in components.items():
         if type(c) is not int or c < 1:
             raise PosetError(f"components of {x!r} must be an integer >= 1, got {c!r}")
-    le = set((x, x) for x in objects) | set(rels)
     # close transitively so hand-written files only need the generators
     changed = True
     while changed:

@@ -24,7 +24,14 @@ from hhx.catalog import (
     split_pair,
     split_triple,
 )
-from hhx.chains import ChainError, e_infinity, r_stable, sseq_pages, total_complex
+from hhx.chains import (
+    ChainComplex,
+    ChainError,
+    e_infinity,
+    r_stable,
+    sseq_pages,
+    total_complex,
+)
 from hhx.loday import hh
 from hhx.matrix import SMat
 from hhx.simplicial import circle_min, sphere_min
@@ -110,6 +117,51 @@ def test_module_validation_catches_bad_action():
     M = DGModule(B, [(i, A.degrees[i]) for i in range(A.dim)], act, "right")
     with pytest.raises(ChainError):
         M.validate()
+
+
+def test_model_validation_catches_unit_and_commutativity():
+    B = algebra_model(dual_numbers())
+    with pytest.raises(ChainError, match="unit fails on the left at level 0, index 0"):
+        DGAlgebraModel(B.complex, B.mul, {}, True).validate()
+    M = algebra_model(mat2())
+    with pytest.raises(ChainError, match=r"commutativity fails at levels \(0, 0\)"):
+        DGAlgebraModel(M.complex, M.mul, M.unit, True).validate()
+
+
+def test_module_side_and_associativity():
+    # one generator on which x acts as the identity: x.(x.m) = m but x^2 = 0
+    A = dual_numbers()
+    B = algebra_model(A)
+    one = A.field.one
+    act = {(0, 0): {0: one}, (0, 1): {0: one}}
+    with pytest.raises(ChainError, match="unknown module side"):
+        DGModule(B, [("m", 0)], act, "middle")
+    with pytest.raises(ChainError, match="fails associativity"):
+        DGModule(B, [("m", 0)], act, "left").validate()
+
+
+def test_module_must_kill_level_one_boundaries():
+    # level 1 holds y with d(y) = x, but A acts on itself with x.1 = x != 0
+    A = dual_numbers()
+    field = A.field
+    levels = [list(zip(A.names, A.degrees)), [("y", 0)]]
+    d1 = SMat.from_dense([[0], [1]], field)
+    C = ChainComplex(field, levels, [None, d1], exact_top=True)
+    B = DGAlgebraModel(C, lambda p, i, q, j: A.mul_basis(i, j), {0: field.one}, True)
+    act = {(i, j): A.mul_basis(j, i) for i in range(A.dim) for j in range(A.dim)}
+    N = DGModule(B, list(zip(A.names, A.degrees)), act, "left")
+    with pytest.raises(ChainError, match="does not kill level-one boundaries"):
+        N.validate()
+
+
+def test_two_sided_bar_needs_modules_over_its_model():
+    A = split_pair()
+    B = loday_model(A, circle_min(), 2)
+    M = augmentation_module(B, A, "right")
+    N = augmentation_module(B, A, "left")
+    other = loday_model(A, circle_min(), 2)
+    with pytest.raises(ChainError, match="modules must be defined over the given model"):
+        two_sided_bar(M, other, N, 2)
 
 
 def test_two_sided_bar_rejects_wrong_side():

@@ -52,7 +52,7 @@ def differentials(A) -> dict:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cobar_mod, "cobar_complex", spy)
         hochschild_cohomology(A, 3)
-    out["hochschild_cohomology"] = [d for C in built for d in C.deltas]
+    out["hochschild_cohomology"] = [d for C in built for d in C.diffs[1:]]
     if A.commutative:
         for label, X in (("circle", circle_min()), ("sphere:2", sphere_min(2))):
             out[f"loday_complex {label}"] = loday_complex(A, X, 3).complex.diffs[1:]

@@ -137,7 +137,8 @@ def _mixed_degree_builders():
         "vertical": lambda: DoubleComplex(
             QQ, {(0, 0): b, (0, 1): a}, {}, {(0, 1): one}
         ).validate(),
-        "cobar": lambda: CobarComplex(QQ, [a, b], [one]).validate(),
+        # stored as the transpose of a coboundary sending b to a
+        "cobar": lambda: CobarComplex(QQ, [b, a], [None, one]).validate(),
     }
 
 
@@ -145,6 +146,41 @@ def _mixed_degree_builders():
 def test_maps_reject_t_mixing(which):
     with pytest.raises(ChainError, match="mixes internal degrees.*'a'.*'b'"):
         _mixed_degree_builders()[which]()
+
+
+def _malformed_complexes():
+    # each builds a complex that the constructor or validate refuses
+    one = SMat.from_dense([[1]], QQ)
+    a, b, c = [("a", 0)], [("b", 0)], [("c", 0)]
+    return {
+        "slot-count": (lambda: ChainComplex(QQ, [a, b], [None]), "one differential slot"),
+        "s_valid-past-top": (
+            lambda: ChainComplex(QQ, [a, b], [None, one], s_valid=2), "beyond top level"
+        ),
+        "no-levels": (lambda: ChainComplex(QQ, [], []), "at least one level"),
+        "diffs0": (lambda: ChainComplex(QQ, [a, b], [one, one]), "diffs\\[0\\] must be None"),
+        "shape": (
+            lambda: ChainComplex(QQ, [a, b], [None, SMat(2, 1, QQ)]), "shape 2x1, expected 1x1"
+        ),
+        "field": (
+            lambda: ChainComplex(QQ, [a, b], [None, SMat.from_dense([[1]], GF(2))]),
+            "wrong field",
+        ),
+        # cochains are stored as the transposes of their coboundaries
+        "cochain-d-squared": (
+            lambda: CobarComplex(QQ, [a, b, c], [None, one, one]).validate(), "d\\^2 != 0"
+        ),
+        "cochain-shape": (
+            lambda: CobarComplex(QQ, [a, b], [None, SMat(1, 2, QQ)]), "shape 1x2, expected 1x1"
+        ),
+    }
+
+
+@pytest.mark.parametrize("which", sorted(_malformed_complexes()))
+def test_malformed_complex_refused(which):
+    build, message = _malformed_complexes()[which]
+    with pytest.raises(ChainError, match=message):
+        build()
 
 
 def test_homology_mod_p_differs():
@@ -212,6 +248,19 @@ def test_chain_map_rejects_t_mixing():
     D = cx([[("a", 1)], [("b", 1)]], [0])
     with pytest.raises(ChainError, match="internal"):
         ChainMap(C, D, [SMat.from_dense([[1]], QQ), SMat.from_dense([[0]], QQ)])
+
+
+def test_chain_map_rejects_mismatched_ends():
+    C = two_term(1)
+    one = SMat.from_dense([[1]], QQ)
+    with pytest.raises(ChainError, match="common field"):
+        ChainMap(C, two_term(1, field=GF(2)), [one, one])
+    with pytest.raises(ChainError, match="one matrix per level"):
+        ChainMap(C, C, [one])
+    with pytest.raises(ChainError, match="one matrix per level"):
+        ChainMap(C, cx([[("a", 0)]], []), [one, one])
+    with pytest.raises(ChainError, match="level 1 matrix has the wrong shape"):
+        ChainMap(C, C, [one, SMat(2, 1, QQ)])
 
 
 def test_cone_of_identity_acyclic():
@@ -336,6 +385,45 @@ def dc_from_tensor(C, D):
                             m.add_at(jc * nDm + idd, jc * nD + jd, v)
                 d_v[(p, q)] = m
     return DoubleComplex.from_commuting(field, gens, d_h, d_v).validate()
+
+
+def _malformed_double_complexes():
+    # one generator per block
+    one = SMat.from_dense([[1]], QQ)
+    g = [("g", 0)]
+    line = {(0, 0): g, (1, 0): g, (2, 0): g}
+    column = {(0, 0): g, (0, 1): g, (0, 2): g}
+    square = {(p, q): g for p in (0, 1) for q in (0, 1)}
+    return {
+        "horizontal-shape": (
+            DoubleComplex(QQ, line, {(1, 0): SMat(2, 1, QQ)}, {}),
+            "horizontal map at \\(1, 0\\) has the wrong shape",
+        ),
+        "vertical-shape": (
+            DoubleComplex(QQ, column, {}, {(0, 1): SMat(1, 2, QQ)}),
+            "vertical map at \\(0, 1\\) has the wrong shape",
+        ),
+        "d_h-squared": (
+            DoubleComplex(QQ, line, {(1, 0): one, (2, 0): one}, {}),
+            "d_h\\^2 != 0 at \\(2, 0\\)",
+        ),
+        "d_v-squared": (
+            DoubleComplex(QQ, column, {}, {(0, 1): one, (0, 2): one}),
+            "d_v\\^2 != 0 at \\(0, 2\\)",
+        ),
+        # commuting squares, stored without the sign twist
+        "commuting": (
+            DoubleComplex(QQ, square, {(1, 0): one, (1, 1): one}, {(0, 1): one, (1, 1): one}),
+            "do not anticommute at \\(1, 1\\)",
+        ),
+    }
+
+
+@pytest.mark.parametrize("which", sorted(_malformed_double_complexes()))
+def test_malformed_double_complex_refused(which):
+    D, message = _malformed_double_complexes()[which]
+    with pytest.raises(ChainError, match=message):
+        D.validate()
 
 
 def test_double_complex_single_column_pages():

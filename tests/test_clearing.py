@@ -160,7 +160,7 @@ def test_cleared_cohomology_matches_whole_blocks(monkeypatch, run):
     assert seen
     for C, table in seen:
         def block(n, rows, cols, C=C):
-            return C.deltas[n].restrict(cols, rows)
+            return C.diffs[n + 1].restrict(rows, cols)
 
         assert table.entries == whole_block_table(C.levels, table.s_valid, block)
 

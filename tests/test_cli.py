@@ -36,6 +36,13 @@ def run_proc(*argv):
     )
 
 
+CORPUS = Path(hhx.__file__).resolve().parent / "corpus"
+CHAIN_POSET = {
+    "objects": [{"name": "a", "components": 1}, {"name": "b", "components": 1}],
+    "relations": [["a", "b"]],
+}
+
+
 # comparison report
 
 
@@ -91,6 +98,19 @@ def test_hh_relative_base(capsys):
     assert code == 0
     table = BettiTable.from_json(json.loads(text))
     # dual numbers doubled, relative to the split base
+    assert table.entries == {(0, 0): 4, (1, 0): 2, (2, 0): 2}
+
+
+def test_hh_relative_base_with_its_target(capsys, tmp_path):
+    base = json.loads((CORPUS / "relative_pair.json").read_text())
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(base["target"]))
+    code, text, _ = run(
+        capsys, "hh", "--base", "relative_pair.json", "--algebra", str(target),
+        "--space", "circle:min", "--smax", "2", "--json",
+    )
+    assert code == 0
+    table = BettiTable.from_json(json.loads(text))
     assert table.entries == {(0, 0): 4, (1, 0): 2, (2, 0): 2}
 
 
@@ -192,15 +212,8 @@ def test_poset_hh_constant_default(capsys):
 
 
 def test_poset_hh_from_file_constant(capsys, tmp_path):
-    doc = {
-        "objects": [
-            {"name": "a", "components": 1},
-            {"name": "b", "components": 1},
-        ],
-        "relations": [["a", "b"]],
-    }
     path = tmp_path / "chain.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(CHAIN_POSET))
     code, text, _ = run(capsys, "poset-hh", "--poset", str(path), "--json")
     assert code == 0
     table = BettiTable.from_json(json.loads(text))
@@ -304,6 +317,16 @@ def test_compare_poset_side(capsys):
     assert "verdict: agree" in text
 
 
+def test_compare_bar_side(capsys):
+    code, text, _ = run(
+        capsys, "compare", "--left", "loday", "--right", "bar",
+        "--algebra", "dual.json", "--smax", "3",
+    )
+    assert code == 0
+    assert "right: bar-suspension, trusted through level 3" in text
+    assert "verdict: agree" in text
+
+
 def test_compare_files_mismatch_exit3(capsys, tmp_path):
     left = tmp_path / "l.json"
     right = tmp_path / "r.json"
@@ -396,6 +419,14 @@ def test_validate_whole_corpus(capsys):
     assert "relative_pair.json: ok (algebra map)" in text
 
 
+def test_validate_poset_file(capsys, tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(CHAIN_POSET))
+    code, text, _ = run(capsys, "validate", str(path))
+    assert code == 0
+    assert text == f"{path}: ok (poset)\n"
+
+
 def test_validate_space_descriptor(capsys):
     code, text, _ = run(capsys, "validate", "--space", "union:circle:min+point")
     assert code == 0
@@ -483,6 +514,50 @@ def test_malformed_betti_table_prints_no_traceback(tmp_path):
         proc = run_proc(*argv)
         assert proc.returncode == 2
         assert "invalid" in proc.stderr and "Traceback" not in proc.stderr
+
+
+# (corpus file, or None for CHAIN_POSET; key; the value that replaces it)
+MALFORMED_INPUTS = {
+    "basis-number": ("dual.json", "basis", 5),
+    "unit-number": ("dual.json", "unit", 1),
+    "table-number": ("dual.json", "table", 7),
+    "table-entries-numbers": ("dual.json", "table", [[5, 5], [5, 5]]),
+    "matrix-number": ("relative_pair.json", "matrix", 5),
+    # one number per target basis element, so the row count matches
+    "matrix-rows-numbers": ("relative_pair.json", "matrix", [5, 6, 7, 8]),
+    "relation-nested": (None, "relations", [["a", ["b"]]]),
+}
+
+
+def malformed_commands(tmp_path, case) -> list:
+    """The commands that read the malformed file: validate, and hh through
+    --algebra or --base for an algebra or a map."""
+    name, key, value = MALFORMED_INPUTS[case]
+    doc = json.loads((CORPUS / name).read_text()) if name else dict(CHAIN_POSET)
+    doc[key] = value
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    commands = [["validate", str(path)]]
+    flag = {"dual.json": "--algebra", "relative_pair.json": "--base"}.get(name)
+    if flag:
+        commands.append(["hh", flag, str(path), "--space", "circle:min", "--smax", "1"])
+    return commands
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_file_exits_2(capsys, tmp_path, case):
+    for argv in malformed_commands(tmp_path, case):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "invalid" in err
+
+
+def test_malformed_input_file_prints_no_traceback(tmp_path):
+    for case in ("table-entries-numbers", "relation-nested"):
+        for argv in malformed_commands(tmp_path, case):
+            proc = run_proc(*argv)
+            assert proc.returncode == 2
+            assert "invalid" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_validate_nothing_given(capsys):

@@ -215,3 +215,36 @@ def test_characteristic_stays_behind_fields():
         visitor.visit(ast.parse(path.read_text(), str(path)))
         found += visitor.found
     assert found == []
+
+
+def test_only_chains_ranks_a_complex():
+    """Only chains.py knows how a complex is ranked.
+
+    No other module imports its block helpers or calls SMat.rank with rows
+    to skip or for pairs: a complex, cochains included, is ranked by
+    ChainComplex.homology.
+    """
+    src = Path(__file__).resolve().parents[1] / "src" / "hhx"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "chains.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                names = []
+            found += [
+                f"{path.name}:{node.lineno} uses {name}"
+                for name in names if name in ("_block_pivots", "_t_blocks")
+            ]
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "rank"
+                and (node.args or node.keywords)
+            ):
+                found.append(f"{path.name}:{node.lineno} calls .rank with skip or pairs")
+    assert found == []
