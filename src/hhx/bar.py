@@ -9,9 +9,18 @@ HH over the d-sphere comes from the (d-1)-sphere by one such bar
 (suspension_bar): for d = 1 it is A over A (x) A (circle_bar); for d >= 2
 it is A over the normalized shuffle model of the (d-1)-sphere, with A as
 coefficients on both sides.
+
+Block (p, q) of the bar lists (i_m, word, k_n), the words W_pq being the
+p-tuples of model basis elements whose levels sum to q, in product order;
+(i_m, the w-th word, k_n) sits at (i_m |W_pq| + w) dim N + k_n.
+d_h = mu_M (x) 1 (x) 1 + 1 (x) b' (x) 1 + (-1)^p 1 (x) 1 (x) mu_N, where b'
+merges letters f - 1 and f with sign (-1)^f, and d_v = 1 (x) d (x) 1, d on
+letter l with sign (-1)^(t(m) + levels and degrees of the letters before l).
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .algebra import GradedAlgebra, tensor_algebras, unit_adapted
 from .chains import (
@@ -158,28 +167,28 @@ class DGModule:
         self.act = dict(act)
         self.side = side
 
+    def _act_on(self, i: int, vec: dict) -> dict:
+        """Generator i acted on by a sparse level-zero vector."""
+        add = self.model.field.add_into
+        acc: dict = {}
+        for u, cu in vec.items():
+            for k, c in self.act.get((i, u), {}).items():
+                add(acc, k, cu * c)
+        return acc
+
     def validate(self) -> "DGModule":
         B = self.model
-        field = B.field
-        add = field.add_into
-        one = field.one
+        add = B.field.add_into
         dim0 = B.complex.level_dim(0)
         nm = len(self.gens)
         for i in range(nm):
-            acc: dict = {}
-            for u, cu in B.unit.items():
-                for k, c in self.act.get((i, u), {}).items():
-                    add(acc, k, cu * c)
-            if acc != {i: one}:
+            if self._act_on(i, B.unit) != {i: B.field.one}:
                 raise ChainError("module action does not respect the unit")
         for u in range(dim0):
             for v in range(dim0):
                 prod = B.mul(0, u, 0, v)
                 for i in range(nm):
-                    via: dict = {}
-                    for w, cw in prod.items():
-                        for k, c in self.act.get((i, w), {}).items():
-                            add(via, k, cw * c)
+                    via = self._act_on(i, prod)
                     # apply one factor after the other, in the order the
                     # side dictates: (m.u).v against m.(uv), or u.(v.n)
                     # against (uv).n
@@ -190,19 +199,9 @@ class DGModule:
                             add(steps, k2, c * c2)
                     if steps != via:
                         raise ChainError("module action fails associativity")
-        if B.complex.top >= 1:
-            d1 = B.complex.diffs[1]
-            for j in range(d1.ncols):
-                col = d1.cols[j]
-                for i in range(nm):
-                    acc = {}
-                    for u, cu in col.items():
-                        for k, c in self.act.get((i, u), {}).items():
-                            add(acc, k, cu * c)
-                    if acc:
-                        raise ChainError(
-                            "module action does not kill level-one boundaries"
-                        )
+        for col in B.complex.diffs[1].cols if B.complex.top >= 1 else ():
+            if any(self._act_on(i, col) for i in range(nm)):
+                raise ChainError("module action does not kill level-one boundaries")
         return self
 
 
@@ -265,6 +264,13 @@ def two_sided_bar(
 ) -> DoubleComplex:
     """Double complex M (x) B^p (x) N: bar faces across, inner differential down.
 
+    d_h = mu_M (x) 1 (x) 1 + 1 (x) b' (x) 1 + (-1)^p 1 (x) 1 (x) mu_N and
+    d_v = 1 (x) d (x) 1 with sign (-1)^(t(m) + levels and degrees of the
+    letters before the one d acts on); (i_m, w-th word of W_pq, k_n) sits at
+    (i_m |W_pq| + w) dim N + k_n (see the module docstring).  Only the outer
+    faces act on i_m and k_n, so the terms of each word are worked out once
+    and copied to every (i_m, k_n).
+
     Only blocks with p + q <= p_max inside the stored top of the model are
     built, as totals read no level above p_max.  Totals through degree
     p_max read model levels <= p_max - 1 only, so s_valid is p_max - 1, or
@@ -281,76 +287,79 @@ def two_sided_bar(
     N.validate()
     field = B.field
     C = B.complex
-    q_top = C.top
-    flat = [(q, j) for q in range(q_top + 1) for j in range(C.level_dim(q))]
+    flat = [(q, j) for q in range(C.top + 1) for j in range(C.level_dim(q))]
     tB = {(q, j): C.levels[q][j][1] for (q, j) in flat}
-
-    def words(p, budget):
-        # words of p entries of flat with levels summing to at most budget,
-        # in product order; flat is sorted by level, so a slot stops early
-        if p == 0:
-            yield ()
-            return
-        for w in flat:
-            if w[0] > budget:
-                break
-            yield from ((w, *rest) for rest in words(p - 1, budget - w[0]))
-
-    gens: dict = {}
-    index: dict = {}
+    nM, nN = len(M.gens), len(N.gens)
+    pairs = list(itertools.product(range(nM), range(nN)))
+    # W[(p, q)]: words of p letters from flat with levels summing to q, in
+    # product order; dropping the last letter of one leaves a word of p - 1
+    W: dict = {}
+    level = [((), 0)]
     for p in range(p_max + 1):
-        for i_m in range(len(M.gens)):
-            t_m = M.gens[i_m][1]
-            for word in words(p, min(q_top, p_max - p)):
-                q = sum(w[0] for w in word)
-                for k_n in range(len(N.gens)):
-                    t = t_m + sum(tB[w] for w in word) + N.gens[k_n][1]
-                    name = (i_m, word, k_n)
-                    bucket = gens.setdefault((p, q), [])
-                    index.setdefault((p, q), {})[name] = len(bucket)
-                    bucket.append((name, t))
+        budget = min(C.top, p_max - p)
+        if p:
+            level = [
+                (u + (w,), s + w[0]) for u, s in level for w in flat if s + w[0] <= budget
+            ]
+        for word, s in level:
+            W.setdefault((p, s), []).append(word)
+    gens: dict = {}
+    for key, ws in W.items():
+        tw = [sum(tB[w] for w in word) for word in ws]
+        gens[key] = [
+            ((i_m, word, k_n), t_m + t + t_n)
+            for i_m, (_m, t_m) in enumerate(M.gens)
+            for word, t in zip(ws, tw)
+            for k_n, (_n, t_n) in enumerate(N.gens)
+        ]
+
+    def spread(m, w, nw, nr, terms, by_tm):
+        # word-level terms (row word, coefficient) into each column
+        # (i_m, w, k_n), negated for odd t(m) when by_tm
+        for i_m, (_m, t_m) in enumerate(M.gens):
+            neg = by_tm and t_m % 2
+            rows = [((i_m * nr + r) * nN, -c if neg else c) for r, c in terms]
+            col = (i_m * nw + w) * nN
+            for k_n in range(nN):
+                for row, c in rows:
+                    m.add_at(row + k_n, col + k_n, c)
+
     d_h: dict = {}
     d_v: dict = {}
-    for (p, q), bucket in sorted(gens.items()):
-        if q >= 1 and (p, q - 1) in gens:
-            rows = index[(p, q - 1)]
-            m = SMat(len(gens[(p, q - 1)]), len(bucket), field)
-            for cpos, (name, _t) in enumerate(bucket):
-                i_m, word, k_n = name
-                pref = M.gens[i_m][1]
+    for (p, q), ws in sorted(W.items()):
+        nw = len(ws)
+        if q >= 1 and (p, q - 1) in W:
+            rows = {word: r for r, word in enumerate(W[(p, q - 1)])}
+            m = d_v[(p, q)] = SMat(nM * len(rows) * nN, nM * nw * nN, field)
+            for w, word in enumerate(ws):
+                terms, pref = [], 0
                 for l, (ql, jl) in enumerate(word):
-                    if ql >= 1:
-                        neg = pref % 2 == 1
-                        for j2, c in C.diffs[ql].cols[jl].items():
-                            w2 = word[:l] + ((ql - 1, j2),) + word[l + 1 :]
-                            m.add_at(rows[(i_m, w2, k_n)], cpos, -c if neg else c)
+                    for j2, c in C.diffs[ql].cols[jl].items() if ql else ():
+                        w2 = word[:l] + ((ql - 1, j2),) + word[l + 1 :]
+                        terms.append((rows[w2], -c if pref % 2 else c))
                     pref += ql + tB[(ql, jl)]
-            d_v[(p, q)] = m
+                spread(m, w, nw, len(rows), terms, True)
         if p >= 1:
-            rows = index.get((p - 1, q), {})
-            m = SMat(len(gens.get((p - 1, q), ())), len(bucket), field)
-            for cpos, (name, _t) in enumerate(bucket):
-                i_m, word, k_n = name
-                q1, j1 = word[0]
-                if q1 == 0:
+            rows = {word: r for r, word in enumerate(W.get((p - 1, q), ()))}
+            nr = len(rows)
+            m = d_h[(p, q)] = SMat(nM * nr * nN, nM * nw * nN, field)
+            for w, word in enumerate(ws):
+                (q1, j1), (qp, jp) = word[0], word[-1]
+                for i_m, k_n in pairs if q1 == 0 else ():
                     for i2, c in M.act.get((i_m, j1), {}).items():
-                        m.add_at(rows[(i2, word[1:], k_n)], cpos, c)
+                        row = (i2 * nr + rows[word[1:]]) * nN + k_n
+                        m.add_at(row, (i_m * nw + w) * nN + k_n, c)
+                inner = []
                 for f in range(1, p):
-                    qa, ja = word[f - 1]
-                    qb, jb = word[f]
-                    prod = B.mul(qa, ja, qb, jb)
-                    if not prod:
-                        continue
-                    neg = f % 2 == 1
-                    for j2, c in prod.items():
+                    (qa, ja), (qb, jb) = word[f - 1 : f + 1]
+                    for j2, c in B.mul(qa, ja, qb, jb).items():
                         w2 = word[: f - 1] + ((qa + qb, j2),) + word[f + 1 :]
-                        m.add_at(rows[(i_m, w2, k_n)], cpos, -c if neg else c)
-                qp, jp = word[p - 1]
-                if qp == 0:
-                    neg = p % 2 == 1
+                        inner.append((rows[w2], -c if f % 2 else c))
+                spread(m, w, nw, nr, inner, False)
+                for i_m, k_n in pairs if qp == 0 else ():
                     for k2, c in N.act.get((k_n, jp), {}).items():
-                        m.add_at(rows[(i_m, word[: p - 1], k2)], cpos, -c if neg else c)
-            d_h[(p, q)] = m
+                        row = (i_m * nr + rows[word[:-1]]) * nN + k2
+                        m.add_at(row, (i_m * nw + w) * nN + k_n, -c if p % 2 else c)
     s_valid = p_max - 1 if C.exact_top else min(p_max - 1, C.top)
     return DoubleComplex.from_commuting(field, gens, d_h, d_v, s_valid).validate()
 
@@ -367,18 +376,9 @@ def circle_bar(A: GradedAlgebra, p_max: int) -> DoubleComplex:
     B = algebra_model(E).validate()
     dA = A.dim
     gens = list(zip(A.names, A.degrees))
-    act_r: dict = {}
-    act_l: dict = {}
-    for a in range(dA):
-        for b in range(dA):
-            jE = a * dA + b
-            for i in range(dA):
-                vr = A.product_chain((i, a, b))
-                if vr:
-                    act_r[(i, jE)] = vr
-                vl = A.product_chain((a, b, i))
-                if vl:
-                    act_l[(i, jE)] = vl
+    abi = list(itertools.product(range(dA), repeat=3))
+    act_r = {(i, a * dA + b): A.product_chain((i, a, b)) for a, b, i in abi}
+    act_l = {(i, a * dA + b): A.product_chain((a, b, i)) for a, b, i in abi}
     M = DGModule(B, gens, act_r, "right")
     N = DGModule(B, gens, act_l, "left")
     return two_sided_bar(M, B, N, p_max)

@@ -180,6 +180,8 @@ class ChainComplex:
                 raise ChainError(f"s_valid {s_valid} beyond top level {top}")
             self.s_valid = s_valid
         self._check_shapes()
+        if self.s_valid < 0:
+            raise ChainError(f"s_valid must be at least 0, got {self.s_valid}")
 
     @property
     def top(self) -> int:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from hhx.algebra import make_algebra
-from hhx.chains import BettiTable, ChainError
+from hhx.chains import BettiTable, ChainError, DoubleComplex
 from hhx.fields import QQ
 from hhx.matrix import SMat
 from hhx.simplicial import Simp, SimplicialMap, SimplicialSet, disjoint_union
@@ -106,3 +106,74 @@ def convolve(a: BettiTable, b: BettiTable) -> BettiTable:
                 key = (s1 + s2, t1 + t2)
                 out[key] = out.get(key, 0) + v1 * v2
     return BettiTable(out, bound, "convolution")
+
+
+def functorial_on_all_triples(F) -> bool:
+    """F(a, c) = F(b, c) F(a, b) on every chain a < b < c of the poset."""
+    return all(
+        F.maps[(a, c)] == F.maps[(b, c)] @ F.maps[(a, b)] for a, b, c in F.poset.chains(2)
+    )
+
+
+def two_sided_bar_oracle(M, B, N, p_max) -> DoubleComplex:
+    """``bar.two_sided_bar`` assembled one generator at a time.
+
+    Every generator (i_m, word, k_n) gets its own row index and works out
+    its faces and inner differentials afresh, so nothing is shared between
+    generators with the same word.  The module checks and validate are left
+    to ``two_sided_bar``.
+    """
+    field = B.field
+    C = B.complex
+    flat = [(q, j) for q in range(C.top + 1) for j in range(C.level_dim(q))]
+    tB = {(q, j): C.levels[q][j][1] for (q, j) in flat}
+
+    def words(p, budget):
+        if p == 0:
+            yield ()
+            return
+        for w in flat:
+            if w[0] > budget:
+                break
+            yield from ((w, *rest) for rest in words(p - 1, budget - w[0]))
+
+    gens: dict = {}
+    index: dict = {}
+    for p in range(p_max + 1):
+        for i_m in range(len(M.gens)):
+            for word in words(p, min(C.top, p_max - p)):
+                q = sum(w[0] for w in word)
+                for k_n in range(len(N.gens)):
+                    t = M.gens[i_m][1] + sum(tB[w] for w in word) + N.gens[k_n][1]
+                    bucket = gens.setdefault((p, q), [])
+                    index.setdefault((p, q), {})[(i_m, word, k_n)] = len(bucket)
+                    bucket.append(((i_m, word, k_n), t))
+    d_h: dict = {}
+    d_v: dict = {}
+    for (p, q), bucket in sorted(gens.items()):
+        if q >= 1 and (p, q - 1) in gens:
+            rows = index[(p, q - 1)]
+            m = d_v[(p, q)] = SMat(len(rows), len(bucket), field)
+            for cpos, ((i_m, word, k_n), _t) in enumerate(bucket):
+                pref = M.gens[i_m][1]
+                for l, (ql, jl) in enumerate(word):
+                    for j2, c in C.diffs[ql].cols[jl].items() if ql else ():
+                        w2 = word[:l] + ((ql - 1, j2),) + word[l + 1 :]
+                        m.add_at(rows[(i_m, w2, k_n)], cpos, -c if pref % 2 else c)
+                    pref += ql + tB[(ql, jl)]
+        if p >= 1:
+            rows = index.get((p - 1, q), {})
+            m = d_h[(p, q)] = SMat(len(rows), len(bucket), field)
+            for cpos, ((i_m, word, k_n), _t) in enumerate(bucket):
+                (q1, j1), (qp, jp) = word[0], word[-1]
+                for i2, c in M.act.get((i_m, j1), {}).items() if q1 == 0 else ():
+                    m.add_at(rows[(i2, word[1:], k_n)], cpos, c)
+                for f in range(1, p):
+                    (qa, ja), (qb, jb) = word[f - 1 : f + 1]
+                    for j2, c in B.mul(qa, ja, qb, jb).items():
+                        w2 = word[: f - 1] + ((qa + qb, j2),) + word[f + 1 :]
+                        m.add_at(rows[(i_m, w2, k_n)], cpos, -c if f % 2 else c)
+                for k2, c in N.act.get((k_n, jp), {}).items() if qp == 0 else ():
+                    m.add_at(rows[(i_m, word[:-1], k2)], cpos, -c if p % 2 else c)
+    s_valid = p_max - 1 if C.exact_top else min(p_max - 1, C.top)
+    return DoubleComplex.from_commuting(field, gens, d_h, d_v, s_valid)

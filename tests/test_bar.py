@@ -32,11 +32,12 @@ from hhx.chains import (
     sseq_pages,
     total_complex,
 )
+from hhx.fields import GF, QQ
 from hhx.loday import hh
 from hhx.matrix import SMat
 from hhx.simplicial import circle_min, sphere_min
 
-from helpers import window_equal
+from helpers import two_sided_bar_oracle, window_equal
 
 
 def total_dims(table):
@@ -312,6 +313,98 @@ def test_suspension_bar_stops_at_window(make):
     assert sum(len(v) for v in D.gens.values()) == 324
     assert r_stable(D) == 6
     assert sseq_pages(D, 6)[6].n_valid == 3
+
+
+def bar_and_oracle(monkeypatch, A, d, p_max):
+    # suspension_bar, and the oracle on the model and modules it assembled
+    seen = []
+
+    def spy(M, B, N, p):
+        seen.append((M, B, N, p))
+        return two_sided_bar(M, B, N, p)
+
+    monkeypatch.setattr("hhx.bar.two_sided_bar", spy)
+    D = suspension_bar(A, d, p_max)
+    (args,) = seen
+    return D, two_sided_bar_oracle(*args)
+
+
+@pytest.mark.parametrize(
+    "make, d, p_max",
+    [
+        (lambda: dual_numbers(), 1, 4),
+        (lambda: split_pair(), 1, 4),
+        (gf4, 1, 4),
+        (lambda: exterior_line(), 1, 4),
+        (lambda: split_triple(), 1, 3),
+        (lambda: dual_numbers(GF(3)), 1, 4),
+        (lambda: dual_numbers(), 2, 4),
+        (lambda: exterior_line(), 2, 4),
+        (lambda: dual_square(), 2, 3),
+        (lambda: dual_numbers(GF(2)), 2, 4),
+        (lambda: exterior_line(GF(3)), 2, 4),
+        (lambda: dual_numbers(GF(3)), 3, 4),
+        (lambda: exterior_line(), 3, 4),
+        (lambda: dual_square(), 3, 3),
+        # odd module generators over a model with a nonzero differential
+        (lambda: tensor_algebras(dual_numbers(), exterior_line()), 2, 3),
+    ],
+    ids=[
+        "dual-1", "QxQ-1", "F4-1", "ext-1", "QxQxQ-1", "dual-F3-1", "dual-2", "ext-2",
+        "dual_square-2", "dual-F2-2", "ext-F3-2", "dual-F3-3", "ext-3", "dual_square-3",
+        "dual_ext-2",
+    ],
+)
+def test_two_sided_bar_matches_per_generator_oracle(monkeypatch, make, d, p_max):
+    # same generators in the same order, trust bound, and every column of
+    # every block, entry order included
+    D, O = bar_and_oracle(monkeypatch, make(), d, p_max)
+    assert D.s_valid == O.s_valid
+    assert list(D.gens.items()) == list(O.gens.items())
+    for got, want in ((D.d_h, O.d_h), (D.d_v, O.d_v)):
+        assert list(got) == list(want)
+        for key, m in got.items():
+            assert (m.nrows, m.ncols) == (want[key].nrows, want[key].ncols)
+            assert [list(c.items()) for c in m.cols] == [
+                list(c.items()) for c in want[key].cols
+            ]
+
+
+def test_two_sided_bar_multiplies_each_word_once(monkeypatch):
+    # E = A (x) A sits in level 0 only, so block p holds all 9^p words of
+    # split_triple's E and each has p - 1 inner faces; every (word, face) is
+    # multiplied once, not once per (i_m, k_n), apart from the products the
+    # module checks make on their own
+    calls = 0
+    counting = False
+    mul, check = DGAlgebraModel.mul, DGModule.validate
+
+    def counted_mul(self, *args):
+        nonlocal calls
+        calls += counting
+        return mul(self, *args)
+
+    def uncounted_check(self):
+        nonlocal counting
+        counting, was = False, counting
+        try:
+            return check(self)
+        finally:
+            counting = was
+
+    def counted_bar(*args):
+        nonlocal counting
+        counting = True
+        try:
+            return two_sided_bar(*args)
+        finally:
+            counting = False
+
+    monkeypatch.setattr(DGAlgebraModel, "mul", counted_mul)
+    monkeypatch.setattr(DGModule, "validate", uncounted_check)
+    monkeypatch.setattr("hhx.bar.two_sided_bar", counted_bar)
+    circle_bar(split_triple(), 4)
+    assert calls == sum((p - 1) * 9**p for p in range(2, 5))
 
 
 def test_suspension_provenance():

@@ -158,6 +158,11 @@ def _malformed_complexes():
             lambda: ChainComplex(QQ, [a, b], [None, one], s_valid=2), "beyond top level"
         ),
         "no-levels": (lambda: ChainComplex(QQ, [], []), "at least one level"),
+        # a trust bound below 0, given or the top - 1 default of one level
+        "s_valid-negative": (
+            lambda: ChainComplex(QQ, [a, b], [None, one], s_valid=-3), "at least 0, got -3"
+        ),
+        "one-level-inexact": (lambda: ChainComplex(QQ, [a], [None]), "at least 0, got -1"),
         "diffs0": (lambda: ChainComplex(QQ, [a, b], [one, one]), "diffs\\[0\\] must be None"),
         "shape": (
             lambda: ChainComplex(QQ, [a, b], [None, SMat(2, 1, QQ)]), "shape 2x1, expected 1x1"

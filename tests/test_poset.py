@@ -37,6 +37,8 @@ from hhx.poset import (
 from hhx.poset import _full_nerve, _matching
 from hhx.simplicial import circle_min
 
+from helpers import functorial_on_all_triples
+
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "hhx" / "corpus"
 
 
@@ -111,6 +113,36 @@ def test_functoriality_violation_names_triple():
     maps = {("a", "b"): ident, ("b", "c"): ident, ("a", "c"): doubled}
     with pytest.raises(PosetError, match="triple.*a.*b.*c"):
         PosetFunctor(P, QQ, spaces, maps).validate()
+
+
+@pytest.mark.parametrize(
+    "make, seen",
+    [
+        # some pairs of the random poset lie on no chain of length two
+        (
+            lambda: (P := shuffled_random_poset(), graded_constant(P, QQ, ((0, 1), (2, 2))))[1],
+            {True, False},
+        ),
+        (lambda: arc_functor(dual_numbers(), cyclic_cech_poset(2)), {False}),
+    ],
+    ids=["out-of-order", "m2"],
+)
+def test_covering_triples_decide_functoriality(make, seen):
+    # one map at a time scaled by 2 or by 0: validate, which multiplies out
+    # the covering triples only, refuses exactly when some triple fails
+    F = make()
+    verdicts = set()
+    for pair, m in F.maps.items():
+        for k in (2, 0):
+            G = PosetFunctor(F.poset, QQ, F.spaces, {**F.maps, pair: m.scale(QQ(k))})
+            ok = functorial_on_all_triples(G)
+            verdicts.add(ok)
+            if ok:
+                G.validate()
+            else:
+                with pytest.raises(PosetError, match="functoriality fails"):
+                    G.validate()
+    assert verdicts == seen
 
 
 def test_builders_reject_hand_built_invalid_functor():
