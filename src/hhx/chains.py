@@ -7,16 +7,19 @@ which the validity bound s_valid makes explicit: homology is only handed
 out for s <= s_valid, and every construction (cones, tensors, total
 complexes) propagates the bound.
 
-A cochain complex is stored as the chain complex of the transposes of its
-coboundaries, so cohomology is ranked by ``ChainComplex.homology`` like
-every other homology, and only this module knows how a complex is ranked.
+Every differential is reduced once, going up the levels with clearing
+(``_pairs``), and both homology and spectral sequences read that one
+reduction.  A Betti number counts the generators of its (s, t) block that
+no pair touches.  A cochain complex is stored as the chain complex of the
+transposes of its coboundaries, so cohomology is ranked by
+``ChainComplex.homology`` like every other homology, and only this module
+knows how a complex is ranked.
 
 Double complexes are stored with anticommuting differentials.  Their
-spectral sequence comes from one reduction of each differential of the
-total complex, filtered by the column index p, as in persistent homology:
-a generator survives to E^r unless the reduction pairs it with a generator
-at most r - 1 columns away, so a page is the count of the survivors in
-each (p, q, t) block.
+spectral sequence filters the same reduction of the total complex by the
+column index p, as in persistent homology: a generator survives to E^r
+unless the reduction pairs it with a generator at most r - 1 columns away,
+so a page is the count of the survivors in each (p, q, t) block.
 """
 
 from __future__ import annotations
@@ -121,23 +124,6 @@ class BettiTable:
         return f"BettiTable({dict(sorted(self.entries.items()))}, s_valid={self.s_valid})"
 
 
-def _t_blocks(gens) -> dict:
-    out: dict = {}
-    for i, (_, t) in enumerate(gens):
-        out.setdefault(t, []).append(i)
-    return out
-
-
-def _block_pivots(d: SMat, rows, cols, cleared) -> list:
-    """Pivot columns of d on the given ascending row and column indices,
-    the rows in cleared left out (see ``SMat.rank``).  A block that spans
-    all of d is ranked on d itself: no copy, and the rank is cached."""
-    if len(rows) == d.nrows and len(cols) == d.ncols:
-        return list(d.rank(cleared, pairs=True))
-    skip = {k for k, i in enumerate(rows) if i in cleared}
-    return [cols[c] for c in d.restrict(rows, cols).rank(skip, pairs=True)]
-
-
 def _check_degrees(m: SMat, src, tgt, what: str, error=ChainError) -> None:
     """Raise error unless every entry of m joins generators of the same t.
 
@@ -218,17 +204,10 @@ class ChainComplex:
     def homology(self, s_max: int | None = None, provenance: str = "chain") -> BettiTable:
         """Betti table for s <= s_max, refusing windows beyond s_valid.
 
-        Each t block of d_{s+1} (rows at level s, columns at level s + 1)
-        is ranked once, and its rank is taken off both levels: at one it is
-        the rank of the image, at the other that of the coimage.  A t
-        missing at either end has a block of rank 0.
-
-        Clearing (Chen & Kerber): the levels are ranked going up, and the
-        level-s generators that were pivot columns of d_s are left out of
-        the rows of d_{s+1}.  Clearing lemma: such a column is the last
-        entry of no kernel vector and d_{s+1} lands in that kernel, so its
-        row is a combination of the rows after it, and leaving it out
-        changes no rank.
+        The table reads the same reduction as the spectral sequence pages
+        (``_pairs``): a level-s generator is a homology class exactly when
+        no pair touches it, neither as a pivot column of d_s nor as a pivot
+        row of d_{s+1}, so H_s at t counts the unpaired generators of t.
         """
         if s_max is None:
             s_max = self.s_valid
@@ -236,22 +215,12 @@ class ChainComplex:
             raise ChainError(
                 f"homology requested to s={s_max} but trusted only to {self.s_valid}"
             )
-        blocks = [_t_blocks(lv) for lv in self.levels[: s_max + 2]]
-        out = {}
-        r_prev: dict = {}
-        cleared: set = set()
+        pairs = _pairs(self, min(s_max + 1, self.top)) + [{}]
+        out: dict = {}
         for s in range(s_max + 1):
-            r_here = {}
-            paired: set = set()
-            for t, idx in blocks[s].items():
-                up = blocks[s + 1].get(t) if s + 1 < len(blocks) else None
-                pivots = _block_pivots(self.diffs[s + 1], idx, up, cleared) if up else ()
-                paired.update(pivots)
-                r_here[t] = r = len(pivots)
-                h = len(idx) - r_prev.get(t, 0) - r
-                if h:
-                    out[(s, t)] = h
-            r_prev, cleared = r_here, paired
+            paired = pairs[s].keys() | pairs[s + 1].values()
+            for k, (_, t) in enumerate(self.levels[s]):
+                out[(s, t)] = out.get((s, t), 0) + (k not in paired)
         return BettiTable(out, s_max, provenance)
 
     def __repr__(self):
@@ -466,15 +435,19 @@ class SpectralSequencePage:
 
 def _pairs(T: ChainComplex, top: int) -> list:
     """[{column: row} pairs of D_n for n <= top], D_n the differentials of T
-    (entry 0 is empty).
+    (entry 0 is empty): the one reduction Betti tables and pages read.
 
     Each D_n has its rows reduced from the last one up, each pivot at the
     row's first nonzero column (``SMat.rank``), and the reduction goes up
-    the levels: the level n - 1 rows that D_{n-1} paired as columns are
-    left out (see ``ChainComplex.homology``; they would reduce to zero).
+    the levels.  Clearing (Chen & Kerber): the level n - 1 rows that
+    D_{n-1} paired as columns are left out of D_n, so no generator is
+    paired twice.  Clearing lemma: such a column is the last entry of no
+    kernel vector and D_n lands in that kernel, so its row is a combination
+    of the rows after it, and leaving it out changes no rank and no pair.
     Pair lemma: this gives the pairs of the left-to-right column reduction
     with last-row pivots, since both mark where the ranks of the lower-left
-    submatrices jump.
+    submatrices jump.  D_n preserves t, so its pairs are those of its
+    t-blocks side by side.
     """
     pairs: list = [{}]
     for n in range(1, top + 1):
@@ -487,12 +460,11 @@ def sseq_pages(D: DoubleComplex, r_max: int) -> list:
 
     Each differential of the total complex is reduced once (``_pairs``), as
     in persistent homology: the coordinates of a level are sorted by p, so
-    F_p of a level is a prefix of them.  The differential preserves t, so
-    reducing a whole level reduces its t-blocks side by side.  A pair joins
-    column j (level n) and row i (level n - 1) at the gap g = p_j - p_i.  A
-    generator survives to E^r when it is unpaired or its pair has gap >= r;
-    E^r at (p, q, t) has one dimension per survivor of that block.  Levels
-    past the trusted range of the total complex are omitted.
+    F_p of a level is a prefix of them.  A pair joins column j (level n)
+    and row i (level n - 1) at the gap g = p_j - p_i.  A generator survives
+    to E^r when it is unpaired or its pair has gap >= r; E^r at (p, q, t)
+    has one dimension per survivor of that block.  Levels past the trusted
+    range of the total complex are omitted.
     """
     T = total_complex(D)
     n_valid = T.s_valid

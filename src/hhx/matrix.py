@@ -20,14 +20,13 @@ from .fields import Field
 class SMat:
     """A sparse nrows-by-ncols matrix over an exact field."""
 
-    __slots__ = ("nrows", "ncols", "field", "cols", "_rank")
+    __slots__ = ("nrows", "ncols", "field", "cols")
 
     def __init__(self, nrows: int, ncols: int, field: Field, cols=None):
         self.nrows = nrows
         self.ncols = ncols
         self.field = field
         self.cols: list[dict] = cols if cols is not None else [{} for _ in range(ncols)]
-        self._rank = None
 
     @classmethod
     def from_entries(cls, nrows, ncols, field, entries) -> "SMat":
@@ -57,7 +56,6 @@ class SMat:
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise IndexError(f"entry ({i}, {j}) outside {self.nrows}x{self.ncols}")
         self.field.add_into(self.cols[j], i, v)
-        self._rank = None
 
     def entry(self, i: int, j: int):
         return self.cols[j].get(i, self.field.zero)
@@ -177,10 +175,8 @@ class SMat:
         at the row's first nonzero column, so the pairs depend only on the
         ranks of the lower-left submatrices.  The rows in skip are left out:
         the caller vouches that each is a combination of the rows after it,
-        which changes neither the rank nor any pair.  The rank is cached.
+        which changes neither the rank nor any pair.
         """
-        if self._rank is not None and not pairs:
-            return self._rank
         rows = self._kernel_rows(skip)
         found = [i for i, r in enumerate(rows) if r]
         rows = [rows[i] for i in found]
@@ -188,10 +184,9 @@ class SMat:
             cols, owners = _kernel.rank_int(rows)
         else:
             cols, owners = _kernel.rank_fp(rows, self.field.char)
-        self._rank = len(cols)
         if pairs:
             return {c: found[k] for c, k in zip(cols, owners)}
-        return self._rank
+        return len(cols)
 
     def rref(self):
         """Canonical reduced echelon form: (pivot_cols, rows as dicts).
@@ -208,11 +203,8 @@ class SMat:
                 out.append(
                     {j: v // pv if v % pv == 0 else Fraction(v, pv) for j, v in r.items()}
                 )
-            self._rank = len(pivots)
             return pivots, out
-        pivots, raw = _kernel.rref_fp(rows, self.field.char)
-        self._rank = len(pivots)
-        return pivots, raw
+        return _kernel.rref_fp(rows, self.field.char)
 
     def nullspace(self) -> list[dict]:
         """Canonical basis of the right kernel, one vector per free column."""

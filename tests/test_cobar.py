@@ -16,7 +16,7 @@ from hhx.catalog import (
     split_pair,
     split_triple,
 )
-from hhx.chains import ChainError, _t_blocks
+from hhx.chains import ChainError
 from hhx.cobar import (
     AModule,
     cobar,
@@ -151,9 +151,9 @@ def built(monkeypatch):
     return out
 
 
-def test_cohomology_ranks_each_block_once(monkeypatch, built):
-    # the block of delta_n at t is r_out at level n and r_in at level n + 1;
-    # it is ranked once, and blocks without rows are not ranked at all
+def test_cohomology_ranks_each_coboundary_once(monkeypatch, built):
+    # each coboundary the table reads, delta_0 .. delta_{n_max - 1}, is
+    # ranked once, all its t blocks together
     calls = []
     rank = SMat.rank
 
@@ -165,9 +165,8 @@ def test_cohomology_ranks_each_block_once(monkeypatch, built):
     table = hochschild_cohomology(dual_numbers(), 4)
     assert table.entries == {(0, 0): 2, (1, 0): 1, (2, 0): 1, (3, 0): 1}
     (C,) = built
-    blocks = [_t_blocks(lv) for lv in C.levels]
-    nonempty = sum(1 for n in range(4) for t in blocks[n] if t in blocks[n + 1])
-    assert len(calls) == nonempty == 4
+    assert calls == [(d.nrows, d.ncols) for d in C.diffs[1 : table.s_valid + 2]]
+    assert len(calls) == 4
 
 
 def exterior_pair():

@@ -220,9 +220,9 @@ def test_characteristic_stays_behind_fields():
 def test_only_chains_ranks_a_complex():
     """Only chains.py knows how a complex is ranked.
 
-    No other module imports its block helpers or calls SMat.rank with rows
-    to skip or for pairs: a complex, cochains included, is ranked by
-    ChainComplex.homology.
+    No other module imports its reduction ``_pairs`` or calls SMat.rank
+    with rows to skip or for pairs: a complex, cochains included, is ranked
+    by ChainComplex.homology.
     """
     src = Path(__file__).resolve().parents[1] / "src" / "hhx"
     found = []
@@ -238,7 +238,7 @@ def test_only_chains_ranks_a_complex():
                 names = []
             found += [
                 f"{path.name}:{node.lineno} uses {name}"
-                for name in names if name in ("_block_pivots", "_t_blocks")
+                for name in names if name == "_pairs"
             ]
             if (
                 isinstance(node, ast.Call)

@@ -231,6 +231,38 @@ def test_rank_pairs_match_column_reduction(rows):
         assert len(pairs) == m.rank()
 
 
+@st.composite
+def graded_matrices(draw, max_n=6):
+    """(dense rows, row t labels, column t labels, rows to skip), with
+    entries only where the row and the column carry the same t."""
+    labels = st.integers(0, 2)
+    row_t = draw(st.lists(labels, min_size=1, max_size=max_n))
+    col_t = draw(st.lists(labels, min_size=1, max_size=max_n))
+    rows = [[draw(small_int) if a == b else 0 for b in col_t] for a in row_t]
+    skip = draw(st.sets(st.integers(0, len(row_t) - 1)))
+    return rows, row_t, col_t, skip
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_matrices())
+@example(([[1, 0, 1], [0, 2, 0], [1, 0, 0]], [0, 1, 0], [0, 1, 0], {0}))
+def test_rank_pairs_are_the_union_of_block_pairs(graded):
+    # a matrix joining only equal t is its t blocks side by side, on
+    # disjoint rows and columns, and reducing it whole pairs what reducing
+    # each block alone pairs, rows left out included
+    rows, row_t, col_t, skip = graded
+    for field in (QQ, GF(2), GF(3)):
+        m = SMat.from_dense(rows, field)
+        union = {}
+        for t in set(row_t) | set(col_t):
+            r = [i for i, a in enumerate(row_t) if a == t]
+            c = [j for j, b in enumerate(col_t) if b == t]
+            block_skip = {k for k, i in enumerate(r) if i in skip}
+            pairs = m.restrict(r, c).rank(block_skip, pairs=True)
+            union.update({c[j]: r[i] for j, i in pairs.items()})
+        assert m.rank(skip, pairs=True) == union
+
+
 @settings(max_examples=40, deadline=None)
 @given(matrices(5))
 def test_rref_reproduces_row_space(rows):
