@@ -1,13 +1,15 @@
 """Finite-dimensional graded algebras presented by structure constants.
 
-An algebra is a named basis with non-negative integer degrees, a unit
-vector, and a full multiplication table.  Validation is exhaustive: unit
-laws, associativity on all basis triples, degree additivity, and the sign
-rule a*b = (-1)^{|a||b|} b*a whenever the commutative flag is set.  All
+An algebra is a named basis with non-negative integer degrees, a unit,
+and a full multiplication table.  Validation is exhaustive: unit laws,
+associativity on all basis triples, degree additivity, and the sign rule
+a*b = (-1)^{|a||b|} b*a whenever the commutative flag is set.  All
 coefficients live in an exact field.
 
-Elements are dense coefficient tuples; sparse {index: coeff} expansions are
-used where products branch (tensor powers downstream).
+Files and make_algebra take the dense presentation: the unit as a list of
+coefficients and table[i][j] as the coefficient list of e_i * e_j.  Past
+make_algebra every element, the unit included, is a sparse dict
+{basis index: coeff} with no zero coefficients.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class GradedAlgebra:
         self.field = field
         self.names = tuple(names)
         self.degrees = tuple(degrees)
-        self.unit = tuple(unit)
+        self.unit = dict(unit)
         self.table = table
         self.commutative = bool(commutative)
         self._mul: dict = {}
@@ -58,10 +60,6 @@ class GradedAlgebra:
     @property
     def dim(self) -> int:
         return len(self.names)
-
-    def basis_vector(self, i: int) -> tuple:
-        zero = self.field.zero
-        return tuple(self.field.one if j == i else zero for j in range(self.dim))
 
     def mul_basis(self, i: int, j: int) -> dict:
         """Sparse expansion of e_i * e_j as {k: coeff}."""
@@ -73,30 +71,24 @@ class GradedAlgebra:
             self._mul[key] = out
         return out
 
-    def multiply(self, u, v) -> tuple:
-        """Bilinear product of two dense coefficient vectors."""
-        zero = self.field.zero
+    def multiply(self, u: dict, v: dict) -> dict:
+        """Bilinear product of two elements."""
         add = self.field.add_into
         out: dict = {}
-        for i, a in enumerate(u):
-            if a == zero:
-                continue
-            for j, b in enumerate(v):
-                if b == zero:
-                    continue
+        for i, a in u.items():
+            for j, b in v.items():
                 ab = a * b
                 for k, ck in self.mul_basis(i, j).items():
                     add(out, k, ab * ck)
-        return tuple(out.get(k, zero) for k in range(self.dim))
+        return out
 
     def product_chain(self, indices) -> dict:
         """Left-to-right product of basis elements, as a sparse expansion.
 
         An empty chain gives the unit.
         """
-        zero = self.field.zero
         add = self.field.add_into
-        acc = {k: v for k, v in enumerate(self.unit) if v != zero}
+        acc = dict(self.unit)
         for idx in indices:
             nxt: dict = {}
             for k, a in acc.items():
@@ -107,20 +99,20 @@ class GradedAlgebra:
                 break
         return acc
 
-    def element_degree(self, vec) -> int | None:
-        """Degree of a homogeneous dense vector, None for zero, error if mixed."""
-        degs = {self.degrees[i] for i, v in enumerate(vec) if v != self.field.zero}
+    def element_degree(self, vec: dict) -> int | None:
+        """Degree of a homogeneous element, None for zero, error if mixed."""
+        degs = {self.degrees[i] for i in vec}
         if not degs:
             return None
         if len(degs) > 1:
-            raise AlgebraError(f"vector {vec} is not homogeneous: degrees {sorted(degs)}")
+            raise AlgebraError(
+                f"element {self.show_element(vec)} is not homogeneous: "
+                f"degrees {sorted(degs)}"
+            )
         return degs.pop()
 
-    def show_element(self, vec) -> str:
-        terms = []
-        for i, v in enumerate(vec):
-            if v != self.field.zero:
-                terms.append(f"{self.field.show(v)}*{self.names[i]}")
+    def show_element(self, vec: dict) -> str:
+        terms = [f"{self.field.show(v)}*{self.names[i]}" for i, v in sorted(vec.items())]
         return " + ".join(terms) if terms else "0"
 
     def __repr__(self):
@@ -143,7 +135,7 @@ def make_algebra(field: Field, basis, unit, table, commutative: bool) -> GradedA
     """Build and validate a graded algebra.
 
     basis: sequence of (name, degree) pairs.
-    unit: coefficient vector of the unit element.
+    unit: coefficient list of the unit element, stored as a sparse element.
     table: table[i][j] is the coefficient vector of e_i * e_j.
 
     Raises AlgebraError naming the first offending law and basis elements.
@@ -180,15 +172,16 @@ def make_algebra(field: Field, basis, unit, table, commutative: bool) -> GradedA
         for i in range(d)
     )
 
-    alg = GradedAlgebra(field, names, degrees, unit_t, table_t, commutative)
-    zero = field.zero
+    one = field.one
+    unit_s = {k: v for k, v in enumerate(unit_t) if v != field.zero}
+    alg = GradedAlgebra(field, names, degrees, unit_s, table_t, commutative)
 
     # degree additivity
     for i in range(d):
         for j in range(d):
             want = degrees[i] + degrees[j]
-            for k, v in enumerate(table_t[i][j]):
-                if v != zero and degrees[k] != want:
+            for k in alg.mul_basis(i, j):
+                if degrees[k] != want:
                     raise AlgebraError(
                         f"degree violation: {names[i]}*{names[j]} has a component at "
                         f"{names[k]} of degree {degrees[k]}, expected degree {want}"
@@ -196,9 +189,9 @@ def make_algebra(field: Field, basis, unit, table, commutative: bool) -> GradedA
 
     # unit absorbs on both sides
     for i in range(d):
-        e = alg.basis_vector(i)
-        left = alg.multiply(unit_t, e)
-        right = alg.multiply(e, unit_t)
+        e = {i: one}
+        left = alg.multiply(alg.unit, e)
+        right = alg.multiply(e, alg.unit)
         if left != e:
             raise AlgebraError(
                 f"unit law fails on the left at {names[i]}: "
@@ -213,10 +206,10 @@ def make_algebra(field: Field, basis, unit, table, commutative: bool) -> GradedA
     # associativity on every basis triple
     for i in range(d):
         for j in range(d):
-            ij = table_t[i][j]
+            ij = alg.mul_basis(i, j)
             for k in range(d):
-                left = alg.multiply(ij, alg.basis_vector(k))
-                right = alg.multiply(alg.basis_vector(i), table_t[j][k])
+                left = alg.multiply(ij, {k: one})
+                right = alg.multiply({i: one}, alg.mul_basis(j, k))
                 if left != right:
                     raise AlgebraError(
                         f"associativity fails at triple ({names[i]}, {names[j]}, {names[k]}): "
@@ -256,12 +249,9 @@ def tensor_algebras(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     dB = B.dim
     dim = A.dim * dB
     unit = [zero] * dim
-    for i, a in enumerate(A.unit):
-        if a == zero:
-            continue
-        for j, b in enumerate(B.unit):
-            if b != zero:
-                unit[i * dB + j] = field(a * b)
+    for i, a in A.unit.items():
+        for j, b in B.unit.items():
+            unit[i * dB + j] = field(a * b)
     table = []
     for i1 in range(A.dim):
         for j1 in range(dB):
@@ -301,34 +291,29 @@ def opposite(A: GradedAlgebra) -> GradedAlgebra:
             row.append(vec)
         table.append(row)
     return make_algebra(
-        field, list(zip(A.names, A.degrees)), A.unit, table, A.commutative
+        field, list(zip(A.names, A.degrees)), _dense(A, A.unit), table, A.commutative
     )
 
 
 def change_basis(A: GradedAlgebra, basis, names) -> "AlgebraMap":
     """Isomorphism onto A from the copy of A with the given basis.
 
-    basis lists dense homogeneous vectors of A that form a basis, names
-    their names in the copy.  The unit and every product of the copy are
-    read off one solve against the basis.
+    basis lists homogeneous elements of A that form a basis, names their
+    names in the copy.  The unit and every product of the copy are read off
+    one solve against the basis.
     """
     field = A.field
-    zero = field.zero
     d = A.dim
-    M = SMat.from_dense(basis, field).transpose()
-    coords = M.solve_many(
-        [dict(enumerate(A.unit))]
-        + [dict(enumerate(A.multiply(x, y))) for x in basis for y in basis]
-    )
-
-    def dense(k):
-        return [coords[k].get(i, zero) for i in range(d)]
-
+    M = SMat(d, d, field, list(basis))
+    coords = [
+        _dense(A, c)
+        for c in M.solve_many([A.unit] + [A.multiply(x, y) for x in basis for y in basis])
+    ]
     B = make_algebra(
         field,
         [(n, A.element_degree(b)) for n, b in zip(names, basis)],
-        dense(0),
-        [[dense(1 + i * d + j) for j in range(d)] for i in range(d)],
+        coords[0],
+        [coords[1 + i * d : 1 + (i + 1) * d] for i in range(d)],
         A.commutative,
     )
     return AlgebraMap(B, A, M)
@@ -345,11 +330,10 @@ def unit_adapted(A: GradedAlgebra) -> "AlgebraMap":
     """
     field = A.field
     d = A.dim
-    support = [k for k, c in enumerate(A.unit) if c != field.zero]
-    if len(support) == 1 and A.unit[support[0]] == field.one:
+    if list(A.unit.values()) == [field.one]:
         return AlgebraMap(A, A, SMat.identity(d, field))
-    u = support[0]
-    basis = [A.unit if k == u else A.basis_vector(k) for k in range(d)]
+    u = min(A.unit)
+    basis = [dict(A.unit) if k == u else {k: field.one} for k in range(d)]
     names = list(A.names)
     names[u] = A.show_element(A.unit)
     return change_basis(A, basis, names)
@@ -380,10 +364,10 @@ def is_etale(A: GradedAlgebra) -> bool:
     return gram.rank() == d
 
 
-def center(A: GradedAlgebra) -> list[tuple]:
+def center(A: GradedAlgebra) -> list[dict]:
     """Basis of the graded center: z with z*u = (-1)^{|z||u|} u*z for all u.
 
-    Solved degree by degree; returns dense homogeneous vectors.
+    Solved degree by degree; returns homogeneous elements.
     """
     field = A.field
     d = A.dim
@@ -399,11 +383,7 @@ def center(A: GradedAlgebra) -> list[tuple]:
                     m.add_at(j * d + k, col, c)
                 for k, c in A.mul_basis(j, i).items():
                     m.add_at(j * d + k, col, c if sign_flip else -c)
-        for v in m.nullspace():
-            dense = [field.zero] * d
-            for col, coeff in v.items():
-                dense[idxs[col]] = coeff
-            out.append(tuple(dense))
+        out += [{idxs[col]: c for col, c in v.items()} for v in m.nullspace()]
     return out
 
 
@@ -438,35 +418,14 @@ class AlgebraMap:
                         f"map does not preserve degree: image of {S.names[i]} "
                         f"meets {T.names[k]}"
                     )
-        unit_img = M.mul_vec({k: v for k, v in enumerate(S.unit) if v != field.zero})
-        if unit_img != {k: v for k, v in enumerate(T.unit) if v != field.zero}:
+        if M.mul_vec(S.unit) != T.unit:
             raise AlgebraError("map does not preserve the unit")
         for i in range(S.dim):
             for j in range(S.dim):
-                lhs = M.mul_vec(S.mul_basis(i, j))
-                fi = [field.zero] * T.dim
-                for k, v in M.cols[i].items():
-                    fi[k] = v
-                fj = [field.zero] * T.dim
-                for k, v in M.cols[j].items():
-                    fj[k] = v
-                prod = T.multiply(fi, fj)
-                rhs = {k: v for k, v in enumerate(prod) if v != field.zero}
-                if lhs != rhs:
+                if M.mul_vec(S.mul_basis(i, j)) != T.multiply(M.cols[i], M.cols[j]):
                     raise AlgebraError(
                         f"map is not multiplicative at ({S.names[i]}, {S.names[j]})"
                     )
-
-    def apply(self, vec) -> tuple:
-        """Image of a dense source vector as a dense target vector."""
-        field = self.source.field
-        out = [field.zero] * self.target.dim
-        img = self.matrix.mul_vec(
-            {i: v for i, v in enumerate(vec) if v != field.zero}
-        )
-        for k, v in img.items():
-            out[k] = v
-        return tuple(out)
 
 
 def algebra_to_json(A: GradedAlgebra) -> dict:
@@ -477,13 +436,18 @@ def algebra_to_json(A: GradedAlgebra) -> dict:
         "basis": [
             {"name": n, "degree": g} for n, g in zip(A.names, A.degrees)
         ],
-        "unit": [show(v) for v in A.unit],
+        "unit": [show(v) for v in _dense(A, A.unit)],
         "table": [
             [[show(v) for v in A.table[i][j]] for j in range(A.dim)]
             for i in range(A.dim)
         ],
         "commutative": A.commutative,
     }
+
+
+def _dense(A: GradedAlgebra, vec: dict) -> list:
+    """An element as the coefficient list of the dense presentation."""
+    return [vec.get(k, A.field.zero) for k in range(A.dim)]
 
 
 def _nested_lists(value, depth: int) -> bool:

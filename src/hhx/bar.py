@@ -90,9 +90,9 @@ class DGAlgebraModel:
         one = field.one
         for p in range(C.top + 1):
             for i in range(C.level_dim(p)):
-                for other, swap in ((self.unit, False), (self.unit, True)):
+                for swap in (False, True):
                     acc: dict = {}
-                    for u, cu in other.items():
+                    for u, cu in self.unit.items():
                         prod = self.mul(p, i, 0, u) if swap else self.mul(0, u, p, i)
                         for k, c in prod.items():
                             add(acc, k, cu * c)
@@ -207,15 +207,13 @@ class DGModule:
 
 def algebra_model(A: GradedAlgebra) -> DGAlgebraModel:
     """A graded algebra viewed as a one-level chain model."""
-    field = A.field
     levels = [list(zip(A.names, A.degrees))]
-    C = ChainComplex(field, levels, [None], exact_top=True)
+    C = ChainComplex(A.field, levels, [None], exact_top=True)
 
     def mul(p, i, q, j, _A=A):
         return dict(_A.mul_basis(i, j))
 
-    unit = {i: c for i, c in enumerate(A.unit) if c != field.zero}
-    return DGAlgebraModel(C, mul, unit, A.commutative)
+    return DGAlgebraModel(C, mul, A.unit, A.commutative)
 
 
 def loday_model(A: GradedAlgebra, X, q_top: int) -> DGAlgebraModel:
@@ -233,7 +231,7 @@ def loday_model(A: GradedAlgebra, X, q_top: int) -> DGAlgebraModel:
     def mul(p, i, q, j, _L=L):
         return _shuffle_chain(_L, (p, {i: one}), (q, {j: one}))
 
-    u = L.algebra.unit.index(one)
+    (u,) = L.algebra.unit
     unit = {L.index[0][(u,) * len(L.simps[0])]: one}
     return DGAlgebraModel(C, mul, unit, True).validate()
 

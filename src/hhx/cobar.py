@@ -89,11 +89,10 @@ class AModule:
                         add(out, k, cj * cb * c)
             return out
 
-        unit = {u: c for u, c in enumerate(A.unit) if c != field.zero}
         basis = [{a: one} for a in range(A.dim)]
         for j in range(self.dim):
             m = {j: one}
-            if lmul(unit, m) != m or (right is not None and rmul(m, unit) != m):
+            if lmul(A.unit, m) != m or (right is not None and rmul(m, A.unit) != m):
                 raise ChainError("module action does not respect the unit")
             for a in range(A.dim):
                 for b in range(A.dim):
@@ -193,10 +192,9 @@ def cobar_complex(
     if M is None:
         if N.right is None:
             raise ChainError("Hochschild cochains need a bimodule as target")
-        support = [k for k, c in enumerate(A.unit) if c != field.zero]
-        if len(support) != 1 or A.unit[support[0]] != field.one:
+        if list(A.unit.values()) != [field.one]:
             raise ChainError("normalized cochains need the unit as a basis vector")
-        slots = [i for i in range(dA) if i != support[0]]
+        slots = [i for i in range(dA) if i not in A.unit]
         src = (0,)
     else:
         M.validate()
@@ -228,7 +226,7 @@ def cobar_complex(
     tail: dict = {}
     if M is None:
         for (k, u), vec in N.right.items():
-            if u != support[0]:
+            if u not in A.unit:
                 for k2, c in vec.items():
                     tail.setdefault((0, k), []).append((u, 0, k2, c))
     else:
@@ -318,7 +316,7 @@ def hochschild_cohomology(
     if module is None:
         hist: dict = {}
         for z in center(A):
-            dg = next(A.degrees[i] for i, c in enumerate(z) if c != A.field.zero)
+            dg = A.element_degree(z)
             hist[dg] = hist.get(dg, 0) + 1
         got = {t: v for (n, t), v in table.entries.items() if n == 0}
         if got != hist:

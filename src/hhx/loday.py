@@ -165,7 +165,7 @@ class _RelativePush(_Push):
     def __init__(self, A: GradedAlgebra, T: GradedAlgebra, tp, m_tgt: int):
         super().__init__(A, tp, m_tgt)
         self.T = T
-        self.u = T.unit.index(T.field.one)
+        (self.u,) = T.unit
         self.tdeg = [d % 2 for d in T.degrees]
         self.gdeg = [d % 2 for d in A.degrees[self.u :: T.dim]]
         self.gathered: dict = {}
@@ -198,7 +198,7 @@ class _RelativePush(_Push):
         return out
 
 
-def _module_basis(A: GradedAlgebra, ts) -> list[tuple]:
+def _module_basis(A: GradedAlgebra, ts) -> list[dict]:
     """t * g for t in ts and g in a free basis of A over their span, unit first.
 
     ts are the images of a basis of the base.  The unit comes first; it
@@ -218,19 +218,20 @@ def _module_basis(A: GradedAlgebra, ts) -> list[tuple]:
             f"algebra is not free over the base: dimension {A.dim} is not a "
             f"multiple of the base dimension {dT}"
         )
-    cands = [A.basis_vector(i) for i in range(A.dim)]
+    one = field.one
+    cands = [{i: one} for i in range(A.dim)]
     cands += [
-        tuple(a + b for a, b in zip(cands[i], cands[j]))
+        {i: one, j: one}
         for i in range(A.dim)
         for j in range(i + 1, A.dim)
         if A.degrees[i] == A.degrees[j]
     ]
-    basis: list[tuple] = []
+    basis: list[dict] = []
     pool = [A.unit]
     while len(basis) < A.dim:
         for cand in pool:
             grown = basis + [A.multiply(t, cand) for t in ts]
-            if SMat.from_dense(grown, field).rank() == len(grown):
+            if SMat(A.dim, len(grown), field, grown).rank() == len(grown):
                 basis = grown
                 break
         else:
@@ -252,9 +253,7 @@ def _base_adapted(A: GradedAlgebra, base: AlgebraMap):
     """
     Tu = unit_adapted(base.source)
     T = Tu.source
-    basis = _module_basis(
-        A, [base.apply(Tu.apply(T.basis_vector(s))) for s in range(T.dim)]
-    )
+    basis = _module_basis(A, (base.matrix @ Tu.matrix).cols)
     B = change_basis(A, basis, [A.show_element(b) for b in basis]).source
     return B, T
 
@@ -394,14 +393,14 @@ def loday_complex(
     simps = [X.level(n) for n in range(N + 1)]
     if base is None:
         A = unit_adapted(A).source
-        u = A.unit.index(A.field.one)
+        (u,) = A.unit
         names = [_nondegenerate(A.dim, u, X, simps, n) for n in range(N + 1)]
         push = _Push
     else:
         _check_base(A, base)
         A, T = _base_adapted(A, base)
         dT = T.dim
-        u = T.unit.index(T.field.one)
+        (u,) = T.unit
         names = [
             [
                 (ks[0] * dT + tau,) + tuple(k * dT + u for k in ks[1:])
@@ -542,7 +541,7 @@ def cyclic_bar_oracle(A: GradedAlgebra, N: int) -> ChainComplex:
     field = A.field
     add = field.add_into
     dA = A.dim
-    u = A.unit.index(field.one)
+    (u,) = A.unit
     bar = [i for i in range(dA) if i != u]
     # prod[sign][i][j]: the expansion of e_i * e_j, negated for sign 1; cut
     # drops its e_u term and writes index k as its digit k - (k > u) in bar

@@ -558,10 +558,16 @@ def poset_from_json(obj: dict) -> Poset:
     try:
         objects = [o["name"] for o in obj["objects"]]
         components = {o["name"]: o["components"] for o in obj["objects"]}
-        rels = [(a, b) for a, b in obj["relations"]]
-        le = set((x, x) for x in objects) | set(rels)
+        rels = list(obj["relations"])
     except (KeyError, TypeError, ValueError) as e:
         raise PosetError(f"malformed poset file: {e}")
+    for x in objects:
+        if not isinstance(x, str) or not x:
+            raise PosetError(f"object name {x!r} must be a non-empty string")
+    for r in rels:
+        if not (isinstance(r, list) and len(r) == 2 and all(isinstance(x, str) for x in r)):
+            raise PosetError(f"relation {r!r} must be a list of two object names")
+    le = {(x, x) for x in objects} | {tuple(r) for r in rels}
     for x, c in components.items():
         if type(c) is not int or c < 1:
             raise PosetError(f"components of {x!r} must be an integer >= 1, got {c!r}")

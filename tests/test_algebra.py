@@ -1,6 +1,8 @@
 """Structure-constant algebra layer: validation, products, tensor, center."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -109,7 +111,7 @@ def test_rejects_false_commutative_claim():
         make_algebra(
             QQ,
             list(zip(mat2_table.names, mat2_table.degrees)),
-            mat2_table.unit,
+            [1, 0, 0, 1],
             [[list(v) for v in row] for row in mat2_table.table],
             True,
         )
@@ -153,14 +155,14 @@ def test_rejects_shape_and_name_problems():
 def test_multiply_dual_numbers():
     A = dual_numbers()
     # (2 + 3x)(5 + 7x) = 10 + 29x
-    got = A.multiply((QQ(2), QQ(3)), (QQ(5), QQ(7)))
-    assert got == (QQ(10), QQ(29))
+    got = A.multiply({0: QQ(2), 1: QQ(3)}, {0: QQ(5), 1: QQ(7)})
+    assert got == {0: QQ(10), 1: QQ(29)}
 
 
 def test_multiply_respects_characteristic():
     A = dual_numbers(GF(5))
-    got = A.multiply((2, 3), (4, 1))
-    assert got == (3, 4)  # 8 = 3, 2 + 12 = 14 = 4 mod 5
+    got = A.multiply({0: 2, 1: 3}, {0: 4, 1: 1})
+    assert got == {0: 3, 1: 4}  # 8 = 3, 2 + 12 = 14 = 4 mod 5
 
 
 def test_product_chain():
@@ -176,12 +178,12 @@ def test_product_chain():
 
 def test_element_degree_and_show():
     A = exterior_line()
-    assert A.element_degree((QQ.zero, QQ.one)) == 1
-    assert A.element_degree((QQ.zero, QQ.zero)) is None
+    assert A.element_degree({1: QQ.one}) == 1
+    assert A.element_degree({}) is None
     with pytest.raises(AlgebraError, match="homogeneous"):
-        A.element_degree((QQ.one, QQ.one))
-    assert A.show_element((QQ(2), QQ(-1))) == "2*1 + -1*x"
-    assert A.show_element((QQ.zero, QQ.zero)) == "0"
+        A.element_degree({0: QQ.one, 1: QQ.one})
+    assert A.show_element({0: QQ(2), 1: QQ(-1)}) == "2*1 + -1*x"
+    assert A.show_element({}) == "0"
 
 
 # ---------------------------------------------------------------- tensor
@@ -192,7 +194,7 @@ def test_tensor_split_pairs_is_split_quadruple():
     T = tensor_algebras(split_pair(), split_pair())
     assert T.dim == 4
     assert T.names == ("e1⊗e1", "e1⊗e2", "e2⊗e1", "e2⊗e2")
-    assert T.unit == (QQ.one,) * 4
+    assert T.unit == {0: 1, 1: 1, 2: 1, 3: 1}
     for i in range(4):
         for j in range(4):
             expect = {i: QQ.one} if i == j else {}
@@ -328,7 +330,7 @@ def center_dim_oracle(A):
 def test_center_mat2_is_scalars():
     zs = center(mat2())
     assert len(zs) == 1
-    assert zs[0] == (QQ.one, QQ.zero, QQ.zero, QQ.one)
+    assert zs[0] == {0: QQ.one, 3: QQ.one}
 
 
 def test_center_split_pair_tensor_mat2():
@@ -354,7 +356,7 @@ def test_center_elements_commute():
     A = tensor_algebras(split_pair(), mat2())
     for z in center(A):
         for j in range(A.dim):
-            u = A.basis_vector(j)
+            u = {j: A.field.one}
             assert A.multiply(z, u) == A.multiply(u, z)
 
 
@@ -363,8 +365,8 @@ def test_center_elements_commute():
 
 def test_base_map_validates():
     f = dual_into_square()
-    img = f.apply((QQ.zero, QQ.one))
-    assert img == (QQ.zero, QQ.one, QQ.zero, QQ.zero)
+    img = f.matrix.mul_vec({1: QQ.one})
+    assert img == {1: QQ.one}
 
 
 def test_map_rejects_nonmultiplicative():
@@ -412,7 +414,7 @@ def test_algebra_json_field_override():
     obj = algebra_to_json(dual_numbers())
     B = algebra_from_json(obj, GF(3))
     assert B.field is GF(3)
-    assert B.multiply((1, 1), (1, 1)) == (1, 2)
+    assert B.multiply({0: 1, 1: 1}, {0: 1, 1: 1}) == {0: 1, 1: 2}
 
 
 def test_algebra_json_rejects_garbage():
@@ -495,3 +497,31 @@ def test_tensor_dimension_and_degrees(a, b):
     degs = sorted(T.degrees)
     want = sorted(da + db for da in A.degrees for db in B.degrees)
     assert degs == want
+
+
+def _is_unit(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "unit"
+
+
+def test_elements_stay_sparse():
+    """Past make_algebra an element, the unit included, is a sparse dict.
+
+    No hhx module builds a dense basis vector, looks the unit up in a
+    dense vector with .unit.index, or enumerates a .unit as a dense
+    vector.
+    """
+    src = Path(__file__).resolve().parents[1] / "src" / "hhx"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "basis_vector":
+                found.append(f"{path.name}:{node.lineno} calls basis_vector")
+            elif name == "index" and _is_unit(func.value):
+                found.append(f"{path.name}:{node.lineno} calls .unit.index")
+            elif name == "enumerate" and node.args and _is_unit(node.args[0]):
+                found.append(f"{path.name}:{node.lineno} enumerates a .unit")
+    assert found == []

@@ -526,6 +526,13 @@ MALFORMED_INPUTS = {
     # one number per target basis element, so the row count matches
     "matrix-rows-numbers": ("relative_pair.json", "matrix", [5, 6, 7, 8]),
     "relation-nested": (None, "relations", [["a", ["b"]]]),
+    # each of these once read as a <= b
+    "relation-string": (None, "relations", ["ab"]),
+    "relation-dict": (None, "relations", [{"a": 1, "b": 2}]),
+    # a name that poset-hh --edge can never give
+    "object-name-number": (
+        None, "objects", CHAIN_POSET["objects"] + [{"name": 1, "components": 1}]
+    ),
 }
 
 

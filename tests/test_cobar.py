@@ -324,7 +324,7 @@ def test_level_zero_is_center(make):
     got = {t: d for (n, t), d in table.entries.items() if n == 0}
     cent = {}
     for vec in center(A):
-        t = next(A.degrees[i] for i, c in enumerate(vec) if c)
+        t = next(A.degrees[i] for i, c in vec.items() if c)
         cent[t] = cent.get(t, 0) + 1
     assert got == cent
 

@@ -149,8 +149,8 @@ def test_oracle_is_normalized(make):
 
 
 def _unit_off_basis():
-    B = change_basis(dual_numbers(), [[1, 1], [0, 1]], ["1+x", "x"]).source
-    assert B.unit == (1, -1)
+    B = change_basis(dual_numbers(), [{0: 1, 1: 1}, {1: 1}], ["1+x", "x"]).source
+    assert B.unit == {0: 1, 1: -1}
     return B
 
 
@@ -383,7 +383,7 @@ def _permuted(A, perm):
     """A in the basis e'_k = e_perm[k]."""
     table = [[[A.table[a][b][c] for c in perm] for b in perm] for a in perm]
     basis = [(A.names[p], A.degrees[p]) for p in perm]
-    unit = [A.unit[p] for p in perm]
+    unit = [A.unit.get(p, A.field.zero) for p in perm]
     return make_algebra(A.field, basis, unit, table, A.commutative)
 
 
@@ -410,8 +410,8 @@ def test_unit_adapted_is_an_isomorphism(A):
     assert isinstance(f, AlgebraMap) and f.target is A
     assert f.matrix.rank() == A.dim
     assert f.source.degrees == A.degrees
-    assert sorted(f.source.unit) == [A.field.zero] * (A.dim - 1) + [A.field.one]
-    if A.unit.count(A.field.zero) == A.dim - 1 and A.field.one in A.unit:
+    assert list(f.source.unit.values()) == [A.field.one]
+    if list(A.unit.values()) == [A.field.one]:
         assert f.source is A
 
 
@@ -471,8 +471,7 @@ def test_relative_base_dual_square_periodic():
 
 def _unit_map(A):
     """The unit map k -> A."""
-    col = {k: c for k, c in enumerate(A.unit) if c != A.field.zero}
-    return AlgebraMap(ground(A.field), A, SMat(A.dim, 1, A.field, [col]))
+    return AlgebraMap(ground(A.field), A, SMat(A.dim, 1, A.field, [dict(A.unit)]))
 
 
 @pytest.mark.parametrize("name", ["dual", "qxq", "q3", "exterior", "gf4"])
@@ -595,6 +594,30 @@ def test_base_rejects_wrong_target():
         loday_complex(dual_square(), circle_min(), 2, base=pair_into_dual_pair())
 
 
+def test_base_rejects_a_non_map():
+    with pytest.raises(AlgebraError, match="base must be an algebra map into the coefficients"):
+        loday_complex(split_pair(), circle_min(), 2, base=split_pair())
+
+
+def test_base_rejects_noncommutative_source():
+    # upper-triangular 2x2 matrices onto Q x Q: E11 -> e1, E22 -> e2, E12 -> 0
+    z, o = 0, 1
+    upper = make_algebra(
+        QQ,
+        [("E11", 0), ("E12", 0), ("E22", 0)],
+        [o, z, o],
+        [
+            [[o, z, z], [z, o, z], [z, z, z]],
+            [[z, z, z], [z, z, z], [z, o, z]],
+            [[z, z, z], [z, z, z], [z, z, o]],
+        ],
+        False,
+    )
+    base = AlgebraMap(upper, split_pair(), SMat(2, 3, QQ, [{0: o}, {}, {1: o}]))
+    with pytest.raises(AlgebraError, match="base algebra must be commutative"):
+        loday_complex(split_pair(), circle_min(), 2, base=base)
+
+
 def test_loday_rejects_noncommutative():
     with pytest.raises(AlgebraError, match="commutative"):
         loday_complex(mat2(), circle_min(), 2)
@@ -609,12 +632,11 @@ def test_loday_rejects_noncommutative():
 
 def _unit_class(A, C):
     vec = {}
-    for i, v in enumerate(A.unit):
-        if v != A.field.zero:
-            idx = next(
-                k for k, (nm, _) in enumerate(C.levels[0]) if nm == (i,)
-            )
-            vec[idx] = v
+    for i, v in A.unit.items():
+        idx = next(
+            k for k, (nm, _) in enumerate(C.levels[0]) if nm == (i,)
+        )
+        vec[idx] = v
     return (0, vec)
 
 

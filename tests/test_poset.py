@@ -412,6 +412,20 @@ def test_json_refuses_bad_component_counts(count):
         poset_from_json(obj)
 
 
+@pytest.mark.parametrize("rel", ["ab", {"a": 1, "b": 2}, ["a"], ["a", "b", "c"], ["a", 1]])
+def test_json_refuses_relations_that_are_not_name_pairs(rel):
+    obj = {"objects": [{"name": x, "components": 1} for x in "ab"], "relations": [rel]}
+    with pytest.raises(PosetError, match="must be a list of two object names"):
+        poset_from_json(obj)
+
+
+@pytest.mark.parametrize("name", [1, "", None])
+def test_json_refuses_object_names_that_are_not_strings(name):
+    obj = {"objects": [{"name": name, "components": 1}], "relations": []}
+    with pytest.raises(PosetError, match="must be a non-empty string"):
+        poset_from_json(obj)
+
+
 # ------------------------------ Morse complex against the full nerve
 
 
