@@ -1,15 +1,14 @@
 """Finite-dimensional graded algebras presented by structure constants.
 
-An algebra is a named basis with non-negative integer degrees, a unit,
-and a full multiplication table.  Validation is exhaustive: unit laws,
-associativity on all basis triples, degree additivity, and the sign rule
-a*b = (-1)^{|a||b|} b*a whenever the commutative flag is set.  All
-coefficients live in an exact field.
-
-Files and make_algebra take the dense presentation: the unit as a list of
-coefficients and table[i][j] as the coefficient list of e_i * e_j.  Past
-make_algebra every element, the unit included, is a sparse dict
-{basis index: coeff} with no zero coefficients.
+An algebra is a named basis with non-negative integer degrees, a unit and
+a multiplication table over an exact field.  Every element, the unit too,
+is a sparse dict {basis index: coeff} with no zero coefficients, and
+table[i][j] is e_i * e_j in that form, the dict mul_basis returns.  Files
+and make_algebra give the dense presentation (coefficient lists), which
+make_algebra coerces; tensor_algebras, opposite and change_basis build
+sparse tables directly.  All four go through one exhaustive check: names,
+degrees and their additivity, the two-sided unit, associativity on all
+basis triples, and a*b = (-1)^{|a||b|} b*a when flagged commutative.
 """
 
 from __future__ import annotations
@@ -42,34 +41,27 @@ class AlgebraError(ValueError):
 class GradedAlgebra:
     """A unital graded algebra with chosen basis.
 
-    Construct through :func:`make_algebra`, which validates the axioms;
-    the constructor itself only stores normalized data.
+    Construct through :func:`make_algebra` or the constructors built on
+    the same check; the constructor itself only stores sparse data.
     """
 
-    __slots__ = ("field", "names", "degrees", "unit", "table", "commutative", "_mul")
+    __slots__ = ("field", "names", "degrees", "unit", "table", "commutative")
 
     def __init__(self, field, names, degrees, unit, table, commutative):
         self.field = field
         self.names = tuple(names)
         self.degrees = tuple(degrees)
         self.unit = dict(unit)
-        self.table = table
+        self.table = tuple(tuple(row) for row in table)
         self.commutative = bool(commutative)
-        self._mul: dict = {}
 
     @property
     def dim(self) -> int:
         return len(self.names)
 
     def mul_basis(self, i: int, j: int) -> dict:
-        """Sparse expansion of e_i * e_j as {k: coeff}."""
-        key = (i, j)
-        out = self._mul.get(key)
-        if out is None:
-            zero = self.field.zero
-            out = {k: v for k, v in enumerate(self.table[i][j]) if v != zero}
-            self._mul[key] = out
-        return out
+        """e_i * e_j as the stored {k: coeff}; callers do not change it."""
+        return self.table[i][j]
 
     def multiply(self, u: dict, v: dict) -> dict:
         """Bilinear product of two elements."""
@@ -132,18 +124,40 @@ class GradedAlgebra:
 
 
 def make_algebra(field: Field, basis, unit, table, commutative: bool) -> GradedAlgebra:
-    """Build and validate a graded algebra.
+    """Build and validate a graded algebra from its dense presentation.
 
     basis: sequence of (name, degree) pairs.
-    unit: coefficient list of the unit element, stored as a sparse element.
-    table: table[i][j] is the coefficient vector of e_i * e_j.
+    unit: coefficient list of the unit element.
+    table: table[i][j] is the coefficient list of e_i * e_j.
 
     Raises AlgebraError naming the first offending law and basis elements.
     """
-    names = []
-    degrees = []
-    for entry in basis:
-        name, degree = entry
+    names, degrees = _basis(basis)
+    d = len(names)
+
+    def coerce_vec(vec, what) -> dict:
+        if len(vec) != d:
+            raise AlgebraError(f"{what} has length {len(vec)}, expected {d}")
+        try:
+            return {k: c for k, v in enumerate(vec) if (c := field(v)) != field.zero}
+        except FieldError as exc:
+            raise AlgebraError(f"{what}: {exc}") from exc
+
+    unit_s = coerce_vec(unit, "unit vector")
+    if len(table) != d or any(len(row) != d for row in table):
+        raise AlgebraError(f"multiplication table must be {d}x{d}")
+    table_s = [
+        [coerce_vec(table[i][j], f"table entry ({names[i]}, {names[j]})") for j in range(d)]
+        for i in range(d)
+    ]
+    return _checked(field, names, degrees, unit_s, table_s, commutative)
+
+
+def _basis(basis) -> tuple[list, list]:
+    """Names and degrees of (name, degree) pairs, refused unless the names
+    are distinct nonempty strings and the degrees non-negative integers."""
+    names, degrees = [], []
+    for name, degree in basis:
         if not isinstance(name, str) or not name:
             raise AlgebraError(f"basis name {name!r} must be a nonempty string")
         if type(degree) is not int or degree < 0:
@@ -152,29 +166,18 @@ def make_algebra(field: Field, basis, unit, table, commutative: bool) -> GradedA
         degrees.append(degree)
     if len(set(names)) != len(names):
         raise AlgebraError("basis names must be distinct")
-    d = len(names)
-    if d == 0:
+    if not names:
         raise AlgebraError("empty basis")
+    return names, degrees
 
-    def coerce_vec(vec, what):
-        if len(vec) != d:
-            raise AlgebraError(f"{what} has length {len(vec)}, expected {d}")
-        try:
-            return tuple(field(v) for v in vec)
-        except FieldError as exc:
-            raise AlgebraError(f"{what}: {exc}") from exc
 
-    unit_t = coerce_vec(unit, "unit vector")
-    if len(table) != d or any(len(row) != d for row in table):
-        raise AlgebraError(f"multiplication table must be {d}x{d}")
-    table_t = tuple(
-        tuple(coerce_vec(table[i][j], f"table entry ({names[i]}, {names[j]})") for j in range(d))
-        for i in range(d)
-    )
-
+def _checked(field, names, degrees, unit: dict, table, commutative) -> GradedAlgebra:
+    """The algebra on _basis's names and degrees, a sparse unit and table,
+    refused unless degrees add, the unit is two-sided, the product
+    associates and, when flagged commutative, the sign rule holds."""
+    d = len(names)
     one = field.one
-    unit_s = {k: v for k, v in enumerate(unit_t) if v != field.zero}
-    alg = GradedAlgebra(field, names, degrees, unit_s, table_t, commutative)
+    alg = GradedAlgebra(field, names, degrees, unit, table, commutative)
 
     # degree additivity
     for i in range(d):
@@ -220,9 +223,7 @@ def make_algebra(field: Field, basis, unit, table, commutative: bool) -> GradedA
     if commutative:
         for i in range(d):
             for j in range(d):
-                sign = -1 if (degrees[i] * degrees[j]) % 2 else 1
-                flipped = tuple(field(sign * v) for v in table_t[j][i])
-                if table_t[i][j] != flipped:
+                if alg.mul_basis(i, j) != _op_product(alg, i, j):
                     raise AlgebraError(
                         f"sign rule fails at pair ({names[i]}, {names[j]}): "
                         f"{names[i]}*{names[j]} != "
@@ -234,65 +235,46 @@ def make_algebra(field: Field, basis, unit, table, commutative: bool) -> GradedA
 def tensor_algebras(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     """Tensor product with the sign rule (a@b)(a'@b') = (-1)^{|b||a'|} aa'@bb'.
 
-    The result is flagged commutative exactly when both inputs are.
+    The result is flagged commutative exactly when both inputs are.  Basis
+    element a_i@b_j has index i * dim B + j.
     """
     if A.field != B.field:
         raise AlgebraError("tensor factors must share a field")
-    field = A.field
-    zero = field.zero
-    names = []
-    degrees = []
-    for i, na in enumerate(A.names):
-        for j, nb in enumerate(B.names):
-            names.append(f"{na}⊗{nb}")
-            degrees.append(A.degrees[i] + B.degrees[j])
-    dB = B.dim
-    dim = A.dim * dB
-    unit = [zero] * dim
-    for i, a in A.unit.items():
-        for j, b in B.unit.items():
-            unit[i * dB + j] = field(a * b)
-    table = []
-    for i1 in range(A.dim):
-        for j1 in range(dB):
-            row = []
-            for i2 in range(A.dim):
-                for j2 in range(dB):
-                    vec = [zero] * dim
-                    sign = -1 if (B.degrees[j1] * A.degrees[i2]) % 2 else 1
-                    for k1, ca in A.mul_basis(i1, i2).items():
-                        for k2, cb in B.mul_basis(j1, j2).items():
-                            vec[k1 * dB + k2] = field(sign * ca * cb)
-                    row.append(vec)
-            table.append(row)
-    # reshape flat rows into the dim x dim table
-    nested = [[table[i][j] for j in range(dim)] for i in range(dim)]
-    return make_algebra(
-        field,
-        list(zip(names, degrees)),
-        unit,
-        nested,
-        A.commutative and B.commutative,
+    field, dB = A.field, B.dim
+    names, degrees = _basis(
+        (f"{na}⊗{nb}", da + db)
+        for na, da in zip(A.names, A.degrees)
+        for nb, db in zip(B.names, B.degrees)
     )
+    unit = {i * dB + j: field(a * b) for i, a in A.unit.items() for j, b in B.unit.items()}
+
+    def product(p: int, q: int) -> dict:
+        (i1, j1), (i2, j2) = divmod(p, dB), divmod(q, dB)
+        sign = -1 if (B.degrees[j1] * A.degrees[i2]) % 2 else 1
+        # a product of two nonzero scalars is nonzero, so no zero is stored
+        return {
+            k1 * dB + k2: field(sign * ca * cb)
+            for k1, ca in A.mul_basis(i1, i2).items()
+            for k2, cb in B.mul_basis(j1, j2).items()
+        }
+
+    table = [[product(p, q) for q in range(len(names))] for p in range(len(names))]
+    return _checked(field, names, degrees, unit, table, A.commutative and B.commutative)
+
+
+def _op_product(A: GradedAlgebra, i: int, j: int) -> dict:
+    """(-1)^{|e_i||e_j|} e_j * e_i, the product e_i * e_j in the opposite."""
+    ji = A.mul_basis(j, i)
+    if (A.degrees[i] * A.degrees[j]) % 2:
+        return {k: A.field(-v) for k, v in ji.items()}
+    return ji
 
 
 def opposite(A: GradedAlgebra) -> GradedAlgebra:
     """The opposite algebra: a *op b = (-1)^{|a||b|} b * a."""
-    field = A.field
-    d = A.dim
-    table = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            if (A.degrees[i] * A.degrees[j]) % 2:
-                vec = [field(-v) for v in A.table[j][i]]
-            else:
-                vec = list(A.table[j][i])
-            row.append(vec)
-        table.append(row)
-    return make_algebra(
-        field, list(zip(A.names, A.degrees)), _dense(A, A.unit), table, A.commutative
-    )
+    names, degrees = _basis(zip(A.names, A.degrees))
+    table = [[_op_product(A, i, j) for j in range(A.dim)] for i in range(A.dim)]
+    return _checked(A.field, names, degrees, A.unit, table, A.commutative)
 
 
 def change_basis(A: GradedAlgebra, basis, names) -> "AlgebraMap":
@@ -305,13 +287,10 @@ def change_basis(A: GradedAlgebra, basis, names) -> "AlgebraMap":
     field = A.field
     d = A.dim
     M = SMat(d, d, field, list(basis))
-    coords = [
-        _dense(A, c)
-        for c in M.solve_many([A.unit] + [A.multiply(x, y) for x in basis for y in basis])
-    ]
-    B = make_algebra(
+    coords = M.solve_many([A.unit] + [A.multiply(x, y) for x in basis for y in basis])
+    B = _checked(
         field,
-        [(n, A.element_degree(b)) for n, b in zip(names, basis)],
+        *_basis([(n, A.element_degree(b)) for n, b in zip(names, basis)]),
         coords[0],
         [coords[1 + i * d : 1 + (i + 1) * d] for i in range(d)],
         A.commutative,
@@ -352,15 +331,12 @@ def is_etale(A: GradedAlgebra) -> bool:
     field = A.field
     d = A.dim
     # trace of left multiplication by each basis element
-    tr = []
-    for k in range(d):
-        tr.append(field(sum(A.table[k][m][m] for m in range(d))))
-    gram = SMat(d, d, field)
-    for i in range(d):
-        for j in range(d):
-            s = field(sum(c * tr[k] for k, c in A.mul_basis(i, j).items()))
-            if s != field.zero:
-                gram.cols[j][i] = s
+    tr = [field(sum(A.mul_basis(k, m).get(m, field.zero) for m in range(d))) for k in range(d)]
+    gram = SMat.from_dense(
+        [[sum(c * tr[k] for k, c in A.mul_basis(i, j).items()) for j in range(d)]
+         for i in range(d)],
+        field,
+    )
     return gram.rank() == d
 
 
@@ -378,11 +354,10 @@ def center(A: GradedAlgebra) -> list[dict]:
         m = SMat(d * d, len(idxs), field)
         for col, i in enumerate(idxs):
             for j in range(d):
-                sign_flip = (delta * A.degrees[j]) % 2
                 for k, c in A.mul_basis(i, j).items():
                     m.add_at(j * d + k, col, c)
-                for k, c in A.mul_basis(j, i).items():
-                    m.add_at(j * d + k, col, c if sign_flip else -c)
+                for k, c in _op_product(A, i, j).items():
+                    m.add_at(j * d + k, col, -c)
         out += [{idxs[col]: c for col, c in v.items()} for v in m.nullspace()]
     return out
 
@@ -438,7 +413,7 @@ def algebra_to_json(A: GradedAlgebra) -> dict:
         ],
         "unit": [show(v) for v in _dense(A, A.unit)],
         "table": [
-            [[show(v) for v in A.table[i][j]] for j in range(A.dim)]
+            [[show(v) for v in _dense(A, A.table[i][j])] for j in range(A.dim)]
             for i in range(A.dim)
         ],
         "commutative": A.commutative,

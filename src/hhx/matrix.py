@@ -79,8 +79,6 @@ class SMat:
         add = self.field.add_into
         out: dict = {}
         for j, x in vec.items():
-            if not x:
-                continue
             for i, v in self.cols[j].items():
                 add(out, i, v * x)
         return out

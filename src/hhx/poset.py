@@ -68,7 +68,9 @@ class Poset:
         seen = set(self.objects)
         if len(seen) != len(self.objects):
             raise PosetError("duplicate object names")
-        for a, b in self.le:
+        # in sorted order, so a refusal names the same pair on every run
+        rels = sorted(self.le)
+        for a, b in rels:
             if a not in seen or b not in seen:
                 raise PosetError(f"relation mentions unknown object ({a}, {b})")
         for a in self.objects:
@@ -76,10 +78,10 @@ class Poset:
                 raise PosetError(f"relation is not reflexive at {a}")
             if a not in self.components:
                 raise PosetError(f"object {a} has no component count")
-        for a, b in self.le:
+        for a, b in rels:
             if a != b and (b, a) in self.le:
                 raise PosetError(f"relation is not antisymmetric on ({a}, {b})")
-        for a, b in self.le:
+        for a, b in rels:
             for c in self.objects:
                 if (b, c) in self.le and (a, c) not in self.le:
                     raise PosetError(
@@ -165,7 +167,7 @@ class PosetFunctor:
         for x in P.objects:
             if x not in self.spaces:
                 raise PosetError(f"no space assigned to {x}")
-        for a, b in P.le:
+        for a, b in sorted(P.le):
             if a == b:
                 continue
             m = self.maps.get((a, b))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hhx import catalog
 from hhx.algebra import (
     AlgebraError,
     AlgebraMap,
@@ -20,10 +21,12 @@ from hhx.algebra import (
     map_to_json,
     opposite,
     tensor_algebras,
+    unit_adapted,
 )
 from hhx.catalog import (
     dual_into_square,
     dual_numbers,
+    dual_pair,
     dual_square,
     exterior_line,
     gf4,
@@ -33,6 +36,8 @@ from hhx.catalog import (
 )
 from hhx.fields import GF, QQ
 from hhx.matrix import SMat
+
+from helpers import canonical, scaled_pair
 
 
 def dense_nullspace_dim(rows):
@@ -112,7 +117,8 @@ def test_rejects_false_commutative_claim():
             QQ,
             list(zip(mat2_table.names, mat2_table.degrees)),
             [1, 0, 0, 1],
-            [[list(v) for v in row] for row in mat2_table.table],
+            [[[mat2_table.mul_basis(i, j).get(k, 0) for k in range(4)] for j in range(4)]
+             for i in range(4)],
             True,
         )
 
@@ -263,7 +269,7 @@ def test_gf4_trace_matrix_frozen():
     f2 = A.field
     tr = []
     for k in range(2):
-        tr.append(sum(A.table[k][m][m] for m in range(2)) % 2)
+        tr.append(sum(A.mul_basis(k, m).get(m, 0) for m in range(2)) % 2)
     assert tr == [0, 1]
     gram = [[0, 0], [0, 0]]
     for i in range(2):
@@ -316,10 +322,10 @@ def center_dim_oracle(A):
             for k in range(d):
                 row = []
                 for i in idxs:
-                    v = Fraction(A.table[i][j][k]) - (
-                        Fraction(A.table[j][i][k])
+                    v = Fraction(A.mul_basis(i, j).get(k, 0)) - (
+                        Fraction(A.mul_basis(j, i).get(k, 0))
                         if (delta * A.degrees[j]) % 2 == 0
-                        else -Fraction(A.table[j][i][k])
+                        else -Fraction(A.mul_basis(j, i).get(k, 0))
                     )
                     row.append(v)
                 rows.append(row)
@@ -525,3 +531,31 @@ def test_elements_stay_sparse():
             elif name == "enumerate" and node.args and _is_unit(node.args[0]):
                 found.append(f"{path.name}:{node.lineno} enumerates a .unit")
     assert found == []
+
+
+def stored_algebras():
+    """Every catalog algebra, map ends included, and what tensor_algebras,
+    opposite and unit_adapted build from them."""
+    out = []
+    for name in catalog.__all__:
+        made = getattr(catalog, name)()
+        out += [made.source, made.target] if isinstance(made, AlgebraMap) else [made]
+    # over F_3 a sign left unreduced would show as a negative coefficient
+    odd = tensor_algebras(exterior_line(GF(3)), exterior_line(GF(3)))
+    out += [odd, tensor_algebras(dual_numbers(), exterior_line())]
+    out += [tensor_algebras(mat2(), mat2())]
+    out += [opposite(A) for A in (odd, mat2(), dual_pair(GF(3)))]
+    out += [unit_adapted(A).source for A in (scaled_pair(), split_pair(GF(5)), dual_pair())]
+    return out
+
+
+def test_table_is_the_sparse_product():
+    """table[i][j] is the very dict mul_basis(i, j) returns, with no zero
+    and every coefficient in its canonical form."""
+    for A in stored_algebras():
+        for i in range(A.dim):
+            for j in range(A.dim):
+                ab = A.table[i][j]
+                assert type(ab) is dict and ab is A.mul_basis(i, j), (A, i, j)
+                for c in ab.values():
+                    assert c != A.field.zero and canonical(c) and A.field(c) == c, (A, i, j)

@@ -64,7 +64,7 @@ def differentials(A) -> dict:
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_differentials_are_canonical(name):
     A = ALGEBRAS[name]()
-    assert noncanonical(v for c in A.table for row in c for v in row) == []
+    assert noncanonical(v for row in A.table for ab in row for v in ab.values()) == []
     for what, mats in differentials(A).items():
         assert mats, what
         for m in mats:

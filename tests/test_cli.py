@@ -567,6 +567,118 @@ def test_malformed_input_file_prints_no_traceback(tmp_path):
             assert "invalid" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def _corpus_doc(name, **changes) -> dict:
+    doc = json.loads((CORPUS / name).read_text())
+    doc.update(changes)
+    return doc
+
+
+RELATIVE_PAIR = _corpus_doc("relative_pair.json")
+# e*e = e and e*f = f, but f*e = 0, so e is a unit on the left only
+LEFT_UNIT = {
+    "field": "Q",
+    "basis": [{"name": "e", "degree": 0}, {"name": "f", "degree": 0}],
+    "unit": ["1", "0"],
+    "table": [[["1", "0"], ["0", "1"]], [["0", "0"], ["0", "0"]]],
+    "commutative": False,
+}
+# case: (how the file is read, its document, extra flags, the refusal)
+REFUSED_FILES = {
+    "algebra-array": ("--algebra", [LEFT_UNIT], (), "algebra file must hold a JSON object"),
+    "basis-entry-list": (
+        "validate",
+        _corpus_doc("dual.json", basis=[["1", 0], {"name": "x", "degree": 0}]),
+        (),
+        "bad basis entry ['1', 0]",
+    ),
+    "basis-name-number": (
+        "validate",
+        _corpus_doc(
+            "dual.json", basis=[{"name": "1", "degree": 0}, {"name": 1, "degree": 0}]
+        ),
+        (),
+        "basis name 1 must be a nonempty string",
+    ),
+    "left-unit-only": ("validate", LEFT_UNIT, (), "unit law fails on the right at f"),
+    "map-array": ("--base", [RELATIVE_PAIR], (), "map file must hold a JSON object"),
+    "map-without-source": (
+        "--base",
+        {k: v for k, v in RELATIVE_PAIR.items() if k != "source"},
+        (),
+        "map file lacks keys: ['source']",
+    ),
+    "map-row-dropped": (
+        "validate",
+        _corpus_doc("relative_pair.json", matrix=RELATIVE_PAIR["matrix"][:-1]),
+        (),
+        "map matrix must be 4x2",
+    ),
+    "map-third-mod-3": (
+        "validate",
+        _corpus_doc(
+            "relative_pair.json", matrix=[["1/3", "0"]] + RELATIVE_PAIR["matrix"][1:]
+        ),
+        ("--field", "Fp:3"),
+        "map matrix: bad scalar literal",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_FILES))
+def test_refused_file_names_its_fault(capsys, tmp_path, case):
+    how, doc, extra, message = REFUSED_FILES[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    if how == "validate":
+        argv = ["validate", str(path)]
+    else:
+        argv = ["hh", how, str(path), "--space", "circle:min", "--smax", "1"]
+    code, _, err = run(capsys, *argv, *extra)
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "space, message",
+    [
+        ("circle:0", "subdivision needs at least one edge"),
+        ("sphere:0", "sphere dimension must be at least 1"),
+        ("simplex:-1", "negative simplex dimension"),
+        ("simplex:10", "simplex dimension capped at 9"),
+        ("boundary:0", "boundary needs dimension at least 1"),
+        ("foo:3", "unknown space descriptor 'foo:3'"),
+    ],
+)
+def test_refused_space_names_its_fault(capsys, space, message):
+    code, _, err = run(capsys, "validate", "--space", space)
+    assert code == 2
+    assert f"space {space}: invalid: {message}" in err
+
+
+def test_hh_needs_an_algebra_or_a_base(capsys):
+    code, _, err = run(capsys, "hh", "--space", "circle", "--smax", "1")
+    assert code == 1
+    assert "usage error: hh needs --algebra or --base" in err
+
+
+def test_poset_refusal_names_the_same_pair_on_every_run(tmp_path):
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({
+        "objects": [{"name": x, "components": 1} for x in "abc"],
+        "relations": [["a", "b"], ["b", "c"], ["c", "a"]],
+    }))
+    errs = set()
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hhx.cli", "validate", str(path)],
+            capture_output=True, text=True, env=dict(CHILD_ENV, PYTHONHASHSEED=seed),
+        )
+        assert proc.returncode == 2
+        errs.add(proc.stderr)
+    assert len(errs) == 1
+    assert "relation is not antisymmetric on (a, b)" in errs.pop()
+
+
 def test_validate_nothing_given(capsys):
     code, _, err = run(capsys, "validate")
     assert code == 1

@@ -381,7 +381,7 @@ def test_nondegenerate_counts_dual_subdivided_circle():
 
 def _permuted(A, perm):
     """A in the basis e'_k = e_perm[k]."""
-    table = [[[A.table[a][b][c] for c in perm] for b in perm] for a in perm]
+    table = [[[A.mul_basis(a, b).get(c, 0) for c in perm] for b in perm] for a in perm]
     basis = [(A.names[p], A.degrees[p]) for p in perm]
     unit = [A.unit.get(p, A.field.zero) for p in perm]
     return make_algebra(A.field, basis, unit, table, A.commutative)
