@@ -15,7 +15,8 @@ p-tuples of model basis elements whose levels sum to q, in product order;
 (i_m, the w-th word, k_n) sits at (i_m |W_pq| + w) dim N + k_n.
 d_h = mu_M (x) 1 (x) 1 + 1 (x) b' (x) 1 + (-1)^p 1 (x) 1 (x) mu_N, where b'
 merges letters f - 1 and f with sign (-1)^f, and d_v = 1 (x) d (x) 1, d on
-letter l with sign (-1)^(t(m) + levels and degrees of the letters before l).
+letter l with sign (-1)^(p + t(m) + levels and degrees of the letters before
+l); with the (-1)^p the squares anticommute as built.
 """
 
 from __future__ import annotations
@@ -263,11 +264,11 @@ def two_sided_bar(
     """Double complex M (x) B^p (x) N: bar faces across, inner differential down.
 
     d_h = mu_M (x) 1 (x) 1 + 1 (x) b' (x) 1 + (-1)^p 1 (x) 1 (x) mu_N and
-    d_v = 1 (x) d (x) 1 with sign (-1)^(t(m) + levels and degrees of the
-    letters before the one d acts on); (i_m, w-th word of W_pq, k_n) sits at
-    (i_m |W_pq| + w) dim N + k_n (see the module docstring).  Only the outer
-    faces act on i_m and k_n, so the terms of each word are worked out once
-    and copied to every (i_m, k_n).
+    d_v = 1 (x) d (x) 1 with sign (-1)^(p + t(m) + levels and degrees of the
+    letters before the one d acts on), so the squares anticommute as built;
+    (i_m, w-th word of W_pq, k_n) sits at (i_m |W_pq| + w) dim N + k_n (see
+    the module docstring).  Only the outer faces act on i_m and k_n, so the
+    terms of each word are worked out once and copied to every (i_m, k_n).
 
     Only blocks with p + q <= p_max inside the stored top of the model are
     built, as totals read no level above p_max.  Totals through degree
@@ -330,7 +331,7 @@ def two_sided_bar(
             rows = {word: r for r, word in enumerate(W[(p, q - 1)])}
             m = d_v[(p, q)] = SMat(nM * len(rows) * nN, nM * nw * nN, field)
             for w, word in enumerate(ws):
-                terms, pref = [], 0
+                terms, pref = [], p
                 for l, (ql, jl) in enumerate(word):
                     for j2, c in C.diffs[ql].cols[jl].items() if ql else ():
                         w2 = word[:l] + ((ql - 1, j2),) + word[l + 1 :]
@@ -359,7 +360,7 @@ def two_sided_bar(
                         row = (i_m * nr + rows[word[:-1]]) * nN + k2
                         m.add_at(row, (i_m * nw + w) * nN + k_n, -c if p % 2 else c)
     s_valid = p_max - 1 if C.exact_top else min(p_max - 1, C.top)
-    return DoubleComplex.from_commuting(field, gens, d_h, d_v, s_valid).validate()
+    return DoubleComplex(field, gens, d_h, d_v, s_valid).validate()
 
 
 def circle_bar(A: GradedAlgebra, p_max: int) -> DoubleComplex:

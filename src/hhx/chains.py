@@ -276,16 +276,10 @@ def cone(f: ChainMap) -> ChainComplex:
         ms = src.level_dim(s - 2) if s >= 2 else 0
         d = SMat(mt + ms, nt + ns, field)
         if s <= tgt.top:
-            for j, col in enumerate(tgt.diffs[s].cols):
-                for i, v in col.items():
-                    d.add_at(i, j, v)
-        for j, col in enumerate(f.mats[s - 1].cols):
-            for i, v in col.items():
-                d.add_at(i, nt + j, v)
+            d.add_block(tgt.diffs[s], 0, 0)
+        d.add_block(f.mats[s - 1], 0, nt)
         if s >= 2 and s - 1 <= src.top:
-            for j, col in enumerate(src.diffs[s - 1].cols):
-                for i, v in col.items():
-                    d.add_at(mt + i, nt + j, -v)
+            d.add_block(src.diffs[s - 1], mt, nt, neg=True)
         diffs.append(d)
     exact = src.exact_top and tgt.exact_top
     s_valid = top if exact else min(src.s_valid + 1, tgt.s_valid)
@@ -299,7 +293,8 @@ class DoubleComplex:
     """Anticommuting bigraded complex, columns indexed by p, rows by q.
 
     gens[(p, q)] lists (name, t); d_h[(p, q)] maps to (p-1, q) and
-    d_v[(p, q)] to (p, q-1), with d_h d_v + d_v d_h = 0 as stored.
+    d_v[(p, q)] to (p, q-1), with d_h d_v + d_v d_h = 0 as stored: every
+    builder here writes anticommuting squares, and validate checks them.
     s_valid is the highest total degree a totalization is trusted in;
     None means nothing was truncated.
     """
@@ -312,15 +307,6 @@ class DoubleComplex:
         self.d_h = d_h
         self.d_v = d_v
         self.s_valid = s_valid
-
-    @classmethod
-    def from_commuting(cls, field, gens, d_h, d_v, s_valid=None):
-        """Build from commuting squares; the vertical maps at column p get
-        multiplied by (-1)^p so squares anticommute."""
-        twisted = {}
-        for (p, q), m in d_v.items():
-            twisted[(p, q)] = m.scale(field(-1)) if p % 2 else m
-        return cls(field, gens, d_h, twisted, s_valid=s_valid)
 
     def dim(self, p: int, q: int) -> int:
         return len(self.gens.get((p, q), ()))
@@ -384,18 +370,10 @@ def total_complex(D: DoubleComplex) -> ChainComplex:
     for n in range(1, top + 1):
         d = SMat(len(levels[n - 1]), len(levels[n]), field)
         for (p, q), base in offsets[n].items():
-            hm = D.h(p, q)
-            if (p - 1, q) in offsets[n - 1]:
-                tb = offsets[n - 1][(p - 1, q)]
-                for j, col in enumerate(hm.cols):
-                    for i, v in col.items():
-                        d.add_at(tb + i, base + j, v)
-            vm = D.v(p, q)
-            if (p, q - 1) in offsets[n - 1]:
-                tb = offsets[n - 1][(p, q - 1)]
-                for j, col in enumerate(vm.cols):
-                    for i, v in col.items():
-                        d.add_at(tb + i, base + j, v)
+            for table, tgt in ((D.d_h, (p - 1, q)), (D.d_v, (p, q - 1))):
+                m = table.get((p, q))
+                if m is not None and tgt in offsets[n - 1]:
+                    d.add_block(m, offsets[n - 1][tgt], base)
         diffs.append(d)
     if D.s_valid is None:
         return ChainComplex(field, levels, diffs, exact_top=True)

@@ -355,11 +355,14 @@ def _cmd_compare(args, field) -> int:
     return 0 if report.verdict == "agree" else 3
 
 
+# a file is of the first kind whose keys it holds any of; that kind's loader
+# then names whatever is missing or wrong
 _KIND_KEYS = (
     ("algebra", {"basis", "table", "unit"}, algebra_from_json),
     ("algebra map", {"source", "target", "matrix"}, map_from_json),
-    ("poset", {"objects", "relations"}, None),
-    ("betti table", {"provenance", "s_valid", "entries"}, None),
+    ("poset", {"objects", "relations"}, lambda obj, _field: poset_from_json(obj)),
+    ("betti table", {"provenance", "s_valid", "entries"},
+     lambda obj, _field: BettiTable.from_json(obj)),
 )
 
 
@@ -368,13 +371,8 @@ def _validate_one(path: str, field) -> str:
     if not isinstance(obj, dict):
         raise InputError("file must hold a JSON object")
     for kind, keys, loader in _KIND_KEYS:
-        if keys <= set(obj):
-            if loader is not None:
-                loader(obj, field)
-            elif kind == "poset":
-                poset_from_json(obj)
-            else:
-                BettiTable.from_json(obj)
+        if keys & obj.keys():
+            loader(obj, field)
             return kind
     raise InputError(
         "unrecognized file shape: not an algebra, map, poset, or betti table"

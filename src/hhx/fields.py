@@ -18,6 +18,7 @@ characteristic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 __all__ = ["Field", "QQ", "GF", "FieldError", "parse_field", "field_to_json"]
 
@@ -29,30 +30,7 @@ class FieldError(ValueError):
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    # deterministic Miller-Rabin, exact for n < 3,317,044,064,679,887,385,961,981
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if a % n == 0:
-            continue
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return n >= 2 and all(n % k for k in range(2, isqrt(n) + 1))
 
 
 class Field:
@@ -150,10 +128,11 @@ class _Rationals(Field):
 
 class _PrimeField(Field):
     def __init__(self, p: int):
+        # the cap comes first, so a huge p is refused without trial division
+        if isinstance(p, int) and p >= _MAX_PRIME:
+            raise FieldError(f"{p} too large (need a prime p < 2**31)")
         if not isinstance(p, int) or not _is_prime(p):
             raise FieldError(f"{p!r} is not prime")
-        if p >= _MAX_PRIME:
-            raise FieldError(f"prime {p} too large (need p < 2**31)")
         self.p = p
         self.char = p
         self.zero = 0

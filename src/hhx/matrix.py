@@ -57,6 +57,12 @@ class SMat:
             raise IndexError(f"entry ({i}, {j}) outside {self.nrows}x{self.ncols}")
         self.field.add_into(self.cols[j], i, v)
 
+    def add_block(self, block: "SMat", r0: int, c0: int, neg: bool = False) -> None:
+        """Accumulate block (negated when neg) with its (0, 0) entry at (r0, c0)."""
+        for j, col in enumerate(block.cols):
+            for i, v in col.items():
+                self.add_at(r0 + i, c0 + j, -v if neg else v)
+
     def entry(self, i: int, j: int):
         return self.cols[j].get(i, self.field.zero)
 

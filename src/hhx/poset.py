@@ -349,9 +349,7 @@ def _full_nerve(I: Poset, F: PosetFunctor, top: int | None = None) -> ChainCompl
         for ch, base in offsets[p].items():
             m0 = F.maps[(names[ch[0]], names[ch[1]])]
             tbase = offsets[p - 1][ch[1:]]
-            for j, col in enumerate(m0.cols):
-                for i, v in col.items():
-                    d.add_at(tbase + i, base + j, v)
+            d.add_block(m0, tbase, base)
             for drop in range(1, p + 1):
                 tbase = offsets[p - 1][ch[:drop] + ch[drop + 1 :]]
                 sign = field.one if drop % 2 == 0 else -field.one

@@ -9,6 +9,13 @@ from hhx.matrix import SMat
 from hhx.simplicial import Simp, SimplicialMap, SimplicialSet, disjoint_union
 
 
+def from_commuting(field, gens, d_h, d_v, s_valid=None) -> DoubleComplex:
+    """A double complex from commuting squares: the vertical maps at column
+    p are multiplied by (-1)^p so the stored squares anticommute."""
+    twisted = {(p, q): m.scale(-1) if p % 2 else m for (p, q), m in d_v.items()}
+    return DoubleComplex(field, gens, d_h, twisted, s_valid=s_valid)
+
+
 def fold_map(X: SimplicialSet, copies: int) -> SimplicialMap:
     """The fold from a disjoint union of copies of X back onto X."""
     U = disjoint_union(*([X] * copies))
@@ -176,4 +183,4 @@ def two_sided_bar_oracle(M, B, N, p_max) -> DoubleComplex:
                 for k2, c in N.act.get((k_n, jp), {}).items() if qp == 0 else ():
                     m.add_at(rows[(i_m, word[:-1], k2)], cpos, -c if p % 2 else c)
     s_valid = p_max - 1 if C.exact_top else min(p_max - 1, C.top)
-    return DoubleComplex.from_commuting(field, gens, d_h, d_v, s_valid)
+    return from_commuting(field, gens, d_h, d_v, s_valid)

@@ -189,6 +189,19 @@ def test_two_sided_bar_rejects_wrong_side():
         two_sided_bar(M, B, N, 0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda A: suspension_bar(A, 0, 2), "sphere dimension must be at least 1, got 0"),
+        (lambda A: hh_via_suspension(A, 1, -1), "window bound must be nonnegative, got -1"),
+    ],
+    ids=["sphere-0", "window-negative"],
+)
+def test_suspension_refuses_bad_bounds(call, message):
+    with pytest.raises(ChainError, match=message):
+        call(dual_numbers())
+
+
 def test_circle_bar_rejects_noncommutative():
     with pytest.raises(ChainError, match="commutative"):
         circle_bar(mat2(), 2)

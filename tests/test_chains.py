@@ -23,7 +23,7 @@ from hhx.fields import GF, QQ
 from hhx.loday import cyclic_bar_oracle
 from hhx.matrix import SMat
 
-from helpers import convolve, window_equal
+from helpers import convolve, from_commuting, window_equal
 
 
 def cx(levels, dense_diffs, field=QQ, exact=True, s_valid=None):
@@ -387,7 +387,7 @@ def dc_from_tensor(C, D):
                         for jc in range(C.level_dim(p)):
                             m.add_at(jc * nDm + idd, jc * nD + jd, v)
                 d_v[(p, q)] = m
-    return DoubleComplex.from_commuting(field, gens, d_h, d_v).validate()
+    return from_commuting(field, gens, d_h, d_v).validate()
 
 
 def _malformed_double_complexes():
@@ -463,7 +463,7 @@ def test_double_complex_unit_square_acyclic():
     one = SMat.from_dense([[1]], field)
     d_h = {(1, 0): one, (1, 1): one}
     d_v = {(0, 1): one, (1, 1): one}
-    D = DoubleComplex.from_commuting(field, gens, d_h, d_v).validate()
+    D = from_commuting(field, gens, d_h, d_v).validate()
     T = total_complex(D).validate()
     assert T.homology().entries == {}
     page, _ = e_infinity(D)
@@ -534,7 +534,7 @@ def test_nontrivial_d2_zigzag():
     one = SMat.from_dense([[1]], field)
     d_h = {(2, 0): one, (1, 1): one}
     d_v = {(1, 1): one}
-    D = DoubleComplex.from_commuting(field, gens, d_h, d_v).validate()
+    D = from_commuting(field, gens, d_h, d_v).validate()
     T = total_complex(D).validate()
     assert T.homology().entries == {}
     pages = sseq_pages(D, 3)

@@ -607,6 +607,32 @@ REFUSED_FILES = {
         (),
         "map file lacks keys: ['source']",
     ),
+    "map-without-source-validated": (
+        "validate",
+        {k: v for k, v in RELATIVE_PAIR.items() if k != "source"},
+        (),
+        "map file lacks keys: ['source']",
+    ),
+    "algebra-without-unit-validated": (
+        "validate",
+        {k: v for k, v in _corpus_doc("dual.json").items() if k != "unit"},
+        (),
+        "algebra file lacks keys: ['unit']",
+    ),
+    "poset-without-relations-validated": (
+        "validate",
+        {"objects": [{"name": "a", "components": 1}]},
+        (),
+        "malformed poset file: 'relations'",
+    ),
+    "table-without-entries-validated": (
+        "validate",
+        {"provenance": "loday", "s_valid": 1},
+        (),
+        "betti table file lacks provenance/s_valid/entries",
+    ),
+    "array-validated": ("validate", [LEFT_UNIT], (), "invalid: file must hold a JSON object"),
+    "array-compared": ("compare", [LEFT_UNIT], (), "betti table file must hold a JSON object"),
     "map-row-dropped": (
         "validate",
         _corpus_doc("relative_pair.json", matrix=RELATIVE_PAIR["matrix"][:-1]),
@@ -631,6 +657,8 @@ def test_refused_file_names_its_fault(capsys, tmp_path, case):
     path.write_text(json.dumps(doc))
     if how == "validate":
         argv = ["validate", str(path)]
+    elif how == "compare":
+        argv = ["compare", "--left", str(path), "--right", str(path)]
     else:
         argv = ["hh", how, str(path), "--space", "circle:min", "--smax", "1"]
     code, _, err = run(capsys, *argv, *extra)

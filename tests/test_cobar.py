@@ -269,8 +269,10 @@ def test_normalized_cochains_need_the_unit_as_basis_vector():
         # x acts on the left by e0 -> e1 and on the right by e1 -> e0
         ({(0, 0): {0: 1}, (1, 0): {1: 1}, (1, 1): {0: 1}},
          "do not commute"),
+        # e0.1 = 0, so the unit fails on the right
+        ({(1, 0): {1: 1}, (0, 1): {1: 1}}, "module action does not respect the unit"),
     ],
-    ids=["associativity", "commute"],
+    ids=["associativity", "commute", "unit"],
 )
 def test_bad_right_action_caught(right, message):
     A = dual_numbers()

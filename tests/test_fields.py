@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -70,6 +71,38 @@ def test_gf_validation():
         GF(2**31 + 11)
     assert GF(2).char == 2
     assert GF(2147483647).char == 2147483647  # largest admissible prime
+
+
+@pytest.mark.parametrize("p", [9, 15, 1_000_001])
+def test_gf_refuses_composites(p):
+    with pytest.raises(FieldError, match="is not prime"):
+        GF(p)
+
+
+def test_gf_accepts_a_seven_digit_prime():
+    assert GF(1_000_003).char == 1_000_003
+
+
+def test_gf_refuses_a_huge_prime_before_testing_it():
+    # 2**61 - 1 is prime; trial division up to its root would take minutes
+    start = time.perf_counter()
+    with pytest.raises(FieldError, match=r"too large \(need a prime p < 2\*\*31\)"):
+        GF(2**61 - 1)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: QQ.inv(0), ZeroDivisionError, "inverse of 0 in Q"),
+        (lambda: QQ.parse("1/0"), FieldError, "bad rational literal '1/0'"),
+        (lambda: GF(5)(1.5), FieldError, "floats are not exact"),
+    ],
+    ids=["qq-inv-zero", "qq-parse-over-zero", "gf5-float"],
+)
+def test_scalar_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_gf_cached():

@@ -77,6 +77,40 @@ def test_add_at_cancels():
     assert m.is_zero()
 
 
+def test_add_block_shifts_negates_and_sums():
+    block = SMat.from_dense([[1, 0], [2, 3]], QQ)
+    m = SMat(3, 4, QQ)
+    m.add_at(1, 2, 5)
+    m.add_block(block, 1, 2)
+    m.add_block(block, 0, 0, neg=True)
+    assert m == SMat.from_dense([[-1, 0, 0, 0], [-2, -3, 6, 0], [0, 0, 2, 3]], QQ)
+    # over F_p a negated entry comes back in [0, p)
+    f = SMat(1, 2, GF(3))
+    f.add_block(SMat.from_dense([[1, 2]], GF(3)), 0, 0, neg=True)
+    assert f.cols == [{0: 2}, {0: 1}]
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda m: m.add_at(2, 0, 1),
+        lambda m: m.add_at(0, -1, 1),
+        lambda m: m.add_block(SMat.identity(2, QQ), 1, 1),
+        lambda m: m.add_block(SMat.identity(1, QQ), 0, 2),
+    ],
+    ids=["add_at-row", "add_at-negative-column", "add_block-corner", "add_block-column"],
+)
+def test_writes_outside_the_matrix_refused(write):
+    m = SMat(2, 2, QQ)
+    with pytest.raises(IndexError, match="outside 2x2"):
+        write(m)
+
+
+def test_sum_refuses_shape_mismatch():
+    with pytest.raises(ValueError, match="shape mismatch in matrix sum"):
+        SMat(2, 2, QQ) + SMat(2, 3, QQ)
+
+
 def test_rank_examples():
     assert SMat.from_dense([[1, 2], [2, 4]], QQ).rank() == 1
     assert SMat.from_dense([[1, 2], [2, 4]], GF(2)).rank() == 1
@@ -380,6 +414,33 @@ def test_kernel_rref_int_fixed(rows, want):
 def test_kernel_rref_fp_fixed(rows, p, want):
     assert _kernel.rref_fp(rows, p) == want
     assert _kernel.rank_fp(rows, p)[0] == want[0]
+
+
+def test_block_copies_go_through_add_block():
+    """Outside matrix.py no code copies a matrix entry by entry: an add_at
+    call inside a loop over some matrix's .cols is such a copy, and
+    SMat.add_block is the one that stays.  The double complexes of src/ are
+    built with anticommuting squares, so from_commuting, the sign twist of
+    commuting ones, lives in the tests only."""
+    found = set()
+    for path in sorted(Path(_kernel.__file__).parent.glob("*.py")):
+        if path.name == "matrix.py":
+            continue
+        text = path.read_text()
+        if "from_commuting" in text:
+            found.add(f"{path.name}: from_commuting")
+        for loop in ast.walk(ast.parse(text, str(path))):
+            if isinstance(loop, ast.For) and any(
+                isinstance(n, ast.Attribute) and n.attr == "cols" for n in ast.walk(loop.iter)
+            ):
+                found |= {
+                    f"{path.name}:{call.lineno}"
+                    for call in ast.walk(loop)
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "add_at"
+                }
+    assert sorted(found) == []
 
 
 def test_kernel_has_one_elimination_loop():

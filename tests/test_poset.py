@@ -268,6 +268,28 @@ def test_nerve_trust_window():
         C.homology(2, provenance="poset")
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda spaces, maps: spaces.pop("c"), "no space assigned to c"),
+        (lambda spaces, maps: maps.pop(("a", "c")), r"no map assigned to \(a, c\)"),
+        (
+            lambda spaces, maps: maps.update({("a", "b"): SMat(2, 1, QQ)}),
+            r"map at \(a, b\) has the wrong shape",
+        ),
+    ],
+    ids=["space", "map", "shape"],
+)
+def test_functor_refusal_names_its_fault(change, message):
+    P = chain_poset(["a", "b", "c"])
+    ident = SMat.identity(1, QQ)
+    spaces = {nm: [("e", 0)] for nm in P.objects}
+    maps = {("a", "b"): ident, ("b", "c"): ident, ("a", "c"): ident}
+    change(spaces, maps)
+    with pytest.raises(PosetError, match=message):
+        PosetFunctor(P, QQ, spaces, maps).validate()
+
+
 # --------------------------------------------- agreement with circle
 
 

@@ -245,6 +245,8 @@ def test_face_index_bounds():
         X.face(Simp((), "v"), 0)
     with pytest.raises(SimplicialError, match="out of range"):
         X.degenerate(Simp((), "v"), 1)
+    with pytest.raises(SimplicialError, match="negative level"):
+        X.level(-1)
 
 
 # -------------------------------------------------------------- validation
@@ -279,6 +281,28 @@ def test_validate_rejects_noncanonical_word():
                 ("T", 3, [((0, 1), "v")] * 4),
             ]
         )
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ([("v", 0, [((), "v")])], "vertex v lists faces"),
+        # s_1 v is a 1-simplex, but no degeneracy s_1 lands in dimension 1
+        (
+            [("v", 0, []), ("T", 2, [((1,), "v")] * 3)],
+            "face 0 of T has degeneracy index out of range",
+        ),
+    ],
+    ids=["vertex-faces", "degeneracy-index"],
+)
+def test_validate_refusal_names_its_fault(cells, message):
+    with pytest.raises(SimplicialError, match=message):
+        make_space(cells)
+
+
+def test_empty_union_refused():
+    with pytest.raises(SimplicialError, match="empty union"):
+        disjoint_union()
 
 
 def test_validate_rejects_identity_violation():
@@ -350,6 +374,8 @@ def test_map_rejects_missing_and_unknown_cells():
     X = circle_min()
     with pytest.raises(SimplicialError, match="no image"):
         SimplicialMap(X, X, {"v": ((), "v")})
+    with pytest.raises(SimplicialError, match="image of 'e' uses unknown cell 'f'"):
+        SimplicialMap(X, X, {"v": ((), "v"), "e": ((), "f")})
     with pytest.raises(SimplicialError, match="unknown cells"):
         SimplicialMap(
             X, X, {"v": ((), "v"), "e": ((), "e"), "w": ((), "v")}
