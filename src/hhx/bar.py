@@ -209,7 +209,7 @@ class DGModule:
 def algebra_model(A: GradedAlgebra) -> DGAlgebraModel:
     """A graded algebra viewed as a one-level chain model."""
     levels = [list(zip(A.names, A.degrees))]
-    C = ChainComplex(A.field, levels, [None], exact_top=True)
+    C = ChainComplex(A.field, levels, [None], s_valid=0)
 
     def mul(p, i, q, j, _A=A):
         return dict(_A.mul_basis(i, j))
@@ -274,7 +274,8 @@ def two_sided_bar(
     built, as totals read no level above p_max.  Totals through degree
     p_max read model levels <= p_max - 1 only, so s_valid is p_max - 1, or
     min(p_max - 1, top of B) when B is not exact.  The unit, associativity
-    and boundary checks of the module actions run first.
+    and boundary checks of the module actions run first; the bar itself is
+    checked once, on the total complex (``total_complex``).
     """
     if p_max < 1:
         raise ChainError(f"column bound must be at least 1, got {p_max}")
@@ -359,8 +360,8 @@ def two_sided_bar(
                     for k2, c in N.act.get((k_n, jp), {}).items():
                         row = (i_m * nr + rows[word[:-1]]) * nN + k2
                         m.add_at(row, (i_m * nw + w) * nN + k_n, -c if p % 2 else c)
-    s_valid = p_max - 1 if C.exact_top else min(p_max - 1, C.top)
-    return DoubleComplex(field, gens, d_h, d_v, s_valid).validate()
+    s_valid = p_max - 1 if C.s_valid == C.top else min(p_max - 1, C.top)
+    return DoubleComplex(field, gens, d_h, d_v, s_valid)
 
 
 def circle_bar(A: GradedAlgebra, p_max: int) -> DoubleComplex:

@@ -5,7 +5,9 @@ internal degree t which all differentials preserve, so homology splits
 into (s, t) blocks.  Levels beyond the construction window are unknown,
 which the validity bound s_valid makes explicit: homology is only handed
 out for s <= s_valid, and every construction (cones, tensors, total
-complexes) propagates the bound.
+complexes) propagates the bound.  A complex is exact, trusted in every
+degree, exactly when s_valid equals its top level.  ``ChainComplex.validate``
+is the one d^2 = 0 check: it applies d_{s-1} to each column of d_s.
 
 Every differential is reduced once, going up the levels with clearing
 (``_pairs``), and both homology and spectral sequences read that one
@@ -15,11 +17,14 @@ transposes of its coboundaries, so cohomology is ranked by
 ``ChainComplex.homology`` like every other homology, and only this module
 knows how a complex is ranked.
 
-Double complexes are stored with anticommuting differentials.  Their
-spectral sequence filters the same reduction of the total complex by the
-column index p, as in persistent homology: a generator survives to E^r
-unless the reduction pairs it with a generator at most r - 1 columns away,
-so a page is the count of the survivors in each (p, q, t) block.
+Double complexes are stored with anticommuting differentials.  Their own
+check is of block shapes only; d^2 = 0 and t are checked on the total
+complex, which every consumer reads and ``total_complex`` returns
+validated.  Their spectral sequence filters the same reduction of the
+total complex by the column index p, as in persistent homology: a
+generator survives to E^r unless the reduction pairs it with a generator
+at most r - 1 columns away, so a page is the count of the survivors in
+each (p, q, t) block.
 """
 
 from __future__ import annotations
@@ -143,23 +148,20 @@ class ChainComplex:
     """Levels of (name, t) generators with differentials d_s: s -> s-1.
 
     diffs[0] is None; diffs[s] has shape len(levels[s-1]) x len(levels[s]).
-    exact_top means the complex genuinely stops at the top level, so every
-    degree is trusted; otherwise s_valid defaults to top - 1.
+    s_valid is the highest trusted degree, top - 1 by default; a complex
+    that genuinely stops at its top level is exact, and passes s_valid=top.
     """
 
-    __slots__ = ("field", "levels", "diffs", "s_valid", "exact_top")
+    __slots__ = ("field", "levels", "diffs", "s_valid")
 
-    def __init__(self, field: Field, levels, diffs, s_valid=None, exact_top=False):
+    def __init__(self, field: Field, levels, diffs, s_valid=None):
         self.field = field
         self.levels = [tuple(lv) for lv in levels]
         self.diffs = list(diffs)
         if len(self.diffs) != len(self.levels):
             raise ChainError("need one differential slot per level")
-        self.exact_top = bool(exact_top)
         top = len(self.levels) - 1
-        if self.exact_top:
-            self.s_valid = top
-        elif s_valid is None:
+        if s_valid is None:
             self.s_valid = top - 1
         else:
             if s_valid > top:
@@ -192,10 +194,20 @@ class ChainComplex:
                 raise ChainError(f"differential at level {s} is over the wrong field")
 
     def validate(self):
-        """d^2 = 0 and internal-degree preservation, checked exactly."""
+        """d^2 = 0 and internal-degree preservation, checked exactly.
+
+        d_{s-1} is applied to one column of d_s at a time, so no product
+        matrix is built, and a failure names the first generator whose d^2
+        is nonzero.
+        """
         for s in range(2, self.top + 1):
-            if not (self.diffs[s - 1] @ self.diffs[s]).is_zero():
-                raise ChainError(f"d^2 != 0 between levels {s} and {s - 2}")
+            below = self.diffs[s - 1]
+            for j, col in enumerate(self.diffs[s].cols):
+                if col and below.mul_vec(col):
+                    raise ChainError(
+                        f"d^2 != 0 between levels {s} and {s - 2} "
+                        f"at generator {self.levels[s][j][0]!r}"
+                    )
         for s in range(1, self.top + 1):
             what = f"differential at level {s}"
             _check_degrees(self.diffs[s], self.levels[s], self.levels[s - 1], what)
@@ -281,9 +293,9 @@ def cone(f: ChainMap) -> ChainComplex:
         if s >= 2 and s - 1 <= src.top:
             d.add_block(src.diffs[s - 1], mt, nt, neg=True)
         diffs.append(d)
-    exact = src.exact_top and tgt.exact_top
+    exact = src.s_valid == src.top and tgt.s_valid == tgt.top
     s_valid = top if exact else min(src.s_valid + 1, tgt.s_valid)
-    return ChainComplex(field, levels, diffs, s_valid=s_valid, exact_top=exact)
+    return ChainComplex(field, levels, diffs, s_valid=s_valid)
 
 
 # ------------------------------------------------------------- double side
@@ -294,7 +306,10 @@ class DoubleComplex:
 
     gens[(p, q)] lists (name, t); d_h[(p, q)] maps to (p-1, q) and
     d_v[(p, q)] to (p, q-1), with d_h d_v + d_v d_h = 0 as stored: every
-    builder here writes anticommuting squares, and validate checks them.
+    builder here writes anticommuting squares.  validate checks only the
+    block shapes; d^2 = 0 and t are checked on the total complex, where
+    D^2 from block (p, q) lands in (p-2, q) as d_h^2, in (p, q-2) as d_v^2
+    and in (p-1, q-1) as d_h d_v + d_v d_h (see total_complex).
     s_valid is the highest total degree a totalization is trusted in;
     None means nothing was truncated.
     """
@@ -311,47 +326,27 @@ class DoubleComplex:
     def dim(self, p: int, q: int) -> int:
         return len(self.gens.get((p, q), ()))
 
-    def _mat(self, table, p, q, tp, tq) -> SMat:
-        m = table.get((p, q))
-        if m is None:
-            return SMat(self.dim(tp, tq), self.dim(p, q), self.field)
-        return m
-
-    def h(self, p, q) -> SMat:
-        return self._mat(self.d_h, p, q, p - 1, q)
-
-    def v(self, p, q) -> SMat:
-        return self._mat(self.d_v, p, q, p, q - 1)
-
     def validate(self):
         for (p, q) in self.gens:
-            hm = self.h(p, q)
-            vm = self.v(p, q)
-            if (hm.nrows, hm.ncols) != (self.dim(p - 1, q), self.dim(p, q)):
-                raise ChainError(f"horizontal map at ({p}, {q}) has the wrong shape")
-            if (vm.nrows, vm.ncols) != (self.dim(p, q - 1), self.dim(p, q)):
-                raise ChainError(f"vertical map at ({p}, {q}) has the wrong shape")
-            if not (self.h(p - 1, q) @ hm).is_zero():
-                raise ChainError(f"d_h^2 != 0 at ({p}, {q})")
-            if not (self.v(p, q - 1) @ vm).is_zero():
-                raise ChainError(f"d_v^2 != 0 at ({p}, {q})")
-            anti = (self.h(p, q - 1) @ vm) + (self.v(p - 1, q) @ hm)
-            if not anti.is_zero():
-                raise ChainError(f"squares do not anticommute at ({p}, {q})")
             for table, which, tgt in (
                 (self.d_h, "horizontal", (p - 1, q)),
                 (self.d_v, "vertical", (p, q - 1)),
             ):
                 m = table.get((p, q))
-                if m is not None:
-                    what = f"{which} map at ({p}, {q})"
-                    _check_degrees(m, self.gens[(p, q)], self.gens.get(tgt, ()), what)
+                if m is not None and (m.nrows, m.ncols) != (self.dim(*tgt), self.dim(p, q)):
+                    raise ChainError(f"{which} map at ({p}, {q}) has the wrong shape")
         return self
 
 
 def total_complex(D: DoubleComplex) -> ChainComplex:
     """Levels n = sum of blocks (p, q) with p + q = n, blocks by ascending p;
-    exact when D.s_valid is None, else trusted to min(D.s_valid, top - 1)."""
+    exact when D.s_valid is None, else trusted to min(D.s_valid, top - 1).
+
+    The block shapes are checked first (``DoubleComplex.validate``), and the
+    total comes back validated: its d^2 = 0 is d_h^2 = 0, d_v^2 = 0 and
+    anticommutation on every block, and its t check reads every block entry.
+    """
+    D.validate()
     field = D.field
     keys = sorted(D.gens)
     top = max(p + q for (p, q) in keys)
@@ -375,9 +370,8 @@ def total_complex(D: DoubleComplex) -> ChainComplex:
                 if m is not None and tgt in offsets[n - 1]:
                     d.add_block(m, offsets[n - 1][tgt], base)
         diffs.append(d)
-    if D.s_valid is None:
-        return ChainComplex(field, levels, diffs, exact_top=True)
-    return ChainComplex(field, levels, diffs, s_valid=min(D.s_valid, top - 1))
+    s_valid = top if D.s_valid is None else min(D.s_valid, top - 1)
+    return ChainComplex(field, levels, diffs, s_valid=s_valid).validate()
 
 
 class SpectralSequencePage:

@@ -70,9 +70,6 @@ class SMat:
     def nnz(self) -> int:
         return sum(len(c) for c in self.cols)
 
-    def is_zero(self) -> bool:
-        return all(not c for c in self.cols)
-
     def transpose(self) -> "SMat":
         t = SMat(self.ncols, self.nrows, self.field)
         for j, col in enumerate(self.cols):

@@ -356,7 +356,7 @@ def _full_nerve(I: Poset, F: PosetFunctor, top: int | None = None) -> ChainCompl
                 for j in range(m0.ncols):
                     d.add_at(tbase + j, base + j, sign)
         diffs.append(d)
-    return ChainComplex(field, levels, diffs, exact_top=top == ell)
+    return ChainComplex(field, levels, diffs, s_valid=top if top == ell else None)
 
 
 def _matching(levels, n: int) -> dict:
@@ -475,7 +475,7 @@ def nerve_complex(I: Poset, F: PosetFunctor) -> ChainComplex:
             for j, col in enumerate(boundary(c, memo, one)):
                 d.cols[base + j] = col
         diffs.append(d)
-    return ChainComplex(field, levels, diffs, exact_top=True)
+    return ChainComplex(field, levels, diffs, s_valid=len(levels) - 1)
 
 
 def poset_homology(I: Poset, F: PosetFunctor, s_max: int | None = None) -> BettiTable:
@@ -528,7 +528,7 @@ def edge_map(I: Poset, F: PosetFunctor, x0, morse: ChainComplex | None = None) -
         n = len(gens)
         S = ChainComplex(
             field, [gens] + [()] * C.top, [None] + [SMat(n, 0, field)] * C.top,
-            exact_top=True,
+            s_valid=C.top,
         )
         # with no generators at x0 the chain (x0) has no block, and incl no column
         chain_x0 = (k for k, ((ch, _nm), _t) in enumerate(C.levels[0]) if ch == (x0,))

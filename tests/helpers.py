@@ -16,6 +16,30 @@ def from_commuting(field, gens, d_h, d_v, s_valid=None) -> DoubleComplex:
     return DoubleComplex(field, gens, d_h, twisted, s_valid=s_valid)
 
 
+def block_square_faults(D: DoubleComplex) -> set:
+    """The blocks (p, q) where d_h^2, d_v^2 or d_h d_v + d_v d_h is nonzero,
+    from products of whole blocks: the oracle for the d^2 check of the
+    total complex.  A missing block is a zero map of its shape."""
+
+    def block(table, p, q, tgt):
+        m = table.get((p, q))
+        return SMat(D.dim(*tgt), D.dim(p, q), D.field) if m is None else m
+
+    def h(p, q):
+        return block(D.d_h, p, q, (p - 1, q))
+
+    def v(p, q):
+        return block(D.d_v, p, q, (p, q - 1))
+
+    faults = set()
+    for p, q in D.gens:
+        squares = (h(p - 1, q) @ h(p, q), v(p, q - 1) @ v(p, q))
+        anti = h(p, q - 1) @ v(p, q) + v(p - 1, q) @ h(p, q)
+        if any(m.nnz for m in squares + (anti,)):
+            faults.add((p, q))
+    return faults
+
+
 def fold_map(X: SimplicialSet, copies: int) -> SimplicialMap:
     """The fold from a disjoint union of copies of X back onto X."""
     U = disjoint_union(*([X] * copies))
@@ -182,5 +206,5 @@ def two_sided_bar_oracle(M, B, N, p_max) -> DoubleComplex:
                         m.add_at(rows[(i_m, w2, k_n)], cpos, -c if f % 2 else c)
                 for k2, c in N.act.get((k_n, jp), {}).items() if qp == 0 else ():
                     m.add_at(rows[(i_m, word[:-1], k2)], cpos, -c if p % 2 else c)
-    s_valid = p_max - 1 if C.exact_top else min(p_max - 1, C.top)
+    s_valid = p_max - 1 if C.s_valid == C.top else min(p_max - 1, C.top)
     return from_commuting(field, gens, d_h, d_v, s_valid)

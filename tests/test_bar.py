@@ -147,7 +147,7 @@ def test_module_must_kill_level_one_boundaries():
     field = A.field
     levels = [list(zip(A.names, A.degrees)), [("y", 0)]]
     d1 = SMat.from_dense([[0], [1]], field)
-    C = ChainComplex(field, levels, [None, d1], exact_top=True)
+    C = ChainComplex(field, levels, [None, d1], s_valid=1)
     B = DGAlgebraModel(C, lambda p, i, q, j: A.mul_basis(i, j), {0: field.one}, True)
     act = {(i, j): A.mul_basis(j, i) for i in range(A.dim) for j in range(A.dim)}
     N = DGModule(B, list(zip(A.names, A.degrees)), act, "left")
@@ -230,9 +230,10 @@ def test_circle_bar_window_raises_past_trust():
 
 
 def test_bar_double_complex_validates():
+    # validate checks the block shapes, total_complex the squares and t
     D = circle_bar(dual_numbers(), 3)
     D.validate()
-    assert D.s_valid == 2
+    assert total_complex(D).s_valid == D.s_valid == 2
 
 
 # ------------------------------------------------------- suspension

@@ -1,9 +1,13 @@
 """Chain complexes, cones, tensors, double complexes, page extraction."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hhx import chains
 from hhx.chains import (
     BettiTable,
     ChainComplex,
@@ -23,11 +27,12 @@ from hhx.fields import GF, QQ
 from hhx.loday import cyclic_bar_oracle
 from hhx.matrix import SMat
 
-from helpers import convolve, from_commuting, window_equal
+from helpers import block_square_faults, convolve, from_commuting, window_equal
 
 
-def cx(levels, dense_diffs, field=QQ, exact=True, s_valid=None):
-    """levels: list of lists of (name, t); dense_diffs[s] for s >= 1."""
+def cx(levels, dense_diffs, field=QQ, exact=True):
+    """levels: list of lists of (name, t); dense_diffs[s] for s >= 1;
+    exact complexes are trusted to their top level."""
     diffs = [None]
     for s in range(1, len(levels)):
         rows = dense_diffs[s - 1]
@@ -35,7 +40,8 @@ def cx(levels, dense_diffs, field=QQ, exact=True, s_valid=None):
             diffs.append(SMat(len(levels[s - 1]), len(levels[s]), field))
         else:
             diffs.append(SMat.from_dense(rows, field))
-    return ChainComplex(field, levels, diffs, s_valid=s_valid, exact_top=exact).validate()
+    s_valid = len(levels) - 1 if exact else None
+    return ChainComplex(field, levels, diffs, s_valid=s_valid).validate()
 
 
 def field_complex(t=0, field=QQ):
@@ -126,17 +132,18 @@ def test_validate_rejects_t_mixing():
 def _mixed_degree_builders():
     # each builds a map whose one entry sends ("a", t=0) to ("b", t=1)
     one = SMat.from_dense([[1]], QQ)
-    src = ChainComplex(QQ, [[("a", 0)]], [None], exact_top=True)
-    tgt = ChainComplex(QQ, [[("b", 1)]], [None], exact_top=True)
+    src = ChainComplex(QQ, [[("a", 0)]], [None], s_valid=0)
+    tgt = ChainComplex(QQ, [[("b", 1)]], [None], s_valid=0)
     a, b = [("a", 0)], [("b", 1)]
     return {
         "chain-map": lambda: ChainMap(src, tgt, [one]),
-        "horizontal": lambda: DoubleComplex(
-            QQ, {(0, 0): b, (1, 0): a}, {(1, 0): one}, {}
-        ).validate(),
-        "vertical": lambda: DoubleComplex(
-            QQ, {(0, 0): b, (0, 1): a}, {}, {(0, 1): one}
-        ).validate(),
+        # a double complex checks t on its total
+        "horizontal": lambda: total_complex(
+            DoubleComplex(QQ, {(0, 0): b, (1, 0): a}, {(1, 0): one}, {})
+        ),
+        "vertical": lambda: total_complex(
+            DoubleComplex(QQ, {(0, 0): b, (0, 1): a}, {}, {(0, 1): one})
+        ),
         # stored as the transpose of a coboundary sending b to a
         "cobar": lambda: CobarComplex(QQ, [b, a], [None, one]).validate(),
     }
@@ -338,7 +345,7 @@ def build_from_pieces(pieces, field=QQ):
         diffs.append(SMat(len(levels[s - 1]), len(levels[s]), field))
     for s, j, i in wires:
         diffs[s].add_at(i, j, field.one)
-    C = ChainComplex(field, levels, diffs, exact_top=True)
+    C = ChainComplex(field, levels, diffs, s_valid=top)
     expected = {}
     for kind, s, t in pieces:
         if kind == "free":
@@ -391,7 +398,8 @@ def dc_from_tensor(C, D):
 
 
 def _malformed_double_complexes():
-    # one generator per block
+    # one generator per block; the shapes are refused by validate, the
+    # squares by the d^2 check of the total, naming the generator (p, q, name)
     one = SMat.from_dense([[1]], QQ)
     g = [("g", 0)]
     line = {(0, 0): g, (1, 0): g, (2, 0): g}
@@ -408,16 +416,16 @@ def _malformed_double_complexes():
         ),
         "d_h-squared": (
             DoubleComplex(QQ, line, {(1, 0): one, (2, 0): one}, {}),
-            "d_h\\^2 != 0 at \\(2, 0\\)",
+            "d\\^2 != 0 between levels 2 and 0 at generator \\(2, 0, 'g'\\)",
         ),
         "d_v-squared": (
             DoubleComplex(QQ, column, {}, {(0, 1): one, (0, 2): one}),
-            "d_v\\^2 != 0 at \\(0, 2\\)",
+            "d\\^2 != 0 between levels 2 and 0 at generator \\(0, 2, 'g'\\)",
         ),
         # commuting squares, stored without the sign twist
         "commuting": (
             DoubleComplex(QQ, square, {(1, 0): one, (1, 1): one}, {(0, 1): one, (1, 1): one}),
-            "do not anticommute at \\(1, 1\\)",
+            "d\\^2 != 0 between levels 2 and 0 at generator \\(1, 1, 'g'\\)",
         ),
     }
 
@@ -425,8 +433,64 @@ def _malformed_double_complexes():
 @pytest.mark.parametrize("which", sorted(_malformed_double_complexes()))
 def test_malformed_double_complex_refused(which):
     D, message = _malformed_double_complexes()[which]
-    with pytest.raises(ChainError, match=message):
+    if which.endswith("-shape"):
+        with pytest.raises(ChainError, match=message):
+            D.validate()
+    else:
         D.validate()
+    with pytest.raises(ChainError, match=message):
+        total_complex(D)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([QQ, GF(2), GF(3)]),
+    st.lists(piece, min_size=1, max_size=3),
+    st.lists(piece, min_size=1, max_size=3),
+    st.sampled_from(["d_h", "d_v"]),
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from([1, -1, 2]),
+)
+def test_total_refuses_exactly_where_a_block_square_fails(field, p1, p2, which, pick, c):
+    # one entry joining generators of equal t is perturbed, so only d^2 can fail
+    D = dc_from_tensor(build_from_pieces(p1, field)[0], build_from_pieces(p2, field)[0])
+    step = (1, 0) if which == "d_h" else (0, 1)
+    spots = []
+    for (p, q), m in sorted(getattr(D, which).items()):
+        src, tgt = D.gens.get((p, q), ()), D.gens.get((p - step[0], q - step[1]), ())
+        spots += [
+            (m, i, j) for j in range(m.ncols) for i in range(m.nrows) if src[j][1] == tgt[i][1]
+        ]
+    if spots:
+        m, i, j = spots[pick % len(spots)]
+        m.add_at(i, j, c)
+    faults = block_square_faults(D)
+    if not faults:
+        total_complex(D)
+        return
+    with pytest.raises(ChainError, match="d\\^2 != 0") as refused:
+        total_complex(D)
+    assert any(f"at generator ({p}, {q}, " in str(refused.value) for p, q in faults)
+
+
+def test_one_square_zero_check():
+    """ChainComplex.validate streams d_{s-1} over the columns of d_s, with
+    no product matrix, and a double complex keeps no block accessors: its
+    squares are checked on the total complex."""
+    tree = ast.parse(Path(chains.__file__).read_text())
+    classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
+    methods = {
+        cls: {f.name: f for f in node.body if isinstance(f, ast.FunctionDef)}
+        for cls, node in classes.items()
+    }
+    products = [
+        node.lineno
+        for node in ast.walk(methods["ChainComplex"]["validate"])
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+        or (isinstance(node, ast.Attribute) and node.attr == "matmul")
+    ]
+    assert products == []
+    assert {"h", "v", "_mat"} & methods["DoubleComplex"].keys() == set()
 
 
 def test_double_complex_single_column_pages():
@@ -621,7 +685,7 @@ def koszul_tensor(C, D):
                             d.add_at(offsets[s - 1][a] + jc * nDm + idd,
                                      base + jc * nD + jd, sign * v)
         diffs.append(d)
-    return ChainComplex(field, levels, diffs, exact_top=True).validate()
+    return ChainComplex(field, levels, diffs, s_valid=top).validate()
 
 
 @settings(max_examples=25, deadline=None)
