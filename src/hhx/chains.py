@@ -29,6 +29,8 @@ each (p, q, t) block.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .fields import Field
 from .matrix import SMat
 
@@ -374,19 +376,17 @@ def total_complex(D: DoubleComplex) -> ChainComplex:
     return ChainComplex(field, levels, diffs, s_valid=s_valid).validate()
 
 
-class SpectralSequencePage:
+class SpectralSequencePage(NamedTuple):
     """One page: dimensions per (p, q, t), plus the trusted total range.
 
-    entries[(p, q, t)] is the dimension of E^r there; blocks with p + q
-    beyond n_valid, the trusted range of the total complex, are omitted.
+    entries[(p, q, t)] is the nonzero dimension of E^r there; blocks with
+    p + q beyond n_valid, the trusted range of the total complex, are
+    omitted.
     """
 
-    __slots__ = ("r", "entries", "n_valid")
-
-    def __init__(self, r, entries, n_valid):
-        self.r = r
-        self.entries = {k: v for k, v in entries.items() if v}
-        self.n_valid = n_valid
+    r: int
+    entries: dict
+    n_valid: int
 
     def total(self, n: int) -> int:
         return sum(v for (p, q, _), v in self.entries.items() if p + q == n)
@@ -400,9 +400,6 @@ class SpectralSequencePage:
                 for (p, q, t), v in sorted(self.entries.items())
             ],
         }
-
-    def __repr__(self):
-        return f"SpectralSequencePage(r={self.r}, entries={dict(sorted(self.entries.items()))})"
 
 
 def _pairs(T: ChainComplex, top: int) -> list:

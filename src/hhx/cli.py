@@ -251,9 +251,9 @@ def _cmd_poset_hh(args, field) -> int:
     doc = table.to_json()
     human = _table_human(table)
     if args.edge is not None:
-        E = edge_map(P, F, args.edge, M)
-        doc["edge"] = {"at": args.edge, "iso": E.iso}
-        human.append(f"edge map at {args.edge}: iso {str(E.iso).lower()}")
+        iso = edge_map(P, F, args.edge, M)
+        doc["edge"] = {"at": args.edge, "iso": iso}
+        human.append(f"edge map at {args.edge}: iso {str(iso).lower()}")
     _emit(args, doc, human)
     return 0
 

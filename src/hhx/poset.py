@@ -31,7 +31,6 @@ __all__ = [
     "arc_functor",
     "nerve_complex",
     "poset_homology",
-    "EdgeMap",
     "edge_map",
     "poset_to_json",
     "poset_from_json",
@@ -115,8 +114,6 @@ class Poset:
 
     def chains(self, p: int):
         """All strict chains x_0 < ... < x_p, in lexicographic object order."""
-        if p < 0:
-            return []
         names = self.objects
         return [tuple(names[i] for i in ch) for ch in self._chain_levels(p)[p]]
 
@@ -483,25 +480,12 @@ def poset_homology(I: Poset, F: PosetFunctor, s_max: int | None = None) -> Betti
     return nerve_complex(I, F).homology(s_max, provenance="poset")
 
 
-class EdgeMap:
-    """Whether the coefficients at a minimal object map onto the whole edge.
-
-    ``iso`` is set when F(x0) -> H_0 is bijective in every internal degree
-    and nothing survives above level zero inside the poset's trusted
-    window, i.e. when the whole nerve collapses onto its edge.
-    ``src_dims`` and ``h0_dims`` count F(x0) and H_0 by internal degree.
-    """
-
-    __slots__ = ("iso", "src_dims", "h0_dims")
-
-    def __init__(self, iso, src_dims, h0_dims):
-        self.iso = bool(iso)
-        self.src_dims = dict(src_dims)
-        self.h0_dims = dict(h0_dims)
-
-
-def edge_map(I: Poset, F: PosetFunctor, x0, morse: ChainComplex | None = None) -> EdgeMap:
+def edge_map(I: Poset, F: PosetFunctor, x0, morse: ChainComplex | None = None) -> bool:
     """Place F(x0) at the one-object chain (x0) and ask whether it fills H_0.
+
+    True when F(x0) -> H_0 is bijective in every internal degree and
+    nothing survives above level zero inside the poset's trusted window,
+    i.e. when the whole nerve collapses onto its edge.
 
     H_0 is read off the level-one full nerve C.  When F(x0) and H_0 have the
     same dimension in every internal degree, the map is an isomorphism
@@ -541,7 +525,7 @@ def edge_map(I: Poset, F: PosetFunctor, x0, morse: ChainComplex | None = None) -
         w = M.s_valid if I.window is None else min(I.window, M.s_valid)
         table = M.homology(w, provenance="poset")
         iso = all(s == 0 for s, _t in table.entries)
-    return EdgeMap(iso, src_dims, h0_dims)
+    return iso
 
 
 def poset_to_json(P: Poset) -> dict:

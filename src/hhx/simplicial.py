@@ -4,7 +4,8 @@ A space is a list of cells; each cell of dimension d > 0 lists its d+1
 faces, which may be degenerate.  Every simplex, degenerate or not, has a
 unique normal form (word, base): base is a non-degenerate cell and word is
 a strictly decreasing tuple of degeneracy indices, read left to right as
-s_{w0} s_{w1} ... applied to the base.
+s_{w0} s_{w1} ... applied to the base.  A ``Simp`` is that normal form as a
+NamedTuple, so it unpacks as the pair (word, base).
 
 Face and degeneracy operators act on normal forms through the usual
 rewrite rules; levels are enumerated in a fixed order so downstream chain
@@ -14,6 +15,7 @@ groups have reproducible bases.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import NamedTuple
 
 __all__ = [
     "SimplicialError",
@@ -38,46 +40,21 @@ class SimplicialError(ValueError):
     pass
 
 
-class Simp:
+class Simp(NamedTuple):
     """A normal-form simplex: degeneracy word over a non-degenerate base."""
 
-    __slots__ = ("word", "base")
-
-    def __init__(self, word: tuple, base: str):
-        self.word = tuple(word)
-        self.base = base
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Simp)
-            and self.word == other.word
-            and self.base == other.base
-        )
-
-    def __hash__(self):
-        return hash((self.word, self.base))
-
-    def __repr__(self):
-        if not self.word:
-            return f"Simp({self.base})"
-        ops = ".".join(f"s{i}" for i in self.word)
-        return f"Simp({ops}.{self.base})"
+    word: tuple
+    base: str
 
     @property
     def degenerate(self) -> bool:
         return bool(self.word)
 
 
-class Cell:
-    __slots__ = ("name", "dim", "faces")
-
-    def __init__(self, name: str, dim: int, faces: tuple):
-        self.name = name
-        self.dim = dim
-        self.faces = faces  # tuple of Simp, length dim + 1 (empty for dim 0)
-
-    def __repr__(self):
-        return f"Cell({self.name}, dim={self.dim})"
+class Cell(NamedTuple):
+    name: str
+    dim: int
+    faces: tuple  # tuple of Simp, length dim + 1 (empty for dim 0)
 
 
 def _apply_s(word: tuple, j: int) -> tuple:
@@ -104,7 +81,6 @@ class SimplicialSet:
         self.cells = {c.name: c for c in cells}
         if len(self.cells) != len(cells):
             raise SimplicialError("cell names must be distinct")
-        self.max_dim = max((c.dim for c in cells), default=-1)
         self._levels: dict[int, list[Simp]] = {}
 
     def dim_of(self, s: Simp) -> int:
@@ -235,18 +211,12 @@ class SimplicialSet:
 def make_space(cells) -> SimplicialSet:
     """Build a simplicial set from (name, dim, faces) triples and validate.
 
-    faces entries are (word, base) pairs or Simp; vertices pass ().
+    faces entries are (word, base) pairs, a Simp being one; vertices pass ().
     """
-    built = []
-    for name, dim, faces in cells:
-        fs = []
-        for f in faces:
-            if isinstance(f, Simp):
-                fs.append(f)
-            else:
-                word, base = f
-                fs.append(Simp(tuple(word), base))
-        built.append(Cell(name, dim, tuple(fs)))
+    built = [
+        Cell(name, dim, tuple(Simp(tuple(word), base) for word, base in faces))
+        for name, dim, faces in cells
+    ]
     X = SimplicialSet(built)
     X.validate()
     return X
@@ -332,12 +302,7 @@ def boundary_space(n: int) -> SimplicialSet:
         raise SimplicialError("boundary needs dimension at least 1")
     full = simplex_space(n)
     top = "".join(str(v) for v in range(n + 1))
-    cells = []
-    for c in full.cells.values():
-        if c.name == top:
-            continue
-        cells.append((c.name, c.dim, [(f.word, f.base) for f in c.faces]))
-    return make_space(cells)
+    return make_space(c for c in full.cells.values() if c.name != top)
 
 
 def disjoint_union(*spaces: SimplicialSet) -> SimplicialSet:
@@ -370,9 +335,8 @@ class SimplicialMap:
         for name, c in source.cells.items():
             if name not in assignment:
                 raise SimplicialError(f"no image given for cell {name!r}")
-            img = assignment[name]
-            if not isinstance(img, Simp):
-                img = Simp(tuple(img[0]), img[1])
+            word, base = assignment[name]
+            img = Simp(tuple(word), base)
             if img.base not in target.cells:
                 raise SimplicialError(
                     f"image of {name!r} uses unknown cell {img.base!r}"

@@ -55,10 +55,11 @@ def simplicial_chains(X: SimplicialSet, field):
     faces dropped.
     """
     cells = sorted(X.cells.values(), key=lambda c: (c.dim, c.name))
-    levels = [[c.name for c in cells if c.dim == n] for n in range(X.max_dim + 1)]
+    top = max((c.dim for c in cells), default=-1)
+    levels = [[c.name for c in cells if c.dim == n] for n in range(top + 1)]
     index = [{name: i for i, name in enumerate(lv)} for lv in levels]
     diffs = [None]
-    for n in range(1, X.max_dim + 1):
+    for n in range(1, top + 1):
         m = SMat(len(levels[n - 1]), len(levels[n]), field)
         for j, name in enumerate(levels[n]):
             for i in range(n + 1):

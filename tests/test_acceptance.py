@@ -192,8 +192,7 @@ def test_criterion_07_poset_model_and_edge():
                 k: v for k, v in hh(A, circle_min(), 1).entries.items()
             }
             assert got.entries == want, name
-            E = edge_map(P, F, "0")
-            assert E.iso is expected_iso[name], name
+            assert edge_map(P, F, "0") is expected_iso[name], name
         for name, build in CIRCLE_SIX:
             if name in ("exterior",):
                 continue  # trace form needs degree zero

@@ -1,6 +1,7 @@
 """Every exported name resolves and is used, and every traced benchmark
 entry point resolves."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -9,6 +10,11 @@ from pathlib import Path
 import pytest
 
 import hhx
+from hhx.catalog import dual_numbers
+from hhx.chains import BettiTable, ChainComplex
+from hhx.fields import QQ
+from hhx.matrix import SMat
+from hhx.simplicial import parse_space
 
 MODULES = sorted(
     f"hhx.{m.name}" for m in pkgutil.iter_modules(hhx.__path__)
@@ -30,7 +36,6 @@ UNUSED_EXPORTS = {
     "hhx.loday.unnormalized_complex": "the oracle the normalized model is checked against",
     "hhx.chains.SpectralSequencePage": "the type sseq_pages returns",
     "hhx.poset.Poset": "the type poset_from_json and cyclic_cech_poset return",
-    "hhx.poset.EdgeMap": "the type edge_map returns",
     "hhx.cli.ComparisonReport": "the report compare prints, for library callers",
     "hhx.cli.UsageError": "the exception main turns into exit code 1",
     "hhx.simplicial.Simp": "the simplices SimplicialSet.level returns",
@@ -112,3 +117,69 @@ def test_every_export_is_used_or_listed():
     assert unlisted == []
     # an entry whose name is gone from every __all__ goes too
     assert sorted(set(UNUSED_EXPORTS) - exported) == []
+
+
+def _stored_attributes(tree):
+    """(class, attribute) pairs a class stores: ``self.X = ...`` in a method,
+    or an annotated field in the body of a NamedTuple."""
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        record = any(getattr(b, "id", None) == "NamedTuple" for b in cls.bases)
+        for stmt in cls.body:
+            if record and isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                yield cls.name, stmt.target.id
+            if not isinstance(stmt, ast.FunctionDef):
+                continue
+            for node in ast.walk(stmt):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ):
+                    yield cls.name, node.attr
+
+
+def test_every_stored_attribute_is_read():
+    # a store such as "self.x = ..." is not a use; some module of hhx or a
+    # pipebench file must load ".x" for the attribute to earn its place
+    package = Path(hhx.__file__).resolve().parent
+    trees = {
+        path: ast.parse(path.read_text(), str(path))
+        for folder in (package, ROOT / "pipebench")
+        for path in folder.glob("*.py")
+    }
+    loaded = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = sorted(
+        f"{path.stem}.{cls}.{attr}"
+        for path, tree in trees.items()
+        if path.parent == package
+        for cls, attr in set(_stored_attributes(tree))
+        if attr not in loaded
+    )
+    assert unread == []
+
+
+def _two_gap_complex():
+    gens = [("a", 0), ("b", 0)]
+    return ChainComplex(QQ, [gens, [], gens], [None, SMat(2, 0, QQ), SMat(0, 2, QQ)], s_valid=1)
+
+
+@pytest.mark.parametrize(
+    "build, want",
+    [
+        (lambda: repr(parse_space("sphere:2")), "SimplicialSet(1x0, 1x2)"),
+        (lambda: repr(dual_numbers()), "GradedAlgebra(dim=2, graded-commutative, field=QQ)"),
+        (lambda: repr(BettiTable({(0, 0): 2}, 1, "test")), "BettiTable({(0, 0): 2}, s_valid=1)"),
+        (lambda: repr(_two_gap_complex()), "ChainComplex(dims=2/0/2, s_valid=1)"),
+        (lambda: repr(SMat.identity(2, QQ)), "SMat(2x2 over QQ, nnz=2)"),
+        (lambda: BettiTable({}, 0, "test").render(), "(empty, s_valid=0)"),
+    ],
+)
+def test_repr_format(build, want):
+    # pytest prints these in every failing assert, so their format is pinned
+    assert build() == want

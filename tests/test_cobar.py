@@ -331,6 +331,19 @@ def test_level_zero_is_center(make):
     assert got == cent
 
 
+def test_level_zero_center_mismatch_refused(monkeypatch):
+    # one more central element than level zero holds: the identity check fires
+    A = dual_numbers()
+    monkeypatch.setattr(
+        cobar_mod, "center", lambda B: center(B) + [{1: B.field.one}]
+    )
+    with pytest.raises(
+        ChainError,
+        match=r"level zero \{0: 2\} does not match the center profile \{0: 3\}",
+    ):
+        hochschild_cohomology(A, 2)
+
+
 def test_custom_module_roundtrip():
     A = dual_numbers()
     table = hochschild_cohomology(A, 3, module=regular_module(A))

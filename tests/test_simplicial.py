@@ -334,7 +334,7 @@ def test_validate_accepts_consistent_triangle():
             ("T", 2, [((), "b"), ((), "c"), ((), "a")]),
         ]
     )
-    assert X.max_dim == 2
+    assert max(c.dim for c in X.cells.values()) == 2
 
 
 def test_duplicate_cell_names_rejected():
@@ -420,9 +420,9 @@ def test_map_commutes_with_degeneracies():
 def test_parse_space_descriptors():
     assert len(parse_space("circle").level(3)) == 4
     assert len(parse_space("circle:3").level(0)) == 3
-    assert parse_space("sphere:2").max_dim == 2
-    assert parse_space("simplex:2").max_dim == 2
-    assert parse_space("boundary:2").max_dim == 1
+    assert max(c.dim for c in parse_space("sphere:2").cells.values()) == 2
+    assert max(c.dim for c in parse_space("simplex:2").cells.values()) == 2
+    assert max(c.dim for c in parse_space("boundary:2").cells.values()) == 1
     assert len(parse_space("point").level(5)) == 1
     assert len(parse_space("interval").level(0)) == 2
     U = parse_space("union:point+circle")
