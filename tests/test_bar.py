@@ -270,6 +270,21 @@ def test_suspension_dim2_graded():
     assert got == want
 
 
+def test_suspension_dim2_dual_numbers_f2():
+    # derived symmetric powers carry extra homotopy in characteristic p, so
+    # at s = 5 this is 4, where the classical small complex gives 2
+    A = dual_numbers(GF(2))
+    got = hh_via_suspension(A, 2, 5)
+    assert got.entries == {(0, 0): 2, (2, 0): 2, (3, 0): 2, (4, 0): 2, (5, 0): 4}
+    assert got.entries == hh(A, sphere_min(2), 5).entries
+
+
+def test_suspension_dim2_dual_numbers_f3():
+    # the same over F_3 at s = 6: 2, where the small complex gives 1
+    got = hh_via_suspension(dual_numbers(GF(3)), 2, 6)
+    assert got.entries == {(0, 0): 2, (2, 0): 1, (3, 0): 1, (4, 0): 1, (5, 0): 1, (6, 0): 2}
+
+
 @pytest.mark.parametrize(
     "make, s_max",
     [

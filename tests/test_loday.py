@@ -1,5 +1,6 @@
 """Tensor-power chain models: construction, normalization, products, oracle."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -751,6 +752,26 @@ def test_hh_determinism():
     a = hh(dual_numbers(), circle_min(), 3)
     b = hh(dual_numbers(), circle_min(), 3)
     assert a.entries == b.entries and a.to_json() == b.to_json()
+
+
+# sha256 of the differentials' columns, each as its list of (row, coeff)
+# pairs in stored order: a faster face push must build the same complex
+@pytest.mark.parametrize(
+    "A, X, N, digest",
+    [
+        (exterior_line(), sphere_min(2), 5,
+         "dd0b52b5d604fb5ea8269b18b7634cb3de9194d65b792fa4c7ed2f0eb3992af3"),
+        (dual_numbers(), circle_subdiv(2), 4,
+         "c11f6330949c8df9b13a65109f23ea5dfb434c0c53a62884158789176cb80e8c"),
+        (split_pair(), circle_subdiv(2), 4,
+         "6ae158f73c965bd9ded4ea1be9ccc44d94ce1d697e90ceb267c1f53d4bd370db"),
+    ],
+    ids=["exterior-S2", "dual-circle2", "QxQ-circle2"],
+)
+def test_loday_columns_are_pinned(A, X, N, digest):
+    C = loday_complex(A, X, N).complex
+    cols = [[list(col.items()) for col in d.cols] for d in C.diffs[1:]]
+    assert hashlib.sha256(repr(cols).encode()).hexdigest() == digest
 
 
 def test_hh_over_prime_field_window():
