@@ -37,6 +37,7 @@ unit-adapted basis, so level n has dim A * (dim A - 1)^n generators.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from .algebra import AlgebraError, AlgebraMap, GradedAlgebra, change_basis, unit_adapted
 from .chains import BettiTable, ChainComplex, ChainMap
@@ -78,27 +79,37 @@ class _Push:
     multiplies in source order, empty fibers receive the unit, and moving
     odd factors past each other while regrouping contributes the usual
     sign.
+
+    column works in this order: the colliding and empty fibers multiply
+    first, and a zero product ends the column; only a nonzero image then
+    copies the lone factors, counts the sign and expands the products that
+    are not basis vectors.
     """
 
-    __slots__ = ("A", "tp", "fibers", "odd", "pairs", "signs", "products")
+    __slots__ = ("A", "m", "lone", "multi", "odd", "pairs", "signs", "products")
 
     def __init__(self, A: GradedAlgebra, tp, m_tgt: int):
         self.A = A
-        self.tp = list(tp)
-        self.fibers = [[] for _ in range(m_tgt)]
-        for k, p in enumerate(self.tp):
-            self.fibers[p].append(k)
+        self.m = m_tgt
+        tp = list(tp)
+        fibers = [[] for _ in range(m_tgt)]
+        for k, p in enumerate(tp):
+            fibers[p].append(k)
+        # by the unit law a lone factor is its own product; an empty fiber
+        # multiplies to the unit, which branches when it is not a basis
+        # vector, so it goes with the colliding fibers
+        self.lone = [(p, fib[0]) for p, fib in enumerate(fibers) if len(fib) == 1]
+        self.multi = [
+            (p, itemgetter(*fib) if fib else lambda phi: ())
+            for p, fib in enumerate(fibers)
+            if len(fib) != 1
+        ]
         self.odd = [d % 2 == 1 for d in A.degrees]
         self.signs = (A.field.one, A.field(-1))
         self.products: dict = {}
         if any(self.odd):
-            m = len(self.tp)
-            self.pairs = [
-                (k, l)
-                for k in range(m)
-                for l in range(k + 1, m)
-                if self.tp[k] > self.tp[l]
-            ]
+            n = len(tp)
+            self.pairs = [(k, l) for k in range(n) for l in range(k + 1, n) if tp[k] > tp[l]]
         else:
             self.pairs = None
 
@@ -113,29 +124,29 @@ class _Push:
 
     def column(self, phi) -> dict:
         """Image of a basis function, keyed by target tuple."""
-        flips = 0
-        if self.pairs is not None:
-            for k, l in self.pairs:
-                if self.odd[phi[k]] and self.odd[phi[l]]:
-                    flips += 1
-        sign = self.signs[flips % 2]
-        psi = [0] * len(self.fibers)
+        products = self.products
+        psi = [0] * self.m
         branch = []
-        for p, fib in enumerate(self.fibers):
-            if len(fib) == 1:
-                # by the unit law a lone factor is its own product
-                psi[p] = phi[fib[0]]
-                continue
-            key = tuple(phi[k] for k in fib)
-            prod = self.products.get(key)
+        for p, get in self.multi:
+            key = get(phi)
+            prod = products.get(key)
             if prod is None:
-                prod = self.products[key] = self._product(key)
+                prod = products[key] = self._product(key)
             if isinstance(prod, int):
                 psi[p] = prod
             elif not prod:
                 return {}
             else:
                 branch.append((p, prod))
+        for p, k in self.lone:
+            psi[p] = phi[k]
+        flips = 0
+        if self.pairs is not None:
+            odd = self.odd
+            for k, l in self.pairs:
+                if odd[phi[k]] and odd[phi[l]]:
+                    flips += 1
+        sign = self.signs[flips % 2]
         if not branch:
             return {tuple(psi): sign}
         # distinct choices at the branching fibers give distinct targets
@@ -320,7 +331,8 @@ def _assemble(A: GradedAlgebra, X: SimplicialSet, simps, names, index, push=_Pus
     """The tensor-power differential on the given monomials of each level.
 
     names[n] lists the level-n generators and index[n] sends a monomial to
-    its coordinate (see _add_level); push(A, tp, m) builds a face push.  Run
+    its coordinate (see _add_level); push(A, tp, m) builds a face push.  An
+    empty face image adds nothing, so it is not handed to _add_level.  Run
     over every monomial this is the unnormalized model; run over the
     non-degenerate ones in a unit-adapted basis it is the normalized one.
     """
@@ -339,7 +351,8 @@ def _assemble(A: GradedAlgebra, X: SimplicialSet, simps, names, index, push=_Pus
         for phi in names[n]:
             acc: dict = {}
             for i, face in enumerate(pushes):
-                _add_level(acc, face.column(phi), -1 if i % 2 else 1, idx, add)
+                if image := face.column(phi):
+                    _add_level(acc, image, -1 if i % 2 else 1, idx, add)
             cols.append(acc)
         diffs.append(SMat(len(names[n - 1]), len(names[n]), field, cols))
     return ChainComplex(field, levels, diffs)
@@ -458,7 +471,8 @@ def induced_map(f: SimplicialMap, A: GradedAlgebra, N: int) -> ChainMap:
         cols = []
         for phi, _ in CX.levels[n]:
             col: dict = {}
-            _add_level(col, push.column(phi), 1, index[n], add)
+            if image := push.column(phi):
+                _add_level(col, image, 1, index[n], add)
             cols.append(col)
         mats.append(SMat(len(CY.levels[n]), len(CX.levels[n]), field, cols))
     return ChainMap(CX, CY, mats)
@@ -521,7 +535,8 @@ def _shuffle_chain(L: LodayComplex, z1, z2) -> dict:
                 add(right, tup, a * cv)
         for phi, ca in left.items():
             for psi, cb in right.items():
-                _add_level(out, fold.column(phi + psi), ca * cb * eps, index, add)
+                if image := fold.column(phi + psi):
+                    _add_level(out, image, ca * cb * eps, index, add)
     return out
 
 

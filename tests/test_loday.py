@@ -37,6 +37,7 @@ from hhx.catalog import (
 from hhx.chains import ChainComplex, cone
 from hhx.fields import GF, QQ
 from hhx.loday import (
+    _Push,
     _shuffle_chain,
     cyclic_bar_oracle,
     hh,
@@ -293,6 +294,62 @@ def test_fold_map_level_zero_is_multiplication():
         m = cm.mats[0]
         for j, (i1, i2) in enumerate(itertools.product(range(B.dim), repeat=2)):
             assert m.cols[j] == B.mul_basis(i1, i2)
+
+
+# ---------------------------------------------------------------- pushes
+
+
+def _naive_push(A, tp, m, phi):
+    """The image of phi under the push along tp, term by term."""
+    field = A.field
+    # each target fiber multiplies its factors in source order; an empty
+    # fiber is the product of nothing, the unit
+    expansions = [
+        A.product_chain([phi[k] for k in range(len(tp)) if tp[k] == p])
+        for p in range(m)
+    ]
+    odd = [A.degrees[i] % 2 for i in phi]
+    flips = sum(
+        odd[k] and odd[l]
+        for k in range(len(tp))
+        for l in range(k + 1, len(tp))
+        if tp[k] > tp[l]
+    )
+    out: dict = {}
+    for combo in itertools.product(*(e.items() for e in expansions)):
+        c = field(-1) if flips % 2 else field.one
+        for _, cv in combo:
+            c = c * cv
+        field.add_into(out, tuple(i for i, _ in combo), c)
+    return out
+
+
+PUSH_ALGEBRAS = [
+    pytest.param(exterior_line, id="exterior"),
+    # (x@1)(1@y) = x@y but (1@y)(x@1) = -x@y: one-term products with
+    # coefficient -1, and odd factors that collide without vanishing
+    pytest.param(lambda: tensor_algebras(exterior_line(), exterior_line()), id="exterior^2"),
+    pytest.param(dual_numbers, id="dual"),
+    pytest.param(lambda: dual_numbers(GF(3)), id="dual-F3"),
+    pytest.param(split_pair, id="QxQ"),
+    pytest.param(gf4, id="F4"),
+    pytest.param(_unit_off_basis, id="unit_off_basis"),
+]
+
+
+@pytest.mark.parametrize("make", PUSH_ALGEBRAS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_push_column_matches_naive_product(make, data):
+    # position maps with empty, lone and 2-3-source fibers
+    A = make()
+    m = data.draw(st.integers(1, 4))
+    fibers = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    tp = [p for p, size in enumerate(fibers) for _ in range(size)]
+    tp = data.draw(st.permutations(tp))
+    basis = st.integers(0, A.dim - 1)
+    phi = tuple(data.draw(st.lists(basis, min_size=len(tp), max_size=len(tp))))
+    assert _Push(A, tp, m).column(phi) == _naive_push(A, tp, m, phi)
 
 
 # ---------------------------------------------------------------- kunneth
