@@ -72,6 +72,10 @@ def _positions(names) -> dict:
     return {phi: k for k, phi in enumerate(names)}
 
 
+def _no_factors(phi) -> tuple:
+    return ()
+
+
 class _Push:
     """Linear map A^(x)m -> A^(x)m' induced by a map of position sets.
 
@@ -98,12 +102,12 @@ class _Push:
         # by the unit law a lone factor is its own product; an empty fiber
         # multiplies to the unit, which branches when it is not a basis
         # vector, so it goes with the colliding fibers
-        self.lone = [(p, fib[0]) for p, fib in enumerate(fibers) if len(fib) == 1]
-        self.multi = [
-            (p, itemgetter(*fib) if fib else lambda phi: ())
-            for p, fib in enumerate(fibers)
-            if len(fib) != 1
-        ]
+        self.lone, self.multi = [], []
+        for p, fib in enumerate(fibers):
+            if len(fib) == 1:
+                self.lone.append((p, fib[0]))
+            else:
+                self.multi.append((p, itemgetter(*fib) if fib else _no_factors))
         self.odd = [d % 2 == 1 for d in A.degrees]
         self.signs = (A.field.one, A.field(-1))
         self.products: dict = {}
