@@ -23,6 +23,9 @@ row:
   form returned is the unique primitive one;
 - over F_p, by subtracting rc times the pivot row mod p, after the pivot
   row has been scaled to pivot 1.
+
+``insert`` grows an echelon basis one row at a time with the same clearing
+steps, for rows that are built on demand and ranked without being stored.
 """
 
 from __future__ import annotations
@@ -71,9 +74,10 @@ def _clear_fp(p: int):
     """The clearing step mod p; it first scales the pivot row to pivot 1."""
 
     def clear(row, c, others) -> None:
-        inv = pow(row[c], p - 2, p)
-        for ci in row:
-            row[ci] = row[ci] * inv % p
+        if row[c] != 1:
+            inv = pow(row[c], p - 2, p)
+            for ci in row:
+                row[ci] = row[ci] * inv % p
         for other in others:
             rc = other.pop(c)
             for ci, v in row.items():
@@ -122,6 +126,24 @@ def _forward(rows, clear):
         cols.append(c)
         owners.append(ri)
     return rows, cols, owners
+
+
+def insert(pivots: dict, row: dict, clear) -> bool:
+    """Add one row to an echelon basis kept as pivots {column: pivot row}.
+
+    row is reduced in place by the same clearing step as ``_forward``, at
+    its first column while that column has a pivot row.  What is left, if
+    anything, becomes the pivot row of its first column.  Returns whether
+    the rank grew.
+    """
+    while row:
+        c = min(row)
+        pivot = pivots.get(c)
+        if pivot is None:
+            pivots[c] = row
+            return True
+        clear(pivot, c, [row])
+    return False
 
 
 def _reduced(rows, clear):

@@ -6,13 +6,17 @@ into (s, t) blocks.  Levels beyond the construction window are unknown,
 which the validity bound s_valid makes explicit: homology is only handed
 out for s <= s_valid, and every construction (cones, tensors, total
 complexes) propagates the bound.  A complex is exact, trusted in every
-degree, exactly when s_valid equals its top level.  ``ChainComplex.validate``
+degree, exactly when s_valid equals its top level and it streams no level
+above (see below).  ``ChainComplex.validate``
 is the one d^2 = 0 check: it applies d_{s-1} to each column of d_s.
 
 Every differential is reduced once, going up the levels with clearing
 (``_pairs``), and both homology and spectral sequences read that one
 reduction.  A Betti number counts the generators of its (s, t) block that
-no pair touches.  A cochain complex is stored as the chain complex of the
+no pair touches.  A complex may stream the level above its top instead of
+storing it (``ChainComplex.stream``); homology at the top then ranks that
+level's differential one column at a time, and stops each t-block once
+its rank is full.  A cochain complex is stored as the chain complex of the
 transposes of its coboundaries, so cohomology is ranked by
 ``ChainComplex.homology`` like every other homology, and only this module
 knows how a complex is ranked.
@@ -152,19 +156,26 @@ class ChainComplex:
     diffs[0] is None; diffs[s] has shape len(levels[s-1]) x len(levels[s]).
     s_valid is the highest trusted degree, top - 1 by default; a complex
     that genuinely stops at its top level is exact, and passes s_valid=top.
+
+    stream, when given, is level top + 1, kept out of memory: iterating it
+    yields that level's (name, t) generators in order, and
+    stream.column(name) builds the column of name in d_{top+1}.  It makes
+    the complex trusted to top by default, and only homology at top reads
+    it (see homology).
     """
 
-    __slots__ = ("field", "levels", "diffs", "s_valid")
+    __slots__ = ("field", "levels", "diffs", "s_valid", "stream")
 
-    def __init__(self, field: Field, levels, diffs, s_valid=None):
+    def __init__(self, field: Field, levels, diffs, s_valid=None, stream=None):
         self.field = field
         self.levels = [tuple(lv) for lv in levels]
         self.diffs = list(diffs)
+        self.stream = stream
         if len(self.diffs) != len(self.levels):
             raise ChainError("need one differential slot per level")
         top = len(self.levels) - 1
         if s_valid is None:
-            self.s_valid = top - 1
+            self.s_valid = top - 1 if stream is None else top
         else:
             if s_valid > top:
                 raise ChainError(f"s_valid {s_valid} beyond top level {top}")
@@ -222,6 +233,9 @@ class ChainComplex:
         (``_pairs``): a level-s generator is a homology class exactly when
         no pair touches it, neither as a pivot column of d_s nor as a pivot
         row of d_{s+1}, so H_s at t counts the unpaired generators of t.
+        At the top level of a streamed complex, H_top at t is the count of
+        generators that d_top leaves unpaired less the rank of the t-block
+        of d_{top+1} (``_streamed_top``).
         """
         if s_max is None:
             s_max = self.s_valid
@@ -235,6 +249,9 @@ class ChainComplex:
             paired = pairs[s].keys() | pairs[s + 1].values()
             for k, (_, t) in enumerate(self.levels[s]):
                 out[(s, t)] = out.get((s, t), 0) + (k not in paired)
+        if s_max == self.top and self.stream is not None:
+            for t, h in _streamed_top(self, pairs[s_max].keys()).items():
+                out[(s_max, t)] = h
         return BettiTable(out, s_max, provenance)
 
     def __repr__(self):
@@ -422,6 +439,38 @@ def _pairs(T: ChainComplex, top: int) -> list:
     for n in range(1, top + 1):
         pairs.append(T.diffs[n].rank(pairs[n - 1].keys(), pairs=True))
     return pairs
+
+
+def _streamed_top(C: ChainComplex, cleared) -> dict:
+    """{t: H_top at t} for each t with level-top rows that d_top leaves
+    unpaired, ranking d_{top+1} from C.stream.
+
+    By clearing (see ``_pairs``) the level-top rows in cleared, the pivot
+    columns of d_top, change no rank of d_{top+1} and are dropped, so the
+    rank of a t-block is at most the rows of t left, dim ker d_top at t,
+    and H_top at t is the rows left less that rank.  The columns are built
+    one at a time and put in one echelon basis (``SMat.rank`` online),
+    which serves every block since a column only meets rows of its own t.
+    A column is built only while its block has room, and the walk stops
+    once no block has any, which happens exactly when H_top = 0.  Columns
+    generated on the fly and never stored are Ripser's (Bauer 2021).
+    """
+    room: dict = {}
+    for k, (_, t) in enumerate(C.levels[C.top]):
+        if k not in cleared:
+            room[t] = room.get(t, 0) + 1
+    left = len(room)
+    if not left:
+        return room
+    insert = SMat(C.level_dim(C.top), 0, C.field).rank(cleared, online=True)
+    for name, t in C.stream:
+        if room.get(t) and insert(C.stream.column(name)):
+            room[t] -= 1
+            if not room[t]:
+                left -= 1
+                if not left:
+                    break
+    return room
 
 
 def sseq_pages(D: DoubleComplex, r_max: int) -> list:

@@ -292,14 +292,17 @@ def _check_inputs(A: GradedAlgebra, N: int) -> None:
         raise ValueError(f"level bound must be at least 1, got {N}")
 
 
-def _nondegenerate(dim: int, u: int, X: SimplicialSet, simps, n: int) -> list:
-    """Level-n index tuples outside every degeneracy image, in lexicographic order.
+def _nondegenerate(dim: int, u: int, X: SimplicialSet, simps, n: int):
+    """Level-n index tuples outside every degeneracy image, yielded in
+    lexicographic order.
 
     Each position holds one of dim basis indices, u the one of the unit.  A
     tuple is degenerate exactly when its non-unit positions all lie in the
     image of one s_j.  Positions are fixed left to right, and a prefix is
     dropped as soon as one image holds its non-unit positions and every
-    later position, since then all its completions are degenerate.
+    later position, since then all its completions are degenerate.  The
+    tuples are made one at a time, so a caller that stops early never
+    makes the rest; a stored level is list(...) of them.
     """
     m = len(simps[n])
     # inside[k]: bit j is set when position k lies in the image of s_j
@@ -314,7 +317,6 @@ def _nondegenerate(dim: int, u: int, X: SimplicialSet, simps, n: int) -> list:
     reach = [0] * (m + 1)
     for k in range(m - 1, -1, -1):
         reach[k] = reach[k + 1] | (every & ~inside[k])
-    out: list = []
     # prefixes with the images holding all their non-unit positions; the
     # smallest prefix is popped first
     stack = [((), every)]
@@ -324,42 +326,96 @@ def _nondegenerate(dim: int, u: int, X: SimplicialSet, simps, n: int) -> list:
         if alive & ~reach[k]:
             continue
         if k == m:
-            out.append(prefix)
+            yield prefix
             continue
         for i in reversed(range(dim)):
             stack.append((prefix + (i,), alive if i == u else alive & inside[k]))
-    return out
 
 
-def _assemble(A: GradedAlgebra, X: SimplicialSet, simps, names, index, push=_Push):
+def _relative(dV: int, dT: int, u: int, X: SimplicialSet, simps, n: int):
+    """The level-n monomials (t_tau, g_j1, ..., g_jm) of the relative model,
+    yielded in order: j non-degenerate with g_0 as the unit, tau free, and
+    index k * dT + s for t_s * g_k (see _base_adapted), u the unit of T."""
+    for ks in _nondegenerate(dV, 0, X, simps, n):
+        rest = tuple(k * dT + u for k in ks[1:])
+        for tau in range(dT):
+            yield (ks[0] * dT + tau,) + rest
+
+
+def _face_pushes(A: GradedAlgebra, X: SimplicialSet, simps, n: int, push) -> list:
+    """The pushes of the faces d_0..d_n from level n to level n - 1."""
+    tindex = _positions(simps[n - 1])
+    return [
+        push(A, [tindex[X.face(s, i)] for s in simps[n]], len(simps[n - 1]))
+        for i in range(n + 1)
+    ]
+
+
+def _boundary(pushes, phi, idx: dict, add) -> dict:
+    """The column of a monomial: the alternating sum of its face pushes, in
+    the coordinates idx of the level below (see _add_level).  An empty face
+    image adds nothing, so it is not handed to _add_level."""
+    acc: dict = {}
+    for i, face in enumerate(pushes):
+        if image := face.column(phi):
+            _add_level(acc, image, -1 if i % 2 else 1, idx, add)
+    return acc
+
+
+class _TopLevel:
+    """The level of a model above its stored ones, read lazily.
+
+    Iterating yields its (monomial, t) generators in order, from a fresh
+    call of monomials() each time; column(phi) builds the column of phi in
+    the differential onto the top stored level.  Nothing is kept, so the
+    level is never held in memory (see ChainComplex.homology).
+    """
+
+    __slots__ = ("monomials", "degrees", "pushes", "index", "add")
+
+    def __init__(self, monomials, degrees, pushes, index, add):
+        self.monomials = monomials
+        self.degrees = degrees
+        self.pushes = pushes
+        self.index = index
+        self.add = add
+
+    def __iter__(self):
+        deg = self.degrees
+        for phi in self.monomials():
+            yield phi, sum(deg[i] for i in phi)
+
+    def column(self, phi) -> dict:
+        return _boundary(self.pushes, phi, self.index, self.add)
+
+
+def _assemble(
+    A: GradedAlgebra, X: SimplicialSet, simps, names, index, push=_Push, streamed=None
+):
     """The tensor-power differential on the given monomials of each level.
 
     names[n] lists the level-n generators and index[n] sends a monomial to
-    its coordinate (see _add_level); push(A, tp, m) builds a face push.  An
-    empty face image adds nothing, so it is not handed to _add_level.  Run
-    over every monomial this is the unnormalized model; run over the
+    its coordinate (see _add_level); push(A, tp, m) builds a face push.
+    Run over every monomial this is the unnormalized model; run over the
     non-degenerate ones in a unit-adapted basis it is the normalized one.
+    With streamed, a function that makes the monomials of the next level
+    one at a time, that level is not stored but streamed (_TopLevel).
     """
     field = A.field
     add = field.add_into
     levels = [[(phi, sum(A.degrees[i] for i in phi)) for phi in nm] for nm in names]
     diffs: list = [None]
     for n in range(1, len(names)):
-        tindex = _positions(simps[n - 1])
-        pushes = [
-            push(A, [tindex[X.face(s, i)] for s in simps[n]], len(simps[n - 1]))
-            for i in range(n + 1)
-        ]
+        pushes = _face_pushes(A, X, simps, n, push)
         idx = index[n - 1]
-        cols = []
-        for phi in names[n]:
-            acc: dict = {}
-            for i, face in enumerate(pushes):
-                if image := face.column(phi):
-                    _add_level(acc, image, -1 if i % 2 else 1, idx, add)
-            cols.append(acc)
+        cols = [_boundary(pushes, phi, idx, add) for phi in names[n]]
         diffs.append(SMat(len(names[n - 1]), len(names[n]), field, cols))
-    return ChainComplex(field, levels, diffs)
+    if streamed is None:
+        return ChainComplex(field, levels, diffs)
+    n = len(names)
+    pushes = _face_pushes(A, X, simps, n, push)
+    top = _TopLevel(streamed, A.degrees, pushes, index[n - 1], add)
+    return ChainComplex(field, levels, diffs, stream=top)
 
 
 class LodayComplex:
@@ -396,7 +452,11 @@ class LodayComplex:
 
 
 def loday_complex(
-    A: GradedAlgebra, X: SimplicialSet, N: int, base: AlgebraMap | None = None
+    A: GradedAlgebra,
+    X: SimplicialSet,
+    N: int,
+    base: AlgebraMap | None = None,
+    stream: bool = False,
 ) -> LodayComplex:
     """Levels 0..N of the normalized model; homology trusted to N - 1.
 
@@ -405,33 +465,39 @@ def loday_complex(
     (t_tau, g_j1, ..., g_jm) of A^(x)_T m = T (x) V^(x)m, in the
     base-adapted copy of A (see _base_adapted), keeping the tuples j that
     are non-degenerate with g_0 = 1 as the unit; tau is free.
+
+    With stream, levels 0..N - 1 are stored and level N is streamed: its
+    monomials are made one at a time and its columns built on demand
+    (_TopLevel), which is all that homology up to N - 1 reads of it.  A
+    caller that reads d_N itself needs the stored level.
     """
     _check_inputs(A, N)
     simps = [X.level(n) for n in range(N + 1)]
     if base is None:
         A = unit_adapted(A).source
         (u,) = A.unit
-        names = [_nondegenerate(A.dim, u, X, simps, n) for n in range(N + 1)]
+
+        def monomials(n):
+            return _nondegenerate(A.dim, u, X, simps, n)
+
         push = _Push
     else:
         _check_base(A, base)
         A, T = _base_adapted(A, base)
         dT = T.dim
         (u,) = T.unit
-        names = [
-            [
-                (ks[0] * dT + tau,) + tuple(k * dT + u for k in ks[1:])
-                for ks in _nondegenerate(A.dim // dT, 0, X, simps, n)
-                for tau in range(dT)
-            ]
-            for n in range(N + 1)
-        ]
+
+        def monomials(n):
+            return _relative(A.dim // dT, dT, u, X, simps, n)
 
         def push(B, tp, m):
             return _RelativePush(B, T, tp, m)
 
+    stored = N - 1 if stream else N
+    names = [list(monomials(n)) for n in range(stored + 1)]
     index = [_positions(nm) for nm in names]
-    C = _assemble(A, X, simps, names, index, push)
+    streamed = (lambda: monomials(N)) if stream else None
+    C = _assemble(A, X, simps, names, index, push, streamed)
     return LodayComplex(C, A, X, simps, index)
 
 
@@ -449,10 +515,16 @@ def hh(
     s_max: int,
     base: AlgebraMap | None = None,
 ) -> BettiTable:
-    """Higher Hochschild homology of A over X up to level s_max."""
+    """Higher Hochschild homology of A over X up to level s_max.
+
+    Levels 0..s_max of the normalized model are stored and level s_max + 1
+    is streamed (loday_complex): H_{s_max} needs only the rank of
+    d_{s_max + 1}, and ChainComplex.homology builds its columns one at a
+    time and stops each t-block once that rank is full.
+    """
     if s_max < 0:
         raise ValueError(f"s_max must be at least 0, got {s_max}")
-    L = loday_complex(A, X, s_max + 1, base)
+    L = loday_complex(A, X, s_max + 1, base, stream=True)
     return L.normalized_data()[0].homology(s_max, provenance="loday")
 
 

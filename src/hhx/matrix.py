@@ -17,6 +17,17 @@ from . import _kernel
 from .fields import Field
 
 
+def _integral(row):
+    """A row of rationals as integers: scaled by the common denominator when
+    some entry is a Fraction, else the row itself.  None stays None."""
+    if row and any(type(v) is not int for v in row.values()):
+        mult = lcm(*(v.denominator for v in row.values()))
+        # the denominator divides mult, so this is v * mult without building
+        # a Fraction per entry
+        return {c: v.numerator * (mult // v.denominator) for c, v in row.items()}
+    return row
+
+
 class SMat:
     """A sparse nrows-by-ncols matrix over an exact field."""
 
@@ -160,24 +171,38 @@ class SMat:
                 if r is not None:
                     r[j] = v
         if self.field.char == 0:
-            for k, r in enumerate(rows):
-                if r and any(type(v) is not int for v in r.values()):
-                    mult = lcm(*(v.denominator for v in r.values()))
-                    # the denominator divides mult, so this is v * mult
-                    # without building a Fraction per entry
-                    rows[k] = {c: v.numerator * (mult // v.denominator) for c, v in r.items()}
+            rows = [_integral(r) for r in rows]
         return rows
 
-    def rank(self, skip=(), pairs=False):
+    def rank(self, skip=(), pairs=False, online=False):
         """The rank, or with pairs the pivots {column: row}, one per unit
-        of rank.
+        of rank, or with online a function that grows the rank.
 
         The kernel reduces the rows as if from the last one up, each pivot
         at the row's first nonzero column, so the pairs depend only on the
         ranks of the lower-left submatrices.  The rows in skip are left out:
         the caller vouches that each is a combination of the rows after it,
         which changes neither the rank nor any pair.
+
+        With online the columns are taken one at a time, so a caller can
+        build each column when it needs it and drop it after.  The return
+        value is insert(col): it puts one more column, without the rows in
+        skip, into an echelon basis of the columns so far (``_kernel.insert``,
+        the columns read as kernel rows), starting with those of self, and
+        returns whether the rank grew.
         """
+        if online:
+            pivots: dict = {}
+            rational = self.field.char == 0
+            clear = _kernel._clear_int if rational else _kernel._clear_fp(self.field.char)
+
+            def insert(col) -> bool:
+                row = {i: v for i, v in col.items() if i not in skip}
+                return _kernel.insert(pivots, _integral(row) if rational else row, clear)
+
+            for col in self.cols:
+                insert(col)
+            return insert
         rows = self._kernel_rows(skip)
         found = [i for i, r in enumerate(rows) if r]
         rows = [rows[i] for i in found]

@@ -80,12 +80,15 @@ class Poset:
         for a, b in rels:
             if a != b and (b, a) in self.le:
                 raise PosetError(f"relation is not antisymmetric on ({a}, {b})")
+        # a <= b <= c needs a <= c: c = a or c = b always passes, so only
+        # the strict successors of b can be missing from those of a, and
+        # the smallest index names the first such c in object order
+        index = {x: i for i, x in enumerate(self.objects)}
+        above = [set(s) for s in self._successors()]
         for a, b in rels:
-            for c in self.objects:
-                if (b, c) in self.le and (a, c) not in self.le:
-                    raise PosetError(
-                        f"relation is not transitive through ({a}, {b}, {c})"
-                    )
+            if missing := above[index[b]] - above[index[a]]:
+                c = self.objects[min(missing)]
+                raise PosetError(f"relation is not transitive through ({a}, {b}, {c})")
 
     def _successors(self):
         """Indices of the objects above each object, in object order."""
@@ -289,17 +292,24 @@ def arc_functor(A: GradedAlgebra, P: Poset) -> PosetFunctor:
             for phi in itertools.product(range(dA), repeat=c)
         ]
     index = {x: _positions(phi for phi, _ in sp) for x, sp in spaces.items()}
+    # the map of a pair depends only on where the components go and how
+    # many there are above, so pairs that agree share one matrix (a
+    # functor's maps are never changed once built)
+    built: dict = {}
     maps = {}
     for a, b in P.le:
         if a == b:
             continue
-        tp = P.comp_maps[(a, b)]
-        push = _Push(A, list(tp), P.components[b])
-        where = index[b]
-        mat = SMat(len(spaces[b]), len(spaces[a]), field)
-        for j, (phi, _t) in enumerate(spaces[a]):
-            for tup, c in push.column(phi).items():
-                mat.add_at(where[tup], j, c)
+        key = (P.comp_maps[(a, b)], P.components[b])
+        mat = built.get(key)
+        if mat is None:
+            tp, m = key
+            push = _Push(A, list(tp), m)
+            where = index[b]
+            mat = built[key] = SMat(len(spaces[b]), len(spaces[a]), field)
+            for j, (phi, _t) in enumerate(spaces[a]):
+                for tup, c in push.column(phi).items():
+                    mat.add_at(where[tup], j, c)
         maps[(a, b)] = mat
     return PosetFunctor(P, field, spaces, maps).validate()
 

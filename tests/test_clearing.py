@@ -22,7 +22,7 @@ from hhx.catalog import (
 from hhx.chains import ChainComplex, _pairs, e_infinity, total_complex
 from hhx.cobar import CobarComplex, cobar, hochschild_cohomology, regular_module
 from hhx.fields import GF, QQ
-from hhx.loday import hh, oracle_hh
+from hhx.loday import hh, loday_complex, oracle_hh
 from hhx.matrix import SMat
 from hhx.poset import arc_functor, cyclic_cech_poset, edge_map, poset_homology
 from hhx.simplicial import circle_min, parse_space
@@ -91,9 +91,9 @@ def recorded(monkeypatch, cls, method):
     return seen
 
 
-def relative_hh():
+def relative_pair():
     base = map_from_json(json.loads((CORPUS / "relative_pair.json").read_text()))
-    return hh(base.target, circle_min(), 4, base=base)
+    return base.target, circle_min(), 4, base
 
 
 def poset_morse():
@@ -108,10 +108,16 @@ def poset_with_edge():
     return poset_homology(P, F)
 
 
+# (A, X, s_max, base) of hh runs: hh streams level s_max + 1, so the oracle
+# reads the stored complex loday_complex(..., s_max + 1), whose top level is
+# built whole
+LODAY_RUNS = {
+    "loday-circle2": lambda: (dual_numbers(), parse_space("circle:2"), 3, None),
+    "loday-sphere3": lambda: (exterior_line(), parse_space("sphere:3"), 4, None),
+    "loday-relative-pair": relative_pair,
+}
+
 HOMOLOGY_RUNS = {
-    "loday-circle2": lambda: hh(dual_numbers(), parse_space("circle:2"), 3),
-    "loday-sphere3": lambda: hh(exterior_line(), parse_space("sphere:3"), 4),
-    "loday-relative-pair": relative_hh,
     "oracle-mat2-Q": lambda: oracle_hh(mat2(), 4),
     "oracle-mat2-F2": lambda: oracle_hh(mat2(GF(2)), 4),
     "oracle-mat2-F3": lambda: oracle_hh(mat2(GF(3)), 4),
@@ -120,11 +126,15 @@ HOMOLOGY_RUNS = {
 }
 
 
-@pytest.mark.parametrize("run", HOMOLOGY_RUNS.values(), ids=HOMOLOGY_RUNS.keys())
-def test_cleared_tables_match_whole_blocks(monkeypatch, run):
-    seen = recorded(monkeypatch, ChainComplex, "homology")
-    run()
-    assert seen
+@pytest.mark.parametrize("name", [*LODAY_RUNS, *HOMOLOGY_RUNS])
+def test_cleared_tables_match_whole_blocks(monkeypatch, name):
+    if name in LODAY_RUNS:
+        A, X, s_max, base = LODAY_RUNS[name]()
+        seen = [(loday_complex(A, X, s_max + 1, base).complex, hh(A, X, s_max, base))]
+    else:
+        seen = recorded(monkeypatch, ChainComplex, "homology")
+        HOMOLOGY_RUNS[name]()
+        assert seen
     for C, table in seen:
         def block(n, rows, cols, C=C):
             return C.diffs[n + 1].restrict(rows, cols)
@@ -185,6 +195,43 @@ def test_cleared_table_with_a_block_missing_at_one_end(monkeypatch):
     assert table.entries == whole_block_table(
         C.levels, 2, lambda n, rows, cols: C.diffs[n + 1].restrict(rows, cols)
     )
+
+
+class ListStream:
+    """A streamed top level from (name, t, column) triples; built records
+    the names whose columns were asked for."""
+
+    def __init__(self, gens):
+        self.gens = gens
+        self.built = []
+
+    def __iter__(self):
+        return ((name, t) for name, t, _ in self.gens)
+
+    def column(self, name):
+        self.built.append(name)
+        return next(dict(col) for n, _, col in self.gens if n == name)
+
+
+def test_streamed_top_with_blocks_missing_at_either_end():
+    # the complex above with level 2 streamed and a row x (t = 9) added at
+    # level 1: t = 9 has rows and no columns, t = 7 a column w and no rows
+    levels = [
+        [("a", 0), ("u", 3)],
+        [("b", 0), ("c", 0), ("y", 5), ("x", 9)],
+        [("e", 0), ("f", 0), ("z", 5), ("w", 7)],
+    ]
+    cols = [{0: 1, 1: -1}, {0: 2, 1: -2}, {2: 3}, {}]
+    d1 = SMat.from_dense([[1, 1, 0, 0], [0, 0, 0, 0]], QQ)
+    d2 = SMat(4, 4, QQ, [dict(c) for c in cols])
+    stored = ChainComplex(QQ, levels, [None, d1, d2], s_valid=2).validate()
+    stream = ListStream([(n, t, c) for (n, t), c in zip(levels[2], cols)])
+    C = ChainComplex(QQ, levels[:2], [None, d1], stream=stream)
+    assert C.s_valid == 1
+    assert C.homology().entries == stored.homology(1).entries == {(0, 3): 1, (1, 9): 1}
+    # b is cleared, so the t = 0 block has one row and is full after e; the
+    # t = 9 block never fills, so the walk reads to the end
+    assert stream.built == ["e", "z"]
 
 
 # ------------------------------------------------------- the work it saves

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,10 +35,11 @@ from hhx.catalog import (
     split_pair,
     split_triple,
 )
-from hhx.chains import ChainComplex, cone
+from hhx.chains import ChainComplex, ChainError, cone
 from hhx.fields import GF, QQ
 from hhx.loday import (
     _Push,
+    _TopLevel,
     _shuffle_chain,
     cyclic_bar_oracle,
     hh,
@@ -813,7 +815,7 @@ def test_hh_determinism():
 
 # sha256 of the differentials' columns, each as its list of (row, coeff)
 # pairs in stored order: a faster face push must build the same complex
-@pytest.mark.parametrize(
+PINNED = pytest.mark.parametrize(
     "A, X, N, digest",
     [
         (exterior_line(), sphere_min(2), 5,
@@ -825,10 +827,81 @@ def test_hh_determinism():
     ],
     ids=["exterior-S2", "dual-circle2", "QxQ-circle2"],
 )
+
+
+def _digest(cols) -> str:
+    return hashlib.sha256(repr(cols).encode()).hexdigest()
+
+
+@PINNED
 def test_loday_columns_are_pinned(A, X, N, digest):
     C = loday_complex(A, X, N).complex
+    assert _digest([[list(col.items()) for col in d.cols] for d in C.diffs[1:]]) == digest
+
+
+@PINNED
+def test_streamed_top_level_is_the_stored_one(A, X, N, digest):
+    # the stream yields level N in stored order and builds the stored
+    # columns of d_N, so the pin holds with d_N read from it, and hh's
+    # table is the stored complex's
+    C = loday_complex(A, X, N, stream=True).complex
+    assert C.top == N - 1 and C.s_valid == N - 1
     cols = [[list(col.items()) for col in d.cols] for d in C.diffs[1:]]
-    assert hashlib.sha256(repr(cols).encode()).hexdigest() == digest
+    cols.append([list(C.stream.column(phi).items()) for phi, _ in C.stream])
+    assert _digest(cols) == digest
+    stored = loday_complex(A, X, N).complex
+    assert list(C.stream) == list(stored.levels[N])
+    table = hh(A, X, N - 1)
+    assert (table.entries, table.s_valid) == (stored.homology(N - 1).entries, N - 1)
+
+
+def test_a_stored_complex_without_its_stream_is_not_trusted_at_its_top():
+    C = loday_complex(dual_numbers(), circle_min(), 3, stream=True).complex
+    bare = ChainComplex(C.field, C.levels, C.diffs)
+    assert bare.s_valid == 1
+    with pytest.raises(ChainError, match="trusted only to 1"):
+        bare.homology(2)
+    assert C.homology(2).entries == hh(dual_numbers(), circle_min(), 2).entries
+
+
+def columns_built(monkeypatch) -> Counter:
+    """{t: columns the stream builds} while patched."""
+    built = Counter()
+    column = _TopLevel.column
+
+    def counted(self, phi):
+        built[sum(self.degrees[i] for i in phi)] += 1
+        return column(self, phi)
+
+    monkeypatch.setattr(_TopLevel, "column", counted)
+    return built
+
+
+def test_stream_stops_each_block_at_full_rank(monkeypatch):
+    # H_4 = 0 in every t, so each block of d_5 stops at rank dim ker d_4,
+    # and the blocks t >= 8, with no level-4 rows left, are never built
+    built = columns_built(monkeypatch)
+    table = hh(exterior_line(), sphere_min(2), 4)
+    assert table.entries == {(0, 0): 1, (0, 1): 1, (2, 1): 1, (2, 2): 1}
+    assert built == {3: 19, 4: 53, 5: 49, 6: 8, 7: 1}
+    assert sum(built.values()) == 130
+    level = Counter(t for _, t in loday_complex(exterior_line(), sphere_min(2), 5).complex.levels[5])
+    assert sum(level.values()) == 1536 and level[8] == 165
+
+
+@pytest.mark.parametrize("field, h", [(QQ, 1), (GF(2), 2), (GF(3), 1)], ids=["Q", "F2", "F3"])
+def test_stream_reads_every_column_of_an_open_block(monkeypatch, field, h):
+    # H_3 != 0: d_4 has rank 82 - h on the 82 level-3 rows left after
+    # clearing, so the walk never stops and builds all 324 columns
+    A = dual_numbers(field)
+    X = circle_subdiv(2)
+    stored = loday_complex(A, X, 4).complex
+    built = columns_built(monkeypatch)
+    table = hh(A, X, 3)
+    assert table.entries == stored.homology(3).entries
+    assert table.dim(3, 0) == h
+    assert built == {0: 324} and stored.level_dim(4) == 324
+    assert stored.diffs[4].rank() == 82 - h
 
 
 def test_hh_over_prime_field_window():

@@ -265,6 +265,26 @@ def test_rank_pairs_match_column_reduction(rows):
         assert len(pairs) == m.rank()
 
 
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.sets(st.integers(0, 5)))
+@example([[1, 2], [2, 4], [1, 0]], {2})
+def test_online_rank_grows_exactly_on_new_columns(rows, skip):
+    # columns inserted one at a time, the rows in skip dropped: a column
+    # grows the rank exactly when the rank of the columns so far jumps;
+    # over Q the entries carry denominators, which the kernel scales away
+    ncols = len(rows[0])
+    thirds = [[Fraction(v, 1 + (i + j) % 3) for j, v in enumerate(r)] for i, r in enumerate(rows)]
+    for field, dense in ((QQ, thirds), (GF(2), rows), (GF(3), rows)):
+        m = SMat.from_dense(dense, field)
+        kept = m.restrict([i for i in range(m.nrows) if i not in skip])
+        ranks = [kept.restrict(None, range(j)).rank() for j in range(ncols + 1)]
+        insert = SMat(m.nrows, 0, field).rank(skip, online=True)
+        assert [insert(col) for col in m.cols] == [b > a for a, b in zip(ranks, ranks[1:])]
+        # a basis started from m's own columns holds every one of them
+        again = m.rank(online=True)
+        assert not any(again(col) for col in m.cols)
+
+
 @st.composite
 def graded_matrices(draw, max_n=6):
     """(dense rows, row t labels, column t labels, rows to skip), with

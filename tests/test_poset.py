@@ -34,6 +34,7 @@ from hhx.poset import (
     poset_homology,
     poset_to_json,
 )
+from hhx import poset
 from hhx.poset import _full_nerve, _matching
 from hhx.simplicial import circle_min
 
@@ -91,6 +92,34 @@ def test_transitivity():
     le = {("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c")}
     with pytest.raises(PosetError, match="transitive"):
         Poset(["a", "b", "c"], le, {"a": 1, "b": 1, "c": 1})
+
+
+def first_intransitive(objects, le):
+    """The first (a, b, c) with a <= b <= c and not a <= c: pairs in sorted
+    order, then c in object order."""
+    for a, b in sorted(le):
+        for c in objects:
+            if (b, c) in le and (a, c) not in le:
+                return a, b, c
+    return None
+
+
+def test_transitivity_refusal_names_the_first_failing_triple():
+    rng = random.Random(5)
+    objects = ["d", "b", "e", "a", "c"]
+    refused = 0
+    for _ in range(200):
+        le = {(x, x) for x in objects}
+        le |= {(x, y) for x, y in itertools.combinations(objects, 2) if rng.random() < 0.4}
+        want = first_intransitive(objects, le)
+        if want is None:
+            Poset(objects, le, dict.fromkeys(objects, 1))
+            continue
+        refused += 1
+        with pytest.raises(PosetError) as err:
+            Poset(objects, le, dict.fromkeys(objects, 1))
+        assert str(err.value) == f"relation is not transitive through ({', '.join(want)})"
+    assert 0 < refused < 200
 
 
 def test_missing_components():
@@ -397,6 +426,34 @@ def test_arc_functor_rejects_noncommutative():
     P = cyclic_cech_poset(2)
     with pytest.raises(PosetError, match="commutative"):
         arc_functor(mat2(), P)
+
+
+def test_arc_functor_builds_one_push_per_distinct_map(monkeypatch):
+    # 512 strict pairs of the marks-3 poset, 62 distinct (component map,
+    # target count) keys: pairs with equal keys share one matrix
+    built = []
+    original = poset._Push
+
+    class Counted(original):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args[1:])
+            super().__init__(*args)
+
+    monkeypatch.setattr(poset, "_Push", Counted)
+    A = dual_numbers(GF(3))
+    P = cyclic_cech_poset(3)
+    F = arc_functor(A, P)
+    assert len(F.maps) == 512
+    assert len(built) == 62 == len({id(m) for m in F.maps.values()})
+    # a shared matrix is the one the pair's own push gives
+    for (a, b), m in F.maps.items():
+        push = original(A, list(P.comp_maps[(a, b)]), P.components[b])
+        assert m.cols == [
+            {F.spaces[b].index((tup, t)): c for tup, c in push.column(phi).items()}
+            for phi, t in F.spaces[a]
+        ]
 
 
 def test_arc_functor_needs_labels():
