@@ -252,12 +252,47 @@ def kernel_rank_calls(monkeypatch) -> list:
     return seen
 
 
+def kernel_row_clears(monkeypatch) -> dict:
+    """{regime: rows cleared} by the kernel's clearing steps while patched,
+    in forward elimination and back-substitution alike."""
+    cleared = {"int": 0, "fp": 0}
+    clear_int, clear_fp = _kernel._clear_int, _kernel._clear_fp
+
+    def counted_int(row, c, others):
+        cleared["int"] += len(others)
+        clear_int(row, c, others)
+
+    def counted_fp(p):
+        clear = clear_fp(p)
+
+        def counted(row, c, others):
+            cleared["fp"] += len(others)
+            clear(row, c, others)
+
+        return counted
+
+    monkeypatch.setattr(_kernel, "_clear_int", counted_int)
+    monkeypatch.setattr(_kernel, "_clear_fp", counted_fp)
+    return cleared
+
+
 def test_clearing_pins_the_rows_the_kernel_ranks(monkeypatch):
     # without clearing the oracle hands the kernel 1,456 rows, 364 of them
-    # dependent, and the pages reduce 1,360 columns, 1,088 of them to zero
+    # dependent, and the pages reduce 1,360 columns, 1,088 of them to zero;
+    # the rows cleared pin the work as well as the result: a kernel with the
+    # same pivots in fewer lines must clear exactly these rows
     seen = kernel_rank_calls(monkeypatch)
+    cleared = kernel_row_clears(monkeypatch)
     assert oracle_hh(mat2(), 5).entries == {(0, 0): 1}
     assert (sum(r for r, _ in seen), sum(k for _, k in seen)) == (1093, 1092)
+    assert cleared == {"int": 904, "fp": 0}
     seen.clear()
+    cleared.update(int=0, fp=0)
+    assert oracle_hh(mat2(GF(3)), 5).entries == {(0, 0): 1}
+    assert (sum(r for r, _ in seen), sum(k for _, k in seen)) == (1093, 1092)
+    assert cleared == {"int": 0, "fp": 901}
+    seen.clear()
+    cleared.update(int=0, fp=0)
     e_infinity(suspension_bar(gf4(), 1, 4))
     assert (sum(r for r, _ in seen), sum(k for _, k in seen)) == (274, 272)
+    assert cleared == {"int": 0, "fp": 151}

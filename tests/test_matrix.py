@@ -429,6 +429,8 @@ def test_kernel_rref_int_fixed(rows, want):
             7,
             ([0, 1, 2], [{0: 1, 3: 2}, {1: 1}, {2: 1}]),
         ),
+        # a lone pivot row clears nothing and still leaves with pivot 1
+        ([{0: 2, 1: 1}], 3, ([0], [{0: 1, 1: 2}])),
     ],
 )
 def test_kernel_rref_fp_fixed(rows, p, want):
