@@ -6,16 +6,13 @@ F_p with values in [1, p), and integer rows standing in for rational ones
 pivot columns, and the reduced echelon form is recovered by dividing each
 final row by its pivot).
 
-Both regimes share one pivot order and one back-substitution.  Columns are
-processed left to right, which pins the canonical staircase pivot set;
-inside a column the candidate row that comes last wins.  A row is then only
-ever changed by a multiple of itself plus later rows, so the (column, row)
-pivots are those of reducing the rows from the last one up with the pivot
-at the first nonzero column: row i holds the pivot of column c exactly when
-the rank of the rows from i on, over the columns up to c, jumps there (the
-pairing of persistent cohomology, de Silva, Morozov & Vejdemo-Johansson).
-The regimes differ only in how a pivot row clears its column from another
-row:
+Both regimes share one forward loop, ``insert``, and one back-substitution.
+The rows go in from the last one up.  A row is cleared at its first column
+while that column has a pivot row, and the first row to reach a column owns
+it.  So row i holds the pivot of column c exactly when the rank of the rows
+from i on, over the columns up to c, jumps there (the pairing of persistent
+cohomology, de Silva, Morozov & Vejdemo-Johansson).  The regimes differ
+only in how a pivot row clears its column from another row:
 
 - over the integers, by fraction-free cross-multiplication (Bareiss)
   followed by content reduction, so every intermediate value is an integer
@@ -24,13 +21,12 @@ row:
 - over F_p, by subtracting rc times the pivot row mod p, after the pivot
   row has been scaled to pivot 1.
 
-``insert`` grows an echelon basis one row at a time with the same clearing
-steps, for rows that are built on demand and ranked without being stored.
+The same ``insert`` also grows an echelon basis from rows that are built on
+demand and ranked without being stored.
 """
 
 from __future__ import annotations
 
-import heapq
 from math import gcd
 
 # pipebench/worker.py refuses to measure unless this matches reference.json.
@@ -92,58 +88,37 @@ def _clear_fp(p: int):
     return clear
 
 
-def _forward(rows, clear):
-    """Forward elimination: (rows, pivot columns, pivot rows), the pivot
-    rows given by their index in rows and listed by ascending column.
-    Empty rows are left alone."""
-    rows = [dict(r) for r in rows]
-    buckets: dict[int, list[int]] = {}
-    heap: list[int] = []
-    for i, r in enumerate(rows):
-        if not r:
-            continue
-        c = min(r)
-        if c not in buckets:
-            buckets[c] = []
-            heapq.heappush(heap, c)
-        buckets[c].append(i)
-    cols: list[int] = []
-    owners: list[int] = []
-    while heap:
-        c = heapq.heappop(heap)
-        cand = buckets.pop(c)
-        ri = max(cand)
-        rest = [j for j in cand if j != ri]
-        clear(rows[ri], c, [rows[j] for j in rest])
-        for j in rest:
-            other = rows[j]
-            if other:
-                c2 = min(other)
-                if c2 not in buckets:
-                    buckets[c2] = []
-                    heapq.heappush(heap, c2)
-                buckets[c2].append(j)
-        cols.append(c)
-        owners.append(ri)
-    return rows, cols, owners
-
-
-def insert(pivots: dict, row: dict, clear) -> bool:
+def insert(pivots: dict, row: dict, clear):
     """Add one row to an echelon basis kept as pivots {column: pivot row}.
 
-    row is reduced in place by the same clearing step as ``_forward``, at
-    its first column while that column has a pivot row.  What is left, if
-    anything, becomes the pivot row of its first column.  Returns whether
-    the rank grew.
+    row is reduced in place by clear at its first column while that column
+    has a pivot row.  What is left, if anything, becomes the pivot row of
+    its first column.  Returns that column, or None if the row reduced to
+    zero and the rank did not grow.
     """
     while row:
         c = min(row)
         pivot = pivots.get(c)
         if pivot is None:
             pivots[c] = row
-            return True
+            return c
         clear(pivot, c, [row])
-    return False
+    return None
+
+
+def _forward(rows, clear):
+    """Forward elimination, inserting copies of rows from the last one up:
+    (rows, pivot columns, pivot rows), the pivot rows given by their index
+    in rows and listed by ascending column.  Empty rows are left alone."""
+    rows = [dict(r) for r in rows]
+    pivots: dict = {}
+    owner: dict[int, int] = {}
+    for i in reversed(range(len(rows))):
+        c = insert(pivots, rows[i], clear)
+        if c is not None:
+            owner[c] = i
+    cols = sorted(owner)
+    return rows, cols, [owner[c] for c in cols]
 
 
 def _reduced(rows, clear):
@@ -157,8 +132,8 @@ def _reduced(rows, clear):
             if ci != c and ci in pivot_cols:
                 fix.setdefault(ci, []).append(rows[ri])
     for c, ri in zip(reversed(cols), reversed(owners)):
-        if c in fix:
-            clear(rows[ri], c, fix[c])
+        # over F_p this also scales a pivot row that cleared nothing to 1
+        clear(rows[ri], c, fix.get(c, []))
     return cols, [rows[ri] for ri in owners]
 
 

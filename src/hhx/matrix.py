@@ -178,8 +178,8 @@ class SMat:
         """The rank, or with pairs the pivots {column: row}, one per unit
         of rank, or with online a function that grows the rank.
 
-        The kernel reduces the rows as if from the last one up, each pivot
-        at the row's first nonzero column, so the pairs depend only on the
+        The kernel reduces the rows from the last one up, each pivot at
+        the row's first nonzero column, so the pairs depend only on the
         ranks of the lower-left submatrices.  The rows in skip are left out:
         the caller vouches that each is a combination of the rows after it,
         which changes neither the rank nor any pair.
@@ -198,7 +198,8 @@ class SMat:
 
             def insert(col) -> bool:
                 row = {i: v for i, v in col.items() if i not in skip}
-                return _kernel.insert(pivots, _integral(row) if rational else row, clear)
+                row = _integral(row) if rational else row
+                return _kernel.insert(pivots, row, clear) is not None
 
             for col in self.cols:
                 insert(col)

@@ -466,19 +466,29 @@ def test_block_copies_go_through_add_block():
 
 
 def test_kernel_has_one_elimination_loop():
-    """Both scalar regimes share one forward loop: one heappop in the kernel.
+    """Every rank, pairing and echelon form grows its basis through
+    ``_kernel.insert``: the kernel's one while loop sits in insert,
+    ``_forward`` calls insert, and no heapq is imported.
 
-    A regime differs only in its row-clearing step; a second copy of the
-    column heap and the last-row choice would show up as a second pop.
+    A regime differs only in its row-clearing step; a second forward
+    reduction, such as a column heap with buckets of candidate rows, would
+    show up as a second while loop or a heapq import.
     """
     path = Path(_kernel.__file__)
-    pops = [
-        node.lineno
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "heappop"
-        and isinstance(node.func.value, ast.Name)
-        and node.func.value.id == "heapq"
+    tree = ast.parse(path.read_text(), str(path))
+    loops = [
+        getattr(top, "name", None)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.While)
     ]
-    assert len(pops) == 1, pops
+    assert loops == ["insert"], loops
+    forward = next(f for f in tree.body if getattr(f, "name", None) == "_forward")
+    assert any(
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "insert"
+        for n in ast.walk(forward)
+    )
+    assert not any(
+        isinstance(n, (ast.Import, ast.ImportFrom)) and "heapq" in ast.unparse(n)
+        for n in ast.walk(tree)
+    )
