@@ -88,7 +88,7 @@ def _clear_fp(p: int):
     return clear
 
 
-def insert(pivots: dict, row: dict, clear):
+def insert(pivots: dict, row: dict, clear) -> int | None:
     """Add one row to an echelon basis kept as pivots {column: pivot row}.
 
     row is reduced in place by clear at its first column while that column

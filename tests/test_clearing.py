@@ -279,8 +279,7 @@ def kernel_row_clears(monkeypatch) -> dict:
 def test_clearing_pins_the_rows_the_kernel_ranks(monkeypatch):
     # without clearing the oracle hands the kernel 1,456 rows, 364 of them
     # dependent, and the pages reduce 1,360 columns, 1,088 of them to zero;
-    # the rows cleared pin the work as well as the result: a kernel with the
-    # same pivots in fewer lines must clear exactly these rows
+    # the rows cleared pin the arithmetic, not just the ranks
     seen = kernel_rank_calls(monkeypatch)
     cleared = kernel_row_clears(monkeypatch)
     assert oracle_hh(mat2(), 5).entries == {(0, 0): 1}
