@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import convolve, fold_map, window_equal
+from hhx.bar import loday_model
 from hhx.algebra import (
     AlgebraError,
     AlgebraMap,
@@ -837,6 +838,37 @@ def _digest(cols) -> str:
 def test_loday_columns_are_pinned(A, X, N, digest):
     C = loday_complex(A, X, N).complex
     assert _digest([[list(col.items()) for col in d.cols] for d in C.diffs[1:]]) == digest
+
+
+# sha256 of every stored product of a model, each as (p, i, q, j, its
+# (index, coeff) pairs in stored order): the shuffle product must give the
+# same expansions, entry order included
+@pytest.mark.parametrize(
+    "A, X, q_top, count, digest",
+    [
+        (exterior_line(), sphere_min(2), 4, 376,
+         "42437435d1555fecdace27e9fe78669c61b0f7f67a423dedad245fa9cf835f94"),
+        (dual_numbers(GF(3)), sphere_min(1), 4, 60,
+         "e2463e6a68068a89f01fdaf73697dc7c722172ee1c2b3106bbeaebd1d009512c"),
+        (split_triple(), sphere_min(2), 3, 405,
+         "91af0607f53dd16e1087800390ba273f5bdebe37f62c73266b03e43bd5f0c062"),
+        (exterior_line(), circle_min(), 4, 60,
+         "bdce0cee6ebc00a6a2c03af9df38bd86080d0941a16c521f419c6d48ccc20650"),
+    ],
+    ids=["exterior-S2", "dual-F3-S1", "QxQxQ-S2", "exterior-circle"],
+)
+def test_model_products_are_pinned(A, X, q_top, count, digest):
+    B = loday_model(A, X, q_top)
+    C = B.complex
+    prods = [
+        (p, i, q, j, list(B.mul(p, i, q, j).items()))
+        for p in range(C.top + 1)
+        for q in range(C.top + 1 - p)
+        for i in range(C.level_dim(p))
+        for j in range(C.level_dim(q))
+    ]
+    assert len(prods) == count
+    assert _digest(prods) == digest
 
 
 @PINNED
