@@ -352,9 +352,10 @@ def _face_pushes(A: GradedAlgebra, X: SimplicialSet, simps, n: int, push) -> lis
 
 
 def _boundary(pushes, phi, idx: dict, add) -> dict:
-    """The column of a monomial: the alternating sum of its face pushes, in
-    the coordinates idx of the level below (see _add_level).  An empty face
-    image adds nothing, so it is not handed to _add_level."""
+    """The column of a monomial: the alternating sum of its pushes (the
+    faces, or the one push of a map of spaces), in the coordinates idx of
+    the target level (see _add_level).  An empty image adds nothing, so it
+    is not handed to _add_level."""
     acc: dict = {}
     for i, face in enumerate(pushes):
         if image := face.column(phi):
@@ -425,10 +426,11 @@ class LodayComplex:
     algebra, a copy of the given algebra: the unit-adapted one without a
     base, the base-adapted one (see _base_adapted) with.  index[n] sends a
     level-n monomial (a tuple of basis indices of algebra) to its
-    coordinate in complex.
+    coordinate in complex.  shuffles keeps the shuffle pushes of each pair
+    of levels once they are built (see _shuffle_pushes).
     """
 
-    __slots__ = ("complex", "algebra", "space", "simps", "index", "_norm")
+    __slots__ = ("complex", "algebra", "space", "simps", "index", "shuffles", "_norm")
 
     def __init__(self, complex: ChainComplex, algebra, space, simps, index):
         self.complex = complex
@@ -436,6 +438,7 @@ class LodayComplex:
         self.space = space
         self.simps = simps
         self.index = index
+        self.shuffles: dict = {}
         self._norm = None
 
     def normalized_data(self):
@@ -541,15 +544,9 @@ def induced_map(f: SimplicialMap, A: GradedAlgebra, N: int) -> ChainMap:
     add = field.add_into
     mats = []
     for n in range(N + 1):
-        tgt_level = f.target.level(n)
-        tindex = _positions(tgt_level)
-        push = _Push(A, [tindex[f.apply(s)] for s in f.source.level(n)], len(tgt_level))
-        cols = []
-        for phi, _ in CX.levels[n]:
-            col: dict = {}
-            if image := push.column(phi):
-                _add_level(col, image, 1, index[n], add)
-            cols.append(col)
+        tindex = _positions(LY.simps[n])
+        push = _Push(A, [tindex[f.apply(s)] for s in LX.simps[n]], len(tindex))
+        cols = [_boundary([push], phi, index[n], add) for phi, _ in CX.levels[n]]
         mats.append(SMat(len(CY.levels[n]), len(CX.levels[n]), field, cols))
     return ChainMap(CX, CY, mats)
 
@@ -558,19 +555,33 @@ def _shuffle_sign(mu, nu) -> int:
     return -1 if sum(a > b for a in mu for b in nu) % 2 else 1
 
 
-def _degeneracy_push(L: LodayComplex, level: int, js) -> _Push:
-    """Composite degeneracy positions map, innermost first."""
-    X = L.space
-    src = L.simps[level]
-    tgt = L.simps[level + len(js)]
-    tindex = _positions(tgt)
-    tp = []
-    for s in src:
-        t = s
-        for j in js:
-            t = X.degenerate(t, j)
-        tp.append(tindex[t])
-    return _Push(L.algebra, tp, len(tgt))
+def _shuffle_pushes(L: LodayComplex, s1: int, s2: int) -> list:
+    """(sign, push) of each (s1, s2)-shuffle, kept on L on first use.
+
+    The shuffle (mu, nu) sends a level-s1 simplex along s_nu and a level-s2
+    one along s_mu, innermost first, and both degeneracies are injective;
+    the slotwise product then multiplies the two images position by
+    position.  So the product is one push, from the positions of
+    simps[s1] followed by those of simps[s2] onto simps[s1 + s2], applied
+    to the concatenation phi + psi.
+    """
+    pushes = L.shuffles.get((s1, s2))
+    if pushes is None:
+        X = L.space
+        tindex = _positions(L.simps[s1 + s2])
+
+        def along(s, js):
+            for j in js:
+                s = X.degenerate(s, j)
+            return tindex[s]
+
+        pushes = L.shuffles[(s1, s2)] = []
+        for mu_set in itertools.combinations(range(s1 + s2), s1):
+            mu = list(mu_set)
+            nu = [k for k in range(s1 + s2) if k not in mu_set]
+            tp = [along(s, nu) for s in L.simps[s1]] + [along(s, mu) for s in L.simps[s2]]
+            pushes.append((_shuffle_sign(mu, nu), _Push(L.algebra, tp, len(tindex))))
+    return pushes
 
 
 def _shuffle_chain(L: LodayComplex, z1, z2) -> dict:
@@ -582,37 +593,17 @@ def _shuffle_chain(L: LodayComplex, z1, z2) -> dict:
     """
     s1, v1 = z1
     s2, v2 = z2
-    A = L.algebra
-    add = A.field.add_into
-    C = L.complex
+    add = L.algebra.field.add_into
+    levels = L.complex.levels
     index = L.index[s1 + s2]
-    # the slotwise product is the push along the fold of two copies of the
-    # level's simplices onto one, applied to the concatenation phi + psi
-    m = len(L.simps[s1 + s2])
-    fold = _Push(A, list(range(m)) * 2, m)
     out: dict = {}
-    for mu_set in itertools.combinations(range(s1 + s2), s1):
-        mu = list(mu_set)
-        nu = [k for k in range(s1 + s2) if k not in mu_set]
-        eps = _shuffle_sign(mu, nu)
-        pu = _degeneracy_push(L, s1, nu)
-        pv = _degeneracy_push(L, s2, mu)
-        left: dict = {}
+    for eps, push in _shuffle_pushes(L, s1, s2):
         for c, a in v1.items():
-            phi, t1 = C.levels[s1][c]
-            if (s2 * t1) % 2:
-                a = -a
-            for tup, cv in pu.column(phi).items():
-                add(left, tup, a * cv)
-        right: dict = {}
-        for c, a in v2.items():
-            phi = C.levels[s2][c][0]
-            for tup, cv in pv.column(phi).items():
-                add(right, tup, a * cv)
-        for phi, ca in left.items():
-            for psi, cb in right.items():
-                if image := fold.column(phi + psi):
-                    _add_level(out, image, ca * cb * eps, index, add)
+            phi, t1 = levels[s1][c]
+            a = -a * eps if (s2 * t1) % 2 else a * eps
+            for c2, b in v2.items():
+                if image := push.column(phi + levels[s2][c2][0]):
+                    _add_level(out, image, a * b, index, add)
     return out
 
 

@@ -869,6 +869,12 @@ def test_in_process_calls_share_no_state(capsys):
     again = run(capsys, *hh)
     assert first[0] == 0 and first == again
     assert first[1] == run_proc(*hh).stdout
+    # a model of S^1 keeps its shuffle pushes; none reach the next call
+    sphere = ["sseq", "--algebra", "dual.json", "--sphere", "2", "--pmax", "3", "--json"]
+    first = run(capsys, *sphere)
+    assert run(capsys, *hh) == again
+    assert first[0] == 0 and first == run(capsys, *sphere)
+    assert first[1] == run_proc(*sphere).stdout
 
 
 def test_artifact_has_no_floats(tmp_path):

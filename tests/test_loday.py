@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import convolve, fold_map, window_equal
 from hhx.bar import loday_model
+from hhx.cli import main
 from hhx.algebra import (
     AlgebraError,
     AlgebraMap,
@@ -803,6 +805,54 @@ def test_shuffle_of_cycles_is_a_cycle():
                 v = _shuffle_chain(L, (s1, z1), (s2, z2))
                 if v:
                     assert not C.diffs[s1 + s2].mul_vec(v)
+
+
+def pushes_built(monkeypatch) -> list:
+    """The (tp, m) of every _Push built while patched."""
+    built = []
+    init = _Push.__init__
+
+    def counted(self, A, tp, m):
+        built.append((list(tp), m))
+        init(self, A, tp, m)
+
+    monkeypatch.setattr(_Push, "__init__", counted)
+    return built
+
+
+def test_shuffle_product_builds_one_push_per_shuffle(monkeypatch):
+    E = exterior_line()
+    L = loday_complex(E, sphere_min(2), 4)
+    C = L.complex
+    built = pushes_built(monkeypatch)
+    # level 1 is empty: no simplex of S^2 in level 1 is non-degenerate
+    pairs = [(s1, s2) for s1 in range(5) for s2 in range(5 - s1) if 1 not in (s1, s2)]
+    assert [C.level_dim(s) for s in range(5)] == [2, 0, 2, 8, 82]
+    for _ in range(2):
+        for s1, s2 in pairs:
+            for c1 in range(C.level_dim(s1)):
+                for c2 in range(C.level_dim(s2)):
+                    _shuffle_chain(L, (s1, {c1: 1}), (s2, {c2: 1}))
+        # one push per (s1, s2)-shuffle, made on first use and kept on L
+        assert len(built) == sum(math.comb(s1 + s2, s1) for s1, s2 in pairs) == 13
+        assert {k: len(v) for k, v in L.shuffles.items()} == {
+            (s1, s2): math.comb(s1 + s2, s1) for s1, s2 in pairs
+        }
+    # each maps the positions of simps[s1], then those of simps[s2], into
+    # simps[s1 + s2]
+    m = [len(lv) for lv in L.simps]
+    assert Counter((len(tp), k) for tp, k in built) == Counter(
+        (m[s1] + m[s2], m[s1 + s2]) for s1, s2 in pairs for _ in range(math.comb(s1 + s2, s1))
+    )
+
+
+def test_hh_bar_builds_face_and_shuffle_pushes_once(monkeypatch, capsys):
+    # the model of S^1 to level 3 has 2 + 3 + 4 face pushes and one push
+    # for each of the 1 + 2 + 4 + 8 shuffles of its level pairs
+    built = pushes_built(monkeypatch)
+    assert main(["hh-bar", "--algebra", "dual.json", "--sphere", "2", "--smax", "3"]) == 0
+    capsys.readouterr()
+    assert len(built) == 24
 
 
 # ---------------------------------------------------------------- misc
