@@ -1,5 +1,6 @@
 """Poset nerves with functor coefficients and the circle's arc model."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -253,6 +254,33 @@ def test_deterministic_object_order():
     assert cyclic_cech_poset(2).objects == cyclic_cech_poset(2).objects
 
 
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+# sha256 of (objects, sorted relations, sorted component counts, sorted
+# component maps, window): a leaner construction must build the same poset
+@pytest.mark.parametrize(
+    "m, digest",
+    [
+        (2, "d5ca9b09f01b4e4889bae866a44d69e2c4e3004cd04686a03802edff5158568a"),
+        (3, "77cb72b6c7680913c4e6173d8fd8cac260759525771e9ce7f88f263b42885029"),
+        (4, "1e11d69955478ef8349b442f82375e8aca023d456c32f3045615fdf4eb43271d"),
+    ],
+    ids=["2", "3", "4"],
+)
+def test_cyclic_cech_poset_is_pinned(m, digest):
+    P = cyclic_cech_poset(m)
+    pinned = (
+        P.objects,
+        sorted(P.le),
+        sorted(P.components.items()),
+        sorted(P.comp_maps.items()),
+        P.window,
+    )
+    assert _digest(pinned) == digest
+
+
 # ----------------------------------------------------- nerve homology
 
 
@@ -417,6 +445,22 @@ def test_edge_map_empty_coefficients():
     F = PosetFunctor(P, QQ, {"x": []}, {})
     src, h0 = edge_dims(P, F, "x")
     assert edge_map(P, F, "x") is True and src == h0 == {}
+
+
+def test_edge_flags_are_pinned():
+    # the flag of every single-component object of m = 2, 3 under seven
+    # functors; each functor's Morse complex is built once and passed in
+    flags = []
+    for m in (2, 3):
+        P = cyclic_cech_poset(m)
+        algebras = (
+            dual_numbers(), dual_numbers(GF(3)), exterior_line(), split_pair(), gf4(), ground()
+        )
+        for F in [constant_functor(P, QQ)] + [arc_functor(A, P) for A in algebras]:
+            M = nerve_complex(P, F)
+            flags.append([edge_map(P, F, x, morse=M) for x in P.objects if P.components[x] == 1])
+    assert (sum(map(len, flags)), sum(map(sum, flags))) == (175, 100)
+    assert _digest(flags) == "922be99e9ac8344b2cf92d6f3843b9a5e022dfe7cfb9befba3aa501dd3e99a66"
 
 
 # ------------------------------------------------------ functor gates
