@@ -22,10 +22,10 @@ transposes of its coboundaries, so cohomology is ranked by
 knows how a complex is ranked.
 
 Double complexes are stored with anticommuting differentials.  Their own
-check is of block shapes only; d^2 = 0 and t are checked on the total
-complex, which every consumer reads and ``total_complex`` returns
-validated.  Their spectral sequence filters the same reduction of the
-total complex by the column index p, as in persistent homology: a
+check is of block shapes and fields only; d^2 = 0 and t are checked on
+the total complex, which every consumer reads and ``total_complex``
+returns validated.  Their spectral sequence filters the same reduction
+of the total complex by the column index p, as in persistent homology: a
 generator survives to E^r unless the reduction pairs it with a generator
 at most r - 1 columns away, so a page is the count of the survivors in
 each (p, q, t) block.
@@ -275,6 +275,8 @@ class ChainMap:
         for s, m in enumerate(self.mats):
             if (m.nrows, m.ncols) != (target.level_dim(s), source.level_dim(s)):
                 raise ChainError(f"level {s} matrix has the wrong shape")
+            if m.field != source.field:
+                raise ChainError(f"level {s} matrix is over the wrong field")
         self._validate()
 
     def _validate(self):
@@ -326,9 +328,10 @@ class DoubleComplex:
     gens[(p, q)] lists (name, t); d_h[(p, q)] maps to (p-1, q) and
     d_v[(p, q)] to (p, q-1), with d_h d_v + d_v d_h = 0 as stored: every
     builder here writes anticommuting squares.  validate checks only the
-    block shapes; d^2 = 0 and t are checked on the total complex, where
-    D^2 from block (p, q) lands in (p-2, q) as d_h^2, in (p, q-2) as d_v^2
-    and in (p-1, q-1) as d_h d_v + d_v d_h (see total_complex).
+    block shapes and fields; d^2 = 0 and t are checked on the total
+    complex, where D^2 from block (p, q) lands in (p-2, q) as d_h^2, in
+    (p, q-2) as d_v^2 and in (p-1, q-1) as d_h d_v + d_v d_h (see
+    total_complex).
     s_valid is the highest total degree a totalization is trusted in;
     None means nothing was truncated.
     """
@@ -352,8 +355,12 @@ class DoubleComplex:
                 (self.d_v, "vertical", (p, q - 1)),
             ):
                 m = table.get((p, q))
-                if m is not None and (m.nrows, m.ncols) != (self.dim(*tgt), self.dim(p, q)):
+                if m is None:
+                    continue
+                if (m.nrows, m.ncols) != (self.dim(*tgt), self.dim(p, q)):
                     raise ChainError(f"{which} map at ({p}, {q}) has the wrong shape")
+                if m.field != self.field:
+                    raise ChainError(f"{which} map at ({p}, {q}) is over the wrong field")
         return self
 
 
@@ -361,8 +368,8 @@ def total_complex(D: DoubleComplex) -> ChainComplex:
     """Levels n = sum of blocks (p, q) with p + q = n, blocks by ascending p;
     exact when D.s_valid is None, else trusted to min(D.s_valid, top - 1).
 
-    The block shapes are checked first (``DoubleComplex.validate``), and the
-    total comes back validated: its d^2 = 0 is d_h^2 = 0, d_v^2 = 0 and
+    The block shapes and fields are checked first (``DoubleComplex.validate``),
+    and the total comes back validated: its d^2 = 0 is d_h^2 = 0, d_v^2 = 0 and
     anticommutation on every block, and its t check reads every block entry.
     """
     D.validate()

@@ -9,8 +9,8 @@ matchings, Jonsson 2008) cancels all but a few critical chains, and the
 Morse complex on those (Sköldberg 2006) has the same homology.  The whole
 nerve stays as ``_full_nerve``, the oracle the tests hold the Morse
 complex to and the level-one complex whose H_0 ``edge_map`` reads, from
-its homology and from that of a cone into it.  Everything here is finite
-and exact.
+its homology and from one rank of d_1 beside F(x0).  Everything here is
+finite and exact.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import GradedAlgebra
-from .chains import BettiTable, ChainComplex, ChainMap, _check_degrees, cone
+from .chains import BettiTable, ChainComplex, _check_degrees
 from .loday import _Push, _positions
 from .matrix import SMat
 
@@ -160,6 +160,8 @@ class PosetFunctor:
         F(a', c) F(a, a') = F(a, c), by the triple (a, a', b), the shorter
         pair (a', b) and the triple (a, a', c).  A pair (a, b) is a cover
         exactly when it is not the outer pair of a chain of length two.
+        F(b, c) is applied to one column of F(a, b) at a time, as in
+        ``ChainComplex.validate``, so no product matrix is built.
         """
         if self._valid:
             return self
@@ -175,6 +177,8 @@ class PosetFunctor:
                 raise PosetError(f"no map assigned to ({a}, {b})")
             if (m.nrows, m.ncols) != (self.dim(b), self.dim(a)):
                 raise PosetError(f"map at ({a}, {b}) has the wrong shape")
+            if m.field != self.field:
+                raise PosetError(f"map at ({a}, {b}) is over the wrong field")
             _check_degrees(
                 m, self.spaces[a], self.spaces[b], f"map at ({a}, {b})", PosetError
             )
@@ -183,35 +187,27 @@ class PosetFunctor:
         for a, b, c in triples:
             if (a, b) in outer:
                 continue
-            if self.maps[(a, c)] != self.maps[(b, c)] @ self.maps[(a, b)]:
+            bc = self.maps[(b, c)]
+            cols = zip(self.maps[(a, b)].cols, self.maps[(a, c)].cols)
+            if any(bc.mul_vec(col) != want for col, want in cols):
                 raise PosetError(f"functoriality fails on the triple ({a}, {b}, {c})")
         self._valid = True
         return self
 
 
 def _runs(segs, total):
-    """Maximal circular runs of a segment set, each as a consecutive tuple.
+    """Maximal circular runs of a segment set short of the full circle.
 
-    Runs are listed by their starting segment in increasing order, with the
-    wrap-around run (if any) starting at its true first segment.
+    Each run is a consecutive tuple from a segment whose predecessor is not
+    in the set, and the runs come in increasing order of that start.
     """
     segs = set(segs)
     runs = []
-    seen = set()
-    for s in sorted(segs):
-        if s in seen:
-            continue
-        start = s
-        while (start - 1) % total in segs and (start - 1) % total != s:
-            start = (start - 1) % total
+    for start in sorted(s for s in segs if (s - 1) % total not in segs):
         run = [start]
-        seen.add(start)
-        while (run[-1] + 1) % total in segs and (run[-1] + 1) % total != start:
-            nxt = (run[-1] + 1) % total
-            run.append(nxt)
-            seen.add(nxt)
+        while (run[-1] + 1) % total in segs:
+            run.append((run[-1] + 1) % total)
         runs.append(tuple(run))
-    runs.sort(key=lambda r: r[0])
     return tuple(runs)
 
 
@@ -252,11 +248,10 @@ def cyclic_cech_poset(m: int) -> Poset:
             if sets[a] <= sets[b]:
                 le.add((a, b))
     components = {nm: len(geometry[nm]) for nm in names}
+    # a run of a lies inside the run of b that holds its first segment
+    owner = {nm: {s: k for k, r in enumerate(rs) for s in r} for nm, rs in geometry.items()}
     comp_maps = {
-        (a, b): tuple(
-            next(k for k, big in enumerate(geometry[b]) if set(run) <= set(big))
-            for run in geometry[a]
-        )
+        (a, b): tuple(owner[b][run[0]] for run in geometry[a])
         for a, b in le
         if a != b
     }
@@ -497,13 +492,13 @@ def edge_map(I: Poset, F: PosetFunctor, x0, morse: ChainComplex | None = None) -
     nothing survives above level zero inside the poset's trusted window,
     i.e. when the whole nerve collapses onto its edge.
 
-    H_0 is read off the level-one full nerve C.  When F(x0) and H_0 have the
-    same dimension in every internal degree, the map is an isomorphism
-    exactly when it is onto, that is when H_0 of the cone of F(x0) -> C
-    (F(x0) sitting in level 0 on the chain (x0)) vanishes.  Whether
-    anything survives above level zero is read from the Morse table of
-    ``nerve_complex``, or of ``morse`` when the caller has built that
-    complex already.
+    H_0 = C_0 / im d_1 is read off the level-one full nerve C.  When F(x0)
+    and H_0 have the same dimension in every internal degree, the map is an
+    isomorphism exactly when it is onto, that is when the columns of d_1
+    and the unit columns of F(x0) (on the chain (x0) in level 0) together
+    span C_0.  Whether anything survives above level zero is read from the
+    Morse table of ``nerve_complex``, or of ``morse`` when the caller has
+    built that complex already.
     """
     if x0 not in I.objects:
         raise PosetError(f"object {x0!r} is not in the poset")
@@ -518,18 +513,13 @@ def edge_map(I: Poset, F: PosetFunctor, x0, morse: ChainComplex | None = None) -
     h0_dims = {t: v for (_s, t), v in C.homology(0).entries.items()}
     iso = src_dims == h0_dims
     if iso:
-        # F(x0) alone in level 0 (C has a level 1 unless nothing is related)
-        n = len(gens)
-        S = ChainComplex(
-            field, [gens] + [()] * C.top, [None] + [SMat(n, 0, field)] * C.top,
-            s_valid=C.top,
-        )
-        # with no generators at x0 the chain (x0) has no block, and incl no column
+        # with no generators at x0 the chain (x0) has no block and no unit
+        # column; C has no level 1 when nothing is related
         chain_x0 = (k for k, ((ch, _nm), _t) in enumerate(C.levels[0]) if ch == (x0,))
         at = next(chain_x0, 0)
-        incl = SMat(C.level_dim(0), n, field, [{at + j: field.one} for j in range(n)])
-        mats = [incl] + [SMat(C.level_dim(1), 0, field)] * C.top
-        iso = not cone(ChainMap(S, C, mats)).homology(0).entries
+        units = [{at + j: field.one} for j in range(len(gens))]
+        cols = (C.diffs[1].cols if C.top else []) + units
+        iso = SMat(C.level_dim(0), len(cols), field, cols).rank() == C.level_dim(0)
     if iso:
         M = nerve_complex(I, F) if morse is None else morse
         w = M.s_valid if I.window is None else min(I.window, M.s_valid)

@@ -33,6 +33,10 @@ UNUSED_EXPORTS = {
     "hhx.algebra.map_to_json": "writes the map files that hh --base reads",
     "hhx.poset.poset_to_json": "writes the poset files that poset-hh --poset reads",
     "hhx.loday.induced_map": "chain maps along space maps, for the Hodge split (ROADMAP item 3)",
+    "hhx.chains.cone": (
+        "the mapping cone, for the Hodge split's ranks through the long exact sequence"
+        " (ROADMAP item 3)"
+    ),
     "hhx.loday.unnormalized_complex": "the oracle the normalized model is checked against",
     "hhx.chains.SpectralSequencePage": "the type sseq_pages returns",
     "hhx.poset.Poset": "the type poset_from_json and cyclic_cech_poset return",

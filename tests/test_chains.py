@@ -155,6 +155,26 @@ def test_maps_reject_t_mixing(which):
         _mixed_degree_builders()[which]()
 
 
+def _other_field_builders():
+    # each holds a QQ map with one F_3 entry, which the holder refuses by name
+    three = SMat.from_dense([[2]], GF(3))
+    C = ChainComplex(QQ, [[("a", 0)]], [None], s_valid=0)
+    D = DoubleComplex(QQ, {(0, 0): [("a", 0)], (1, 0): [("b", 0)]}, {(1, 0): three}, {})
+    return {
+        "chain-map": (lambda: ChainMap(C, C, [three]), "level 0 matrix is over the wrong field"),
+        "horizontal": (
+            lambda: total_complex(D), "horizontal map at \\(1, 0\\) is over the wrong field"
+        ),
+    }
+
+
+@pytest.mark.parametrize("which", sorted(_other_field_builders()))
+def test_maps_over_another_field_refused(which):
+    build, message = _other_field_builders()[which]
+    with pytest.raises(ChainError, match=message):
+        build()
+
+
 def _malformed_complexes():
     # each builds a complex that the constructor or validate refuses
     one = SMat.from_dense([[1]], QQ)

@@ -24,7 +24,7 @@ from hhx.cobar import CobarComplex, cobar, hochschild_cohomology, regular_module
 from hhx.fields import GF, QQ
 from hhx.loday import hh, loday_complex, oracle_hh
 from hhx.matrix import SMat
-from hhx.poset import arc_functor, cyclic_cech_poset, edge_map, poset_homology
+from hhx.poset import _full_nerve, arc_functor, cyclic_cech_poset, edge_map, poset_homology
 from hhx.simplicial import circle_min, parse_space
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "hhx" / "corpus"
@@ -142,11 +142,26 @@ def test_cleared_tables_match_whole_blocks(monkeypatch, name):
         assert table.entries == whole_block_table(C.levels, table.s_valid, block)
 
 
-def test_edge_map_ranks_its_cone(monkeypatch):
-    # the cone of F(x0) into the nerve is among the complexes checked above
-    seen = recorded(monkeypatch, ChainComplex, "homology")
+def test_edge_map_ranks_d1_beside_its_units(monkeypatch):
+    # F(x0) is onto H_0 = C_0 / im d_1 when d_1's columns and F(x0)'s unit
+    # columns span C_0: one plain rank call, beside the paired ranks above
+    plain = []
+    rank = SMat.rank
+
+    def spy(self, *args, **kwargs):
+        if not args and not kwargs:
+            plain.append(self)
+        return rank(self, *args, **kwargs)
+
+    monkeypatch.setattr(SMat, "rank", spy)
     poset_with_edge()
-    assert any(name[0] == "tgt" for C, _ in seen for lv in C.levels for name, _ in lv)
+    P = cyclic_cech_poset(3)
+    F = arc_functor(split_pair(), P)
+    C = _full_nerve(P, F, top=1)
+    at = next(k for k, ((ch, _nm), _t) in enumerate(C.levels[0]) if ch == ("0",))
+    units = [{at + j: QQ.one} for j in range(F.dim("0"))]
+    [M] = plain
+    assert (M.nrows, M.cols) == (C.level_dim(0), C.diffs[1].cols + units)
 
 
 def rhom_dual():

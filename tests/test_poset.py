@@ -216,6 +216,14 @@ def test_functor_rejects_t_mixing():
         PosetFunctor(P, QQ, spaces, {("a", "b"): ident}).validate()
 
 
+def test_functor_refuses_a_map_over_another_field():
+    P = Poset(["a", "b"], {("a", "a"), ("b", "b"), ("a", "b")}, {"a": 1, "b": 1})
+    spaces = {"a": [("e", 0)], "b": [("e", 0)]}
+    maps = {("a", "b"): SMat.from_dense([[2]], GF(3))}
+    with pytest.raises(PosetError, match=r"map at \(a, b\) is over the wrong field"):
+        PosetFunctor(P, QQ, spaces, maps).validate()
+
+
 # --------------------------------------------------- the circle model
 
 
